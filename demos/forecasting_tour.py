@@ -8,7 +8,8 @@ multi-step forecasts against what actually happened next.
 
 import numpy as np
 
-from sensorcast import FitConfig, MethodKind, ball_series, fit_model, forecast
+from sensorcast import FitConfig, MethodKind, ball_series, fit_model
+from sensorcast.forecast import forecast
 from sensorcast.evaluation import count_avoided, mape
 
 H = 40

@@ -23,8 +23,6 @@ from .forecast import (
     ForecastModel,
     MethodKind,
     fit_model,
-    forecast,
-    select_model,
 )
 from .dps import (
     DpsProtocolError,
@@ -82,7 +80,6 @@ __all__ = [
     "TimeSeries", "Split", "interpolate_gaps", "add_white_noise",
     "quantize_to_resolution", "extract_splits", "gap_fill",
     "MethodKind", "FitConfig", "FitError", "ForecastModel", "fit_model",
-    "forecast", "select_model",
     "Measurement", "ModelUpdate", "SensorNode", "Gateway", "DpsTrace",
     "DpsProtocolError", "run_dps", "count_model_overhead", "encode_message",
     "decode_message",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .datasets import (
@@ -81,23 +81,9 @@ class RunManifest:
     tool_version: str = __version__
 
     def effective_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_splits": self.n_splits,
-            "output_dir": self.output_dir,
-            "workers": self.workers,
-            "data_dir": self.data_dir,
-            "datasets": [dict(d) for d in self.datasets],
-            "methods": list(self.methods),
-            "history_lengths": list(self.history_lengths),
-            "window_lengths": list(self.window_lengths),
-            "delta_min": self.delta_min,
-            "history_len": self.history_len,
-            "window_len": self.window_len,
-            "ring_branches": self.ring_branches,
-            "ring_depth": self.ring_depth,
-            "tool_version": self.tool_version,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config_path"}
+        out["datasets"] = [dict(d) for d in self.datasets]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def hashed_dict(self) -> dict:
         # Placement and parallelism cannot change row content, so they
@@ -109,11 +95,8 @@ class RunManifest:
         return d
 
 
-_MANIFEST_KEYS = {
-    "seed", "n_splits", "output_dir", "workers", "data_dir", "datasets",
-    "methods", "history_lengths", "window_lengths", "delta_min",
-    "history_len", "window_len", "ring_branches", "ring_depth",
-}
+# Keys a manifest file may set: every field but the two the tool fills in.
+_MANIFEST_KEYS = {f.name for f in fields(RunManifest)} - {"config_path", "tool_version"}
 
 
 def load_manifest(path: str | None, overrides: dict) -> RunManifest:

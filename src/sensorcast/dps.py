@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import FitConfig, FitError, ForecastModel, MethodKind, fit_constant, fit_model, forecast
+from .forecast import (METHOD_SPECS, FitConfig, FitError, ForecastModel, MethodKind,
+                       fit_constant, fit_model, forecast)
 from .series import TimeSeries
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "count_model_overhead",
     "encode_message",
     "decode_message",
+    "suppressed",
 ]
 
 
@@ -63,26 +65,14 @@ DpsMessage = Measurement | ModelUpdate
 _TAG_MODEL_UPDATE = 0x01
 _TAG_MEASUREMENT = 0x02
 
-_KIND_CODES = {
-    MethodKind.CONSTANT: 0,
-    MethodKind.LINEAR: 1,
-    MethodKind.SIMPLE_MEAN: 2,
-    MethodKind.EXPONENTIAL_SMOOTHING: 3,
-    MethodKind.ARIMA: 4,
-}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_CODE_KINDS = {spec.code: kind for kind, spec in METHOD_SPECS.items()}
 
 
-def _payload_sizes(kind: MethodKind, orders: tuple[int, int, int]) -> tuple[int, int]:
-    """(param count, state count) implied by kind and orders."""
-    if kind is MethodKind.CONSTANT or kind is MethodKind.SIMPLE_MEAN:
-        return 1, 0
-    if kind is MethodKind.LINEAR:
-        return 2, 0
-    if kind is MethodKind.EXPONENTIAL_SMOOTHING:
-        return orders[0], orders[0]
-    p, d, q = orders
-    return p + q + 1, p + q + d
+def suppressed(predicted, actual, delta_min):
+    """Whether the prediction may stand in for the reading: strictly
+    within ``delta_min``.  Works elementwise on arrays.  Fails closed: a
+    NaN prediction is never within, so the reading is transmitted."""
+    return abs(predicted - actual) < delta_min
 
 
 def encode_message(msg: DpsMessage) -> bytes:
@@ -100,7 +90,7 @@ def encode_message(msg: DpsMessage) -> bytes:
     floats = np.concatenate([model.params, model.state])
     return struct.pack(
         f"<BIBBH{len(floats)}d",
-        _TAG_MODEL_UPDATE, msg.seq, _KIND_CODES[model.kind], packed,
+        _TAG_MODEL_UPDATE, msg.seq, METHOD_SPECS[model.kind].code, packed,
         len(floats), *floats,
     )
 
@@ -126,7 +116,7 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
         raise DpsProtocolError(f"unknown model kind code {kind_code}")
     kind = _CODE_KINDS[kind_code]
     orders = ((packed >> 4) & 0x3, (packed >> 2) & 0x3, packed & 0x3)
-    n_params, n_state = _payload_sizes(kind, orders)
+    n_params, n_state = METHOD_SPECS[kind].payload_sizes(orders)
     if count != n_params + n_state:
         raise DpsProtocolError(
             f"{kind.value}{orders} update carries {count} floats, expected "
@@ -147,6 +137,52 @@ def _wire_round_trip(model: ForecastModel) -> ForecastModel:
     return decoded.model
 
 
+class _Window:
+    """One endpoint's current prediction and its position in it.
+
+    A forecasting method predicts from a window of forecast values and is
+    due a refit once the window is used up.  Value-holding predicts the
+    last transmitted value: its window is that one value, the position
+    never moves, and every transmission replaces it.
+    """
+
+    __slots__ = ("holds", "length", "values", "pos")
+
+    def __init__(self, holds: bool, length: int):
+        self.holds = holds
+        self.length = length
+        self.values: list[float] | None = None
+        self.pos = 0
+
+    def install(self, forecast_values: np.ndarray) -> None:
+        self.values = forecast_values.tolist()
+        self.pos = 0
+
+    def start(self, last_value: float) -> bool:
+        """Enter steady state after the bootstrap's last reading; True when
+        a model must be fitted first."""
+        if self.holds:
+            self.values = [last_value]
+        return not self.holds
+
+    def predicted(self) -> float:
+        try:
+            return self.values[self.pos]
+        except TypeError:
+            raise DpsProtocolError("no model established by a prior update") from None
+        except IndexError:
+            raise DpsProtocolError("forecast window exhausted") from None
+
+    def advance(self, value: float, transmitted: bool) -> bool:
+        """Move past one steady-state step; True when a refit is due."""
+        if self.holds:
+            if transmitted:
+                self.values = [value]
+            return False
+        self.pos += 1
+        return self.pos == self.length
+
+
 class SensorNode:
     """Sensor endpoint: decides transmissions, refits at window boundaries."""
 
@@ -165,14 +201,8 @@ class SensorNode:
         self._buffer: deque[float] = deque(maxlen=history_len)
         self._seq = 0
         self._t = 0
-        self._base = 0.0
-        self._window_forecast: np.ndarray | None = None
-        self._window_pos = 0
+        self._window = _Window(METHOD_SPECS[config.method].holds, window_len)
         self.fallback_steps: list[int] = []
-
-    @property
-    def _is_constant(self) -> bool:
-        return self.config.method is MethodKind.CONSTANT
 
     def _next_seq(self) -> int:
         seq = self._seq
@@ -187,59 +217,46 @@ class SensorNode:
             model = fit_constant(history)
             self.fallback_steps.append(self._t - 1)
         update = ModelUpdate(seq=self._next_seq(), model=model, piggybacked=piggybacked)
-        self._window_forecast = forecast(_wire_round_trip(model), self.window_len)
-        self._window_pos = 0
+        self._window.install(forecast(_wire_round_trip(model), self.window_len))
         return update
 
     def step(self, value: float) -> list[DpsMessage]:
         """Process one reading; returns the messages to transmit (0 to 2)."""
         value = float(value)
         t = self._t
-        messages: list[DpsMessage] = []
-
+        self._t += 1
+        self._buffer.append(value)
         if t < self.history_len:
             # Bootstrap: relay raw readings so the gateway sees the same
             # history the first fit will use.
-            messages.append(Measurement(seq=self._next_seq(), index=t, value=value))
-            self._buffer.append(value)
-            self._t += 1
-            if self._t == self.history_len:
-                if self._is_constant:
-                    self._base = value
-                else:
-                    messages.append(self._refit(piggybacked=True))
+            messages: list[DpsMessage] = [Measurement(seq=self._next_seq(), index=t, value=value)]
+            if self._t == self.history_len and self._window.start(value):
+                messages.append(self._refit(piggybacked=True))
             return messages
 
-        if self._is_constant:
-            if abs(value - self._base) >= self.delta_min:
-                messages.append(Measurement(seq=self._next_seq(), index=t, value=value))
-                self._base = value
-            self._buffer.append(value)
-            self._t += 1
-            return messages
-
-        predicted = self._window_forecast[self._window_pos]
-        if abs(predicted - value) >= self.delta_min:
+        messages = []
+        transmit = not suppressed(self._window.predicted(), value, self.delta_min)
+        if transmit:
             messages.append(Measurement(seq=self._next_seq(), index=t, value=value))
-        self._buffer.append(value)
-        self._window_pos += 1
-        self._t += 1
-        if self._window_pos == self.window_len:
+        if self._window.advance(value, transmit):
             messages.append(self._refit(piggybacked=False))
         return messages
 
 
 class Gateway:
-    """Gateway endpoint: reconstructs the stream from messages and forecasts."""
+    """Gateway endpoint: reconstructs the stream from messages and forecasts.
+
+    It keeps its own window and forecasts from its own decoding of each
+    update, so a reconstruction that matches the sensor's shows that the
+    update bytes alone carry the model.
+    """
 
     def __init__(self, method: MethodKind, history_len: int, window_len: int):
         self.method = method
         self.history_len = history_len
         self.window_len = window_len
         self.reconstructed: list[float] = []
-        self._base: float | None = None
-        self._window_forecast: np.ndarray | None = None
-        self._window_pos = 0
+        self._window = _Window(METHOD_SPECS[method].holds, window_len)
 
     def step(self, messages) -> float:
         """Consume one step's messages and return the reconstructed value."""
@@ -267,27 +284,17 @@ class Gateway:
             value = measurement.value
         elif t < self.history_len:
             raise DpsProtocolError(f"missing bootstrap measurement at step {t}")
-        elif self.method is MethodKind.CONSTANT:
-            if self._base is None:
-                raise DpsProtocolError("no held value established yet")
-            value = self._base
         else:
-            if self._window_forecast is None:
-                raise DpsProtocolError("no model established by a prior update")
-            if self._window_pos >= len(self._window_forecast):
-                raise DpsProtocolError(f"forecast window exhausted at step {t}")
-            value = float(self._window_forecast[self._window_pos])
+            value = self._window.predicted()
 
         self.reconstructed.append(value)
-        if self.method is MethodKind.CONSTANT:
-            if measurement is not None:
-                self._base = value
-        elif t >= self.history_len:
-            self._window_pos += 1
+        if t >= self.history_len:
+            self._window.advance(value, measurement is not None)
+        elif t == self.history_len - 1:
+            self._window.start(value)
         if update is not None:
             model = _wire_round_trip(update.model)
-            self._window_forecast = forecast(model, self.window_len)
-            self._window_pos = 0
+            self._window.install(forecast(model, self.window_len))
         return value
 
 

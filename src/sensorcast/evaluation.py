@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import DatasetDescriptor
-from .forecast import FitConfig, MethodKind, fit_model, forecast
+from .dps import suppressed
+from .forecast import METHOD_SPECS, FitConfig, MethodKind, fit_model, forecast
 from .series import TimeSeries, extract_splits, quantize_to_resolution
 
 __all__ = [
@@ -151,7 +152,7 @@ class ScenarioResult:
     @property
     def model_updates_per_window(self) -> int:
         # One refit ships per completed window; value-holding ships none.
-        return 0 if self.scenario.config.method is MethodKind.CONSTANT else 1
+        return 0 if METHOD_SPECS[self.scenario.config.method].holds else 1
 
     @property
     def skipped_total(self) -> int:
@@ -193,16 +194,16 @@ def count_avoided(method: MethodKind, history_last: float, window: np.ndarray,
     as its protocol run does; every other method forecasts the whole window
     from the fit, so suppression is a pointwise comparison.
     """
-    if method is MethodKind.CONSTANT:
+    if METHOD_SPECS[method].holds:
         base = history_last
         avoided = 0
-        for value in window:
-            if abs(value - base) < delta_min:
+        for value in window.tolist():
+            if suppressed(base, value, delta_min):
                 avoided += 1
             else:
                 base = value
         return avoided
-    return int(np.count_nonzero(np.abs(predicted - window) < delta_min))
+    return int(np.count_nonzero(suppressed(predicted, window, delta_min)))
 
 
 def run_scenario(scenario: Scenario, series: TimeSeries) -> ScenarioResult:

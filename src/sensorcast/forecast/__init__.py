@@ -17,11 +17,10 @@ from .models import (
     fit_constant,
     fit_linear,
     fit_simple_mean,
-    forecast,
     gaussian_neg2_loglik,
 )
 from .optimize import SimplexResult, golden_section, nelder_mead
-from .selection import fit_model, min_history, select_model
+from .selection import METHOD_SPECS, fit_model, forecast, min_history
 from .smoothing import fit_exponential_smoothing, simple_errors, trend_errors
 
 __all__ = [
@@ -29,6 +28,7 @@ __all__ = [
     "FULL_ORDER_GRID",
     "FitConfig",
     "FitError",
+    "METHOD_SPECS",
     "ForecastModel",
     "MethodKind",
     "SimplexResult",
@@ -47,7 +47,6 @@ __all__ = [
     "hannan_rissanen_start",
     "min_history",
     "nelder_mead",
-    "select_model",
     "simple_errors",
     "trend_errors",
 ]

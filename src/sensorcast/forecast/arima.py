@@ -32,6 +32,7 @@ from .optimize import nelder_mead
 
 __all__ = [
     "fit_arima",
+    "forecast_arima",
     "choose_differencing",
     "css_residuals",
     "hannan_rissanen_start",
@@ -106,8 +107,13 @@ def _min_root_modulus(coefs: np.ndarray, sign: float) -> float:
 
 
 def _admissible(phi: np.ndarray, theta: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
-    return (_min_root_modulus(phi, -1.0) > margin
-            and _min_root_modulus(theta, 1.0) > margin)
+    # Roots that cannot be computed (non-finite coefficients) count as
+    # outside the admissible region.
+    try:
+        return (_min_root_modulus(phi, -1.0) > margin
+                and _min_root_modulus(theta, 1.0) > margin)
+    except np.linalg.LinAlgError:
+        return False
 
 
 def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
@@ -280,3 +286,34 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     if not _admissible(phi, theta):
         return None
     return phi, theta, mu
+
+
+def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:
+    """Forecast ``n_steps`` values ahead from a fitted ARIMA model."""
+    # State layout: p most recent differenced values (oldest first), then q
+    # most recent residuals (oldest first), then the d integration anchors
+    # (last value of each differencing level, level 0 first).
+    p, d, q = model.orders
+    phi = model.params[:p]
+    theta = model.params[p:p + q]
+    mu = model.params[p + q]
+    z_hist = list(model.state[:p])
+    e_hist = list(model.state[p:p + q])
+    anchors = model.state[p + q:p + q + d]
+
+    out = np.empty(n_steps)
+    for step in range(n_steps):
+        acc = mu
+        for i in range(p):
+            acc += phi[i] * (z_hist[-1 - i] - mu)
+        for j in range(q):
+            acc += theta[j] * e_hist[-1 - j]
+        out[step] = acc
+        if p:
+            z_hist.append(acc)
+        if q:
+            e_hist.append(0.0)  # future shocks enter at their mean
+
+    for level in range(d - 1, -1, -1):
+        out = anchors[level] + np.cumsum(out)
+    return out

@@ -1,10 +1,10 @@
-"""Fitted-model container, the cheap fitters, and multi-step forecasting.
+"""Fitted-model container and the cheap fitters.
 
-Every forecasting method produces a :class:`ForecastModel`; forecasting is a
-pure function of the model, so the sensor and the gateway compute identical
-values from identical model bytes.  The heavier fitters live in
-``smoothing`` and ``arima``; this module owns the shared types plus the
-methods whose fit is a couple of array reads.
+Every forecasting method produces a :class:`ForecastModel`; forecasting
+(``selection.forecast``) is a pure function of the model, so the sensor
+and the gateway compute identical values from identical model bytes.  The
+heavier fitters live in ``smoothing`` and ``arima``; this module owns the
+shared types plus the methods whose fit is a couple of array reads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "fit_constant",
     "fit_linear",
     "fit_simple_mean",
-    "forecast",
     "aicc",
     "gaussian_neg2_loglik",
     "FULL_ORDER_GRID",
@@ -212,57 +211,3 @@ def fit_simple_mean(history: np.ndarray) -> ForecastModel:
         raise FitError("simple mean needs at least one observation")
     return ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=[np.mean(history)],
                          k=1, fit_n=len(history))
-
-
-def forecast(model: ForecastModel, n_steps: int) -> np.ndarray:
-    """Forecast ``n_steps`` values ahead of the model's fit point.
-
-    Deterministic in (model, n_steps); a shorter horizon is always a prefix
-    of a longer one because every recursion runs forward step by step.
-    """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    kind = model.kind
-    if kind is MethodKind.CONSTANT or kind is MethodKind.SIMPLE_MEAN:
-        return np.full(n_steps, model.params[0])
-    if kind is MethodKind.LINEAR:
-        last, slope = model.params
-        return last + slope * np.arange(1, n_steps + 1, dtype=np.float64)
-    if kind is MethodKind.EXPONENTIAL_SMOOTHING:
-        if model.orders[0] == 1:
-            return np.full(n_steps, model.state[0])
-        level, trend = model.state
-        return level + trend * np.arange(1, n_steps + 1, dtype=np.float64)
-    if kind is MethodKind.ARIMA:
-        return _forecast_arima(model, n_steps)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:
-    # State layout: p most recent differenced values (oldest first), then q
-    # most recent residuals (oldest first), then the d integration anchors
-    # (last value of each differencing level, level 0 first).
-    p, d, q = model.orders
-    phi = model.params[:p]
-    theta = model.params[p:p + q]
-    mu = model.params[p + q]
-    z_hist = list(model.state[:p])
-    e_hist = list(model.state[p:p + q])
-    anchors = model.state[p + q:p + q + d]
-
-    out = np.empty(n_steps)
-    for step in range(n_steps):
-        acc = mu
-        for i in range(p):
-            acc += phi[i] * (z_hist[-1 - i] - mu)
-        for j in range(q):
-            acc += theta[j] * e_hist[-1 - j]
-        out[step] = acc
-        if p:
-            z_hist.append(acc)
-        if q:
-            e_hist.append(0.0)  # future shocks enter at their mean
-
-    for level in range(d - 1, -1, -1):
-        out = anchors[level] + np.cumsum(out)
-    return out

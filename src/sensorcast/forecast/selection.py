@@ -1,103 +1,110 @@
-"""Fit dispatch and cross-method model selection."""
+"""The method table: every per-family fact behind one spec per method.
+
+A :class:`MethodSpec` holds what the rest of the package needs to know
+about a forecasting family: its wire code, how to fit it, how to forecast
+from a fitted model, the payload sizes its orders imply, the shortest
+history it can be fitted on, and whether it is the value-holding baseline.
+Fitters are looked up by module-global name at call time, so a wrapper
+installed on ``fit_arima`` or ``fit_exponential_smoothing`` here sees
+every call.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .arima import fit_arima
-from .models import (
-    FitConfig,
-    FitError,
-    ForecastModel,
-    MethodKind,
-    aicc,
-    fit_constant,
-    fit_linear,
-    fit_simple_mean,
-    gaussian_neg2_loglik,
-)
+from .arima import _MIN_EXTRA_HISTORY, fit_arima, forecast_arima
+from .models import FitConfig, ForecastModel, MethodKind, fit_constant, fit_linear, fit_simple_mean
+from .smoothing import _MIN_HISTORY as _ES_MIN_HISTORY
 from .smoothing import fit_exponential_smoothing
 
-__all__ = ["fit_model", "select_model", "min_history"]
+__all__ = ["MethodSpec", "METHOD_SPECS", "fit_model", "forecast", "min_history"]
+
+Orders = tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Everything that differs between forecasting families.
+
+    ``payload_sizes`` maps a model's orders to its (param count, state
+    count).  ``holds`` marks value-holding: it predicts the last
+    transmitted value, re-anchors on every transmission and never ships a
+    model.
+    """
+
+    code: int
+    fit: Callable[[np.ndarray, FitConfig], ForecastModel]
+    forecast: Callable[[ForecastModel, int], np.ndarray]
+    payload_sizes: Callable[[Orders], tuple[int, int]]
+    min_history: Callable[[FitConfig], int]
+    holds: bool = False
+
+
+def _flat(value: float, n_steps: int) -> np.ndarray:
+    return np.full(n_steps, value)
+
+
+def _line(level: float, slope: float, n_steps: int) -> np.ndarray:
+    return level + slope * np.arange(1, n_steps + 1, dtype=np.float64)
+
+
+def _forecast_smoothing(model: ForecastModel, n_steps: int) -> np.ndarray:
+    # State is [level] for the simple variant, [level, trend] with trend.
+    if model.orders[0] == 1:
+        return _flat(model.state[0], n_steps)
+    return _line(*model.state, n_steps)
+
+
+def _arima_payload_sizes(orders: Orders) -> tuple[int, int]:
+    p, d, q = orders
+    return p + q + 1, p + q + d
+
+
+METHOD_SPECS: dict[MethodKind, MethodSpec] = {
+    MethodKind.CONSTANT: MethodSpec(
+        code=0, fit=lambda history, config: fit_constant(history),
+        forecast=lambda model, n: _flat(model.params[0], n),
+        payload_sizes=lambda orders: (1, 0), min_history=lambda config: 1, holds=True),
+    MethodKind.LINEAR: MethodSpec(
+        code=1, fit=lambda history, config: fit_linear(history),
+        forecast=lambda model, n: _line(*model.params, n),
+        payload_sizes=lambda orders: (2, 0), min_history=lambda config: 2),
+    MethodKind.SIMPLE_MEAN: MethodSpec(
+        code=2, fit=lambda history, config: fit_simple_mean(history),
+        forecast=lambda model, n: _flat(model.params[0], n),
+        payload_sizes=lambda orders: (1, 0), min_history=lambda config: 1),
+    MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(
+        code=3, fit=lambda history, config: fit_exponential_smoothing(history, config),
+        forecast=_forecast_smoothing,
+        payload_sizes=lambda orders: (orders[0], orders[0]),
+        min_history=lambda config: _ES_MIN_HISTORY),
+    MethodKind.ARIMA: MethodSpec(
+        code=4, fit=lambda history, config: fit_arima(history, config),
+        forecast=forecast_arima, payload_sizes=_arima_payload_sizes,
+        min_history=lambda config: _MIN_EXTRA_HISTORY + max(map(max, config.order_grid))),
+}
 
 
 def min_history(config: FitConfig) -> int:
     """Shortest history the configured method can be fitted on."""
-    kind = config.method
-    if kind is MethodKind.CONSTANT or kind is MethodKind.SIMPLE_MEAN:
-        return 1
-    if kind is MethodKind.LINEAR:
-        return 2
-    if kind is MethodKind.EXPONENTIAL_SMOOTHING:
-        return 4
-    return 10 + max(max(p, d, q) for p, d, q in config.order_grid)
+    return METHOD_SPECS[config.method].min_history(config)
 
 
 def fit_model(history: np.ndarray, config: FitConfig) -> ForecastModel:
     """Fit the configured method on the history."""
-    kind = config.method
-    if kind is MethodKind.CONSTANT:
-        return fit_constant(history)
-    if kind is MethodKind.LINEAR:
-        return fit_linear(history)
-    if kind is MethodKind.SIMPLE_MEAN:
-        return fit_simple_mean(history)
-    if kind is MethodKind.EXPONENTIAL_SMOOTHING:
-        return fit_exponential_smoothing(history, config)
-    if kind is MethodKind.ARIMA:
-        return fit_arima(history, config)
-    raise ValueError(f"unknown method {kind!r}")
+    return METHOD_SPECS[config.method].fit(history, config)
 
 
-def _one_step_neg2_loglik(model: ForecastModel, history: np.ndarray) -> tuple[float, int]:
-    """In-sample one-step-ahead Gaussian -2 log L for ranking a fit.
+def forecast(model: ForecastModel, n_steps: int) -> np.ndarray:
+    """Forecast ``n_steps`` values ahead of the model's fit point.
 
-    The smoothing and ARIMA fitters already carry their in-sample errors;
-    the closed-form methods get the natural one-step predictor: previous
-    value, previous line extension, expanding mean.
+    Deterministic in (model, n_steps); a shorter horizon is always a prefix
+    of a longer one because every recursion runs forward step by step.
     """
-    if np.isfinite(model.neg2_loglik) and model.loglik_n > 0:
-        return model.neg2_loglik, model.loglik_n
-    kind = model.kind
-    if kind is MethodKind.CONSTANT:
-        errors = np.diff(history)
-    elif kind is MethodKind.LINEAR:
-        preds = history[1:-1] + (history[1:-1] - history[:-2])
-        errors = history[2:] - preds
-    elif kind is MethodKind.SIMPLE_MEAN:
-        running = np.cumsum(history[:-1]) / np.arange(1, len(history))
-        errors = history[1:] - running
-    else:
-        raise ValueError(f"no in-sample error rule for {kind!r}")
-    if len(errors) == 0:
-        raise FitError(f"history of length {len(history)} too short to rank {kind.value}")
-    return gaussian_neg2_loglik(errors), len(errors)
-
-
-def select_model(history: np.ndarray, candidates) -> ForecastModel:
-    """Fit every candidate config and keep the lowest-AICc model.
-
-    Ties break toward fewer parameters, then earlier candidate position.
-    Candidates that cannot be fitted or whose AICc is undefined are skipped;
-    if that removes all of them a :class:`FitError` is raised.
-    """
-    history = np.asarray(history, dtype=np.float64)
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("need at least one candidate config")
-    best = None
-    for idx, config in enumerate(candidates):
-        try:
-            model = fit_model(history, config)
-            neg2ll, n = _one_step_neg2_loglik(model, history)
-            crit = aicc(neg2ll, model.k, n)
-        except (FitError, ValueError):
-            continue
-        key = (crit, model.k, idx)
-        if best is None or key < best[0]:
-            best = (key, model)
-    if best is None:
-        raise FitError(
-            f"no candidate could be fitted and ranked on a history of length {len(history)}"
-        )
-    return best[1]
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    return METHOD_SPECS[model.kind].forecast(model, n_steps)

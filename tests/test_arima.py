@@ -11,7 +11,8 @@ from sensorcast.forecast.arima import (
     fit_arima,
     hannan_rissanen_start,
 )
-from sensorcast.forecast.models import FitConfig, FitError, MethodKind, forecast
+from sensorcast.forecast.models import FitConfig, FitError, MethodKind
+from sensorcast.forecast.selection import forecast
 
 from conftest import make_ar1, yule_walker_ar1
 
@@ -233,3 +234,15 @@ def test_fit_arima_one_step_forecast_tracks_ar_process():
         errs_model.append(abs(forecast(m, 1)[0] - x[origin]))
         errs_hold.append(abs(x[origin - 1] - x[origin]))
     assert np.mean(errs_model) <= np.mean(errs_hold) * 1.05
+
+
+def test_fit_arima_tiny_magnitudes_raise_only_fit_error():
+    # Roots of polynomials fitted to ~1e-160 data overflow; such candidates
+    # are inadmissible rather than a crash.
+    x = np.random.default_rng(0).standard_normal(60) * 1e-160
+    try:
+        model = fit_arima(x, ARIMA_CONFIG)
+    except FitError:
+        return
+    assert model.kind is MethodKind.ARIMA
+    assert np.all(np.isfinite(forecast(model, 5)))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import sensorcast.dps as dps_module
 from sensorcast.datasets import ball_series
 from sensorcast.dps import (
     DpsProtocolError,
@@ -162,20 +163,46 @@ def test_linear_method_exact_line_transmits_nothing():
     assert count_model_overhead(trace) == 5
 
 
+def assert_quality_guarantee(trace, series, delta):
+    """Transmitted steps are exact, suppressed steps strictly within delta."""
+    transmitted = {m.index for _, m in trace.messages if isinstance(m, Measurement)}
+    err = np.abs(trace.reconstructed.values - series.values)
+    for t in range(len(series)):
+        if t in transmitted:
+            assert err[t] == 0.0, (trace.method, t)
+        else:
+            assert err[t] < delta, (trace.method, t, err[t])
+
+
 def test_quality_guarantee_on_ball_segments():
     series = ball_series(1).slice(0, 220)
     delta = 0.05
     for method in ALL_METHODS:
         trace = run_dps(series, FitConfig(method=method), history_len=40,
                         window_len=20, delta_min=delta)
-        transmitted = {m.index for _, m in trace.messages
-                       if isinstance(m, Measurement)}
-        err = np.abs(trace.reconstructed.values - series.values)
-        for t in range(len(series)):
-            if t in transmitted:
-                assert err[t] == 0.0, (method, t)
-            else:
-                assert err[t] < delta, (method, t, err[t])
+        assert_quality_guarantee(trace, series, delta)
+
+
+def test_nan_forecast_fails_closed(monkeypatch):
+    # A model whose forecast is NaN must transmit every reading, never let
+    # the gateway stand NaN in for it.
+    nan_model = ForecastModel(kind=MethodKind.LINEAR, params=[np.nan, 0.0], k=2)
+    monkeypatch.setattr(dps_module, "fit_model", lambda history, config: nan_model)
+    series = ball_series(1).slice(0, 80)
+    trace = run_dps(series, FitConfig(method="linear"), history_len=10,
+                    window_len=10, delta_min=0.5)
+    assert trace.post_bootstrap_measurements == len(series) - 10
+    np.testing.assert_array_equal(trace.reconstructed.values, series.values)
+
+
+def test_arima_run_on_tiny_magnitudes_keeps_the_guarantee():
+    values = np.random.default_rng(0).standard_normal(200) * 1e-160
+    series = TimeSeries.regular(values)
+    delta = 1e-161
+    trace = run_dps(series, FitConfig(method="arima"), history_len=50,
+                    window_len=20, delta_min=delta)
+    assert trace.n_steps == 200
+    assert_quality_guarantee(trace, series, delta)
 
 
 def test_replay_oracle_matches_gateway():

@@ -13,9 +13,9 @@ from sensorcast.forecast.models import (
     fit_constant,
     fit_linear,
     fit_simple_mean,
-    forecast,
     gaussian_neg2_loglik,
 )
+from sensorcast.forecast.selection import forecast
 
 
 def test_method_kind_coerce():
@@ -180,3 +180,12 @@ def test_exponential_smoothing_forecast_shapes():
     trend = ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(2, 0, 0),
                           params=[0.4, 0.2], state=[3.0, -0.5], k=4, fit_n=20)
     np.testing.assert_array_equal(forecast(trend, 3), [2.5, 2.0, 1.5])
+
+
+def test_forecast_subpackage_imports_by_dotted_path():
+    # The package must not shadow its ``forecast`` subpackage with the
+    # function of the same name.
+    import sensorcast.forecast.arima as arima_module
+
+    from sensorcast.forecast.arima import fit_arima
+    assert arima_module.fit_arima is fit_arima

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sensorcast.forecast.models import FitConfig, FitError, MethodKind
-from sensorcast.forecast.selection import fit_model, min_history, select_model
+from sensorcast.forecast.selection import METHOD_SPECS, fit_model, min_history
 
 from conftest import make_ar1
 
@@ -41,43 +41,43 @@ def test_fit_model_respects_method_minimums():
         fit_model(np.arange(5.0), FitConfig(method="arima"))
 
 
-def test_select_model_prefers_the_matching_process():
-    # Mean-reverting noise around a level: the mean beats value-holding.
-    rng = np.random.default_rng(3)
-    flat = 20.0 + 0.5 * rng.standard_normal(200)
-    chosen = select_model(flat, [FitConfig(method="constant"),
-                                 FitConfig(method="simple_mean")])
-    assert chosen.kind is MethodKind.SIMPLE_MEAN
-
-    # Persistent random walk: value-holding beats the global mean.
-    walk = np.cumsum(rng.standard_normal(200))
-    chosen = select_model(walk, [FitConfig(method="constant"),
-                                 FitConfig(method="simple_mean")])
-    assert chosen.kind is MethodKind.CONSTANT
+def test_every_method_has_exactly_one_spec():
+    assert list(METHOD_SPECS) == list(MethodKind)
+    assert all(isinstance(kind, MethodKind) for kind in METHOD_SPECS)
+    assert [spec.holds for spec in METHOD_SPECS.values()] == [
+        kind is MethodKind.CONSTANT for kind in METHOD_SPECS]
 
 
-def test_select_model_skips_unfittable_candidates():
-    short = np.array([1.0, 2.0, 3.0, 2.5])
-    chosen = select_model(short, [FitConfig(method="arima"),
-                                  FitConfig(method="constant")])
-    assert chosen.kind is MethodKind.CONSTANT
+def test_wire_codes_are_pinned():
+    # Codes are on the wire: changing one breaks every deployed decoder.
+    codes = {kind.value: spec.code for kind, spec in METHOD_SPECS.items()}
+    assert codes == {"constant": 0, "linear": 1, "simple_mean": 2,
+                     "exponential_smoothing": 3, "arima": 4}
 
 
-def test_select_model_all_skipped_raises():
+def test_payload_sizes_match_fitted_models():
+    history = make_ar1(0.5, 60, seed=4)
+    configs = [FitConfig(method=kind) for kind in MethodKind]
+    configs += [FitConfig(method="exponential_smoothing", es_variants=("simple",)),
+                FitConfig(method="exponential_smoothing", es_variants=("trend",)),
+                FitConfig(method="arima", order_grid=((2, 1, 1),))]
+    for config in configs:
+        model = fit_model(history, config)
+        sizes = METHOD_SPECS[model.kind].payload_sizes(model.orders)
+        assert sizes == (len(model.params), len(model.state)), (config, model.orders)
+
+
+@pytest.mark.parametrize("config", [
+    FitConfig(method="constant"),
+    FitConfig(method="linear"),
+    FitConfig(method="simple_mean"),
+    FitConfig(method="exponential_smoothing"),
+    FitConfig(method="arima"),
+    FitConfig(method="arima", order_grid=((1, 0, 0),)),
+], ids=lambda c: f"{c.method.value}-{len(c.order_grid)}")
+def test_min_history_is_the_fitters_own_minimum(config):
+    history = make_ar1(0.5, 60, seed=5)
+    n = min_history(config)
+    assert fit_model(history[:n], config).fit_n == n
     with pytest.raises(FitError):
-        select_model(np.array([1.0, 2.0]), [FitConfig(method="arima"),
-                                            FitConfig(method="exponential_smoothing")])
-    with pytest.raises(ValueError):
-        select_model(np.arange(10.0), [])
-
-
-def test_select_model_tie_breaks_toward_first_candidate():
-    # Constant and simple-mean coincide on a flat line; equal AICc and equal k
-    # fall back to candidate order.
-    flat = np.full(30, 7.0)
-    chosen = select_model(flat, [FitConfig(method="constant"),
-                                 FitConfig(method="simple_mean")])
-    assert chosen.kind is MethodKind.CONSTANT
-    chosen = select_model(flat, [FitConfig(method="simple_mean"),
-                                 FitConfig(method="constant")])
-    assert chosen.kind is MethodKind.SIMPLE_MEAN
+        fit_model(history[:n - 1], config)

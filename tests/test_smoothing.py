@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sensorcast.forecast.models import FitConfig, FitError, MethodKind, forecast
+from sensorcast.forecast.models import FitConfig, FitError, MethodKind
+from sensorcast.forecast.selection import forecast
 from sensorcast.forecast.smoothing import (
     fit_exponential_smoothing,
     simple_errors,
