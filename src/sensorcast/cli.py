@@ -95,8 +95,12 @@ class RunManifest:
         return d
 
 
-# Keys a manifest file may set: every field but the two the tool fills in.
-_MANIFEST_KEYS = {f.name for f in fields(RunManifest)} - {"config_path", "tool_version"}
+# Keys a manifest file may set: every field but the two the tool fills in,
+# each with the JSON types its field accepts.
+_JSON_TYPES = {"int": (int,), "int | None": (int, type(None)),
+               "float | None": (int, float, type(None)), "str": (str,), "tuple": (list,)}
+_MANIFEST_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)
+                  if f.name not in ("config_path", "tool_version")}
 
 
 def load_manifest(path: str | None, overrides: dict) -> RunManifest:
@@ -107,9 +111,15 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: manifest must be a JSON object")
-        unknown = set(raw) - _MANIFEST_KEYS
+        unknown = set(raw) - set(_MANIFEST_KEYS)
         if unknown:
             raise ValueError(f"{path}: unknown manifest keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            if isinstance(value, bool) or not isinstance(value, _MANIFEST_KEYS[key]):
+                names = "/".join("null" if t is type(None) else t.__name__
+                                 for t in _MANIFEST_KEYS[key])
+                raise ValueError(f"{path}: manifest key {key!r} must be {names}, "
+                                 f"got {json.dumps(value)}")
         values.update(raw)
         values["config_path"] = path
     values.update({k: v for k, v in overrides.items() if v is not None})

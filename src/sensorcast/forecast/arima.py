@@ -5,8 +5,12 @@ then for every (p, q) pair in the grid estimate coefficients and keep the
 AICc winner.  Pure-AR pairs (q = 0) are linear least squares, solved in
 closed form; pairs with a moving-average part start from Hannan-Rissanen
 two-stage estimates and are refined with a simplex search on the CSS
-objective.  Candidates whose AR or MA polynomial has a root with modulus
-at or below 1.001 are rejected.
+objective.  A candidate is admissible when every root of its AR and MA
+polynomials has modulus above ``ROOT_MARGIN`` (1.001).  For degree <= 2
+that is the Box-Jenkins triangle after scaling by the margin: with
+a1 = m phi1, a2 = m^2 phi2 (AR) or a1 = -m theta1, a2 = -m^2 theta2 (MA),
+admit only when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible
+candidate is dropped; a fit raises ``FitError`` only when none is left.
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
@@ -95,25 +99,20 @@ def css_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray,
     return lfilter([1.0], np.concatenate(([1.0], theta)), w)
 
 
-def _min_root_modulus(coefs: np.ndarray, sign: float) -> float:
-    # Roots of 1 + sign*(c1 z + c2 z^2 + ...); empty polynomial has none.
-    c = np.trim_zeros(np.asarray(coefs, dtype=np.float64), "b")
-    if len(c) == 0:
-        return np.inf
-    roots = np.roots(np.concatenate(([1.0], sign * c))[::-1])
-    if len(roots) == 0:
-        return np.inf
-    return float(np.min(np.abs(roots)))
+def _roots_outside_margin(coefs: np.ndarray, sign: float) -> bool:
+    # Roots of 1 - sign*(c1 z + c2 z^2) all lie beyond ROOT_MARGIN: the
+    # margin-scaled triangle of the module docstring.  NaN fails every
+    # comparison, so a non-finite candidate is inadmissible.  The unpacking
+    # fails above degree 2, which FitConfig and hannan_rissanen_start reject.
+    c1, c2 = [float(v) for v in coefs] + [0.0] * (2 - len(coefs))
+    a1 = sign * ROOT_MARGIN * c1
+    a2 = sign * ROOT_MARGIN ** 2 * c2
+    return abs(a2) < 1.0 and a1 + a2 < 1.0 and a2 - a1 < 1.0
 
 
-def _admissible(phi: np.ndarray, theta: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
-    # Roots that cannot be computed (non-finite coefficients) count as
-    # outside the admissible region.
-    try:
-        return (_min_root_modulus(phi, -1.0) > margin
-                and _min_root_modulus(theta, 1.0) > margin)
-    except np.linalg.LinAlgError:
-        return False
+def _admissible(phi: np.ndarray, theta: np.ndarray) -> bool:
+    # AR polynomial 1 - phi1 z - phi2 z^2, MA polynomial 1 + theta1 z + theta2 z^2.
+    return _roots_outside_margin(phi, 1.0) and _roots_outside_margin(theta, -1.0)
 
 
 def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
@@ -123,8 +122,11 @@ def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
     A long autoregression supplies residual proxies; the second stage
     regresses on lagged values and lagged proxies.  Falls back to zero
     coefficients (mean only) whenever the sample is too short or the
-    estimate lands outside the admissible region.
+    estimate lands outside the admissible region.  Orders must lie in
+    0..2, the range the admissibility test covers.
     """
+    if not (0 <= p <= 2 and 0 <= q <= 2):
+        raise ValueError(f"orders out of range: p={p}, q={q} (each must lie in 0..2)")
     z = np.asarray(z, dtype=np.float64)
     n = len(z)
     mu = float(np.mean(z)) if with_mean else 0.0
@@ -133,26 +135,18 @@ def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
     if p == 0 and q == 0:
         return zeros
 
-    if q == 0:
-        rows = n - p
-        if rows < p + 2:
-            return zeros
-        X = np.column_stack([zt[p - i:n - i] for i in range(1, p + 1)])
-        phi, *_ = np.linalg.lstsq(X, zt[p:], rcond=None)
-        theta = np.zeros(q)
-    else:
-        m = min(max(2 * (p + q), 4), max(1, (n - 1) // 3))
-        r0 = max(p, m + q)
-        if n - r0 < p + q + 2 or n - m < m + 2:
-            return zeros
-        X_long = np.column_stack([zt[m - i:n - i] for i in range(1, m + 1)])
-        a, *_ = np.linalg.lstsq(X_long, zt[m:], rcond=None)
-        ehat = np.zeros(n)
-        ehat[m:] = zt[m:] - X_long @ a
-        cols = [zt[r0 - i:n - i] for i in range(1, p + 1)]
-        cols += [ehat[r0 - j:n - j] for j in range(1, q + 1)]
-        coef, *_ = np.linalg.lstsq(np.column_stack(cols), zt[r0:], rcond=None)
-        phi, theta = coef[:p], coef[p:]
+    m = min(max(2 * (p + q), 4), max(1, (n - 1) // 3))
+    r0 = max(p, m + q)
+    if n - r0 < p + q + 2 or n - m < m + 2:
+        return zeros
+    X_long = np.column_stack([zt[m - i:n - i] for i in range(1, m + 1)])
+    a, *_ = np.linalg.lstsq(X_long, zt[m:], rcond=None)
+    ehat = np.zeros(n)
+    ehat[m:] = zt[m:] - X_long @ a
+    cols = [zt[r0 - i:n - i] for i in range(1, p + 1)]
+    cols += [ehat[r0 - j:n - j] for j in range(1, q + 1)]
+    coef, *_ = np.linalg.lstsq(np.column_stack(cols), zt[r0:], rcond=None)
+    phi, theta = coef[:p], coef[p:]
 
     if not np.all(np.isfinite(phi)) or not np.all(np.isfinite(theta)):
         return zeros
@@ -165,29 +159,29 @@ def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
     return zeros
 
 
-def _exact_ar_fit(z: np.ndarray, p: int, with_mean: bool) -> tuple[np.ndarray, float]:
-    """Closed-form CSS optimum for a pure AR(p) model.
+def _exact_ar_fit(z: np.ndarray, p: int,
+                  with_mean: bool) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Closed-form CSS optimum for a pure AR(p) model, or None when inadmissible.
 
     Conditional SSE of an AR model is an ordinary least-squares problem,
     so the solution is global and a simplex pass could only wander the
-    floating-point plateau around it.
+    floating-point plateau around it.  An admissible AR polynomial is
+    bounded away from a unit root, so the mean is always defined.
     """
     z = np.asarray(z, dtype=np.float64)
     n = len(z)
+    theta = np.zeros(0)
     if p == 0:
-        return np.zeros(0), (float(np.mean(z)) if with_mean else 0.0)
+        return np.zeros(0), theta, (float(np.mean(z)) if with_mean else 0.0)
     cols = [z[p - i:n - i] for i in range(1, p + 1)]
     if with_mean:
         cols.append(np.ones(n - p))
     coef, *_ = np.linalg.lstsq(np.column_stack(cols), z[p:], rcond=None)
     phi = coef[:p]
-    if not with_mean:
-        return phi, 0.0
-    denom = 1.0 - float(np.sum(phi))
-    if abs(denom) < 1e-10:
-        # Mean undefined at a unit root; the margin check rejects it anyway.
-        raise FitError(f"AR({p}) intercept degenerate: AR polynomial has a unit root")
-    return phi, float(coef[p]) / denom
+    if not _admissible(phi, theta):
+        return None
+    mu = float(coef[p]) / (1.0 - float(np.sum(phi))) if with_mean else 0.0
+    return phi, theta, mu
 
 
 def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
@@ -220,10 +214,7 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
         k = p + q + (1 if with_mean else 0) + 1
         if n_eff <= k + 1:
             continue
-        try:
-            fitted = _fit_candidate(z, p, q, with_mean, config)
-        except FitError:
-            continue
+        fitted = _fit_candidate(z, p, q, with_mean, config)
         if fitted is None:
             continue
         phi, theta, mu = fitted
@@ -239,11 +230,10 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
             f"(head {np.array2string(x[:4], precision=4)})"
         )
 
-    _, p, q, phi, theta, mu, resid = best
+    (_, k, _), p, q, phi, theta, mu, resid = best
     anchors = [float(np.diff(x, n=i)[-1]) for i in range(d)]
     state = np.concatenate([z[len(z) - p:], resid[len(resid) - q:] if q else [],
                             anchors]) if (p or q or d) else np.zeros(0)
-    k = p + q + (1 if with_mean else 0) + 1
     return ForecastModel(
         kind=MethodKind.ARIMA,
         orders=(p, d, q),
@@ -260,11 +250,7 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                    config: FitConfig):
     """Coefficients for one (p, q) pair, or None when inadmissible."""
     if q == 0:
-        phi, mu = _exact_ar_fit(z, p, with_mean)
-        theta = np.zeros(0)
-        if not _admissible(phi, theta):
-            return None
-        return phi, theta, mu
+        return _exact_ar_fit(z, p, with_mean)
 
     phi0, theta0, mu0 = hannan_rissanen_start(z, p, q, with_mean)
     x0 = np.concatenate([phi0, theta0, [mu0] if with_mean else []])

@@ -117,8 +117,9 @@ class FitConfig:
     """Per-method fitting knobs.
 
     ``order_grid`` restricts the ARIMA search; ``es_variants`` restricts the
-    smoothing family ("simple", "trend"); explicit smoothing grids bypass
-    the default coarse grid (and its [0.01, 0.99] clamp) when given.
+    smoothing family ("simple", "trend"); an explicit ``es_alpha_grid``
+    replaces the default coarse grid of level weights (and its [0.01, 0.99]
+    clamp), while the trend weight always searches the default grid.
     ``budget`` scales optimizer effort: simplex searches are capped at
     ``budget**3`` objective evaluations, refinement runs ``3 * budget``
     bracket steps, and default smoothing grids densify with it.
@@ -128,7 +129,6 @@ class FitConfig:
     order_grid: tuple[tuple[int, int, int], ...] = FULL_ORDER_GRID
     es_variants: tuple[str, ...] = ("simple", "trend")
     es_alpha_grid: tuple[float, ...] | None = None
-    es_beta_grid: tuple[float, ...] | None = None
     budget: int = 10
 
     def __post_init__(self) -> None:

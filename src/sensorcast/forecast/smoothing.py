@@ -106,9 +106,7 @@ def _fit_trend(values: np.ndarray, config: FitConfig) -> ForecastModel:
     alpha_grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
                   if config.es_alpha_grid is not None
                   else _default_grid(n_points))
-    beta_grid = (np.asarray(config.es_beta_grid, dtype=np.float64)
-                 if config.es_beta_grid is not None
-                 else _default_grid(n_points))
+    beta_grid = _default_grid(n_points)
 
     best = (np.inf, float(alpha_grid[0]), float(beta_grid[0]))
     for a in alpha_grid:

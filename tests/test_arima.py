@@ -6,6 +6,7 @@ from scipy.signal import lfilter
 
 from sensorcast.forecast.arima import (
     ROOT_MARGIN,
+    _admissible,
     choose_differencing,
     css_residuals,
     fit_arima,
@@ -116,6 +117,16 @@ def test_hannan_rissanen_arma_start_is_admissible_and_close():
     # Starts must satisfy the same admissibility margin as final fits.
     assert abs(phi[0]) < 1.0 / ROOT_MARGIN
     assert abs(theta[0]) < 1.0 / ROOT_MARGIN
+
+
+def test_hannan_rissanen_rejects_orders_above_two():
+    x = make_ar1(0.5, 200, seed=29)
+    with pytest.raises(ValueError):
+        hannan_rissanen_start(x, 3, 0, with_mean=True)
+    with pytest.raises(ValueError):
+        hannan_rissanen_start(x, 0, 3, with_mean=True)
+    with pytest.raises(ValueError):
+        hannan_rissanen_start(x, -1, 1, with_mean=True)
 
 
 def test_hannan_rissanen_short_sample_falls_back_to_zeros():
@@ -236,9 +247,10 @@ def test_fit_arima_one_step_forecast_tracks_ar_process():
     assert np.mean(errs_model) <= np.mean(errs_hold) * 1.05
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_arima_tiny_magnitudes_raise_only_fit_error():
-    # Roots of polynomials fitted to ~1e-160 data overflow; such candidates
-    # are inadmissible rather than a crash.
+    # Candidates fitted to ~1e-160 data may be non-finite; they are
+    # inadmissible, with neither a crash nor a numpy warning.
     x = np.random.default_rng(0).standard_normal(60) * 1e-160
     try:
         model = fit_arima(x, ARIMA_CONFIG)
@@ -246,3 +258,68 @@ def test_fit_arima_tiny_magnitudes_raise_only_fit_error():
         return
     assert model.kind is MethodKind.ARIMA
     assert np.all(np.isfinite(forecast(model, 5)))
+
+
+def min_root_modulus_oracle(coefs, sign):
+    # Roots of 1 + sign*(c1 z + c2 z^2) by companion-matrix eigenvalues.
+    c = np.trim_zeros(np.asarray(coefs, dtype=np.float64), "b")
+    if len(c) == 0:
+        return np.inf
+    return float(np.min(np.abs(np.roots(np.concatenate(([1.0], sign * c))[::-1]))))
+
+
+def oracle_admissible(phi, theta):
+    return (min_root_modulus_oracle(phi, -1.0) > ROOT_MARGIN
+            and min_root_modulus_oracle(theta, 1.0) > ROOT_MARGIN)
+
+
+def test_admissible_matches_root_oracle_on_random_coefficients():
+    rng = np.random.default_rng(67)
+    checked = 0
+    for _ in range(4000):
+        p, q = rng.integers(0, 3, size=2)
+        phi = rng.uniform(-2.2, 2.2, size=p)
+        theta = rng.uniform(-2.2, 2.2, size=q)
+        moduli = [min_root_modulus_oracle(c, s) for c, s in ((phi, -1.0), (theta, 1.0))]
+        # Skip cases the two computations cannot both resolve: a root
+        # within rounding of the margin.
+        if any(abs(r / ROOT_MARGIN - 1.0) < 1e-12 for r in moduli if np.isfinite(r)):
+            continue
+        assert _admissible(phi, theta) == oracle_admissible(phi, theta), (phi, theta)
+        checked += 1
+    assert checked > 3900
+
+
+def coefficients_from_roots(roots):
+    # (1 - z/r1)(1 - z/r2) = 1 - c1 z - c2 z^2 with c1 = 1/r1 + 1/r2,
+    # c2 = -1/(r1 r2); conjugate pairs give real coefficients.
+    inv = [1.0 / r for r in roots]
+    c1 = sum(inv)
+    c2 = -np.prod(inv) if len(inv) == 2 else 0.0
+    return np.real(np.array([c1, c2][:len(roots)]))
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_admissible_decides_roots_placed_at_the_margin(scale):
+    r = ROOT_MARGIN * scale
+    outside = scale > 1.0
+    # No double real root: rounding its coefficients moves it by ~sqrt(eps),
+    # far more than 1e-9, so no float test can decide it.
+    for roots in ([r], [-r], [r, 5.0], [-r, -3.0], [r, -r],
+                  [r * np.exp(0.7j), r * np.exp(-0.7j)],
+                  [r * np.exp(2.5j), r * np.exp(-2.5j)]):
+        c = coefficients_from_roots(roots)
+        assert oracle_admissible(c, []) is outside
+        assert _admissible(c, np.zeros(0)) is outside, roots
+        # The MA side is 1 + theta1 z + theta2 z^2.
+        assert _admissible(np.zeros(0), -c) is outside, roots
+
+
+def test_admissible_rejects_non_finite_and_huge_coefficients():
+    for bad in (np.nan, np.inf, -np.inf, 1e300, -1e300):
+        assert not _admissible(np.array([bad]), np.zeros(0))
+        assert not _admissible(np.array([0.1, bad]), np.zeros(0))
+        assert not _admissible(np.zeros(0), np.array([bad]))
+        assert not _admissible(np.zeros(0), np.array([bad, 0.1]))
+        assert not _admissible(np.array([bad, bad]), np.array([bad, bad]))
+    assert _admissible(np.zeros(0), np.zeros(0))

@@ -56,6 +56,21 @@ def test_manifest_rejects_unknown_keys(tmp_path):
         load_manifest(str(not_object), {})
 
 
+def test_manifest_with_mistyped_value_exits_2(tmp_path, capsys):
+    manifest = write_manifest(tmp_path / "m.json", n_splits="5")
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "n_splits" in err
+    for key, value in (("methods", "constant"), ("delta_min", "0.5"),
+                       ("seed", True), ("history_len", 5.0)):
+        path = write_manifest(tmp_path / f"{key}.json", **{key: value})
+        with pytest.raises(ValueError, match=key):
+            load_manifest(str(path), {})
+    ok = write_manifest(tmp_path / "ok.json", delta_min=1, ring_depth=None)
+    assert load_manifest(str(ok), {}).delta_min == 1
+
+
 def test_manifest_hash_excludes_placement():
     a = RunManifest(seed=1, output_dir="x", workers=2)
     b = RunManifest(seed=1, output_dir="y", workers=8)

@@ -195,6 +195,7 @@ def test_nan_forecast_fails_closed(monkeypatch):
     np.testing.assert_array_equal(trace.reconstructed.values, series.values)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_arima_run_on_tiny_magnitudes_keeps_the_guarantee():
     values = np.random.default_rng(0).standard_normal(200) * 1e-160
     series = TimeSeries.regular(values)
