@@ -101,6 +101,9 @@ _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)),
                "float | None": (int, float, type(None)), "str": (str,), "tuple": (list,)}
 _MANIFEST_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)
                   if f.name not in ("config_path", "tool_version")}
+# The JSON type of each element of the list-valued keys, by its JSON name.
+_LIST_ELEMENTS = {"datasets": (dict, "object"), "methods": (str, "str"),
+                  "history_lengths": (int, "int"), "window_lengths": (int, "int")}
 
 
 def load_manifest(path: str | None, overrides: dict) -> RunManifest:
@@ -120,10 +123,15 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
                                  for t in _MANIFEST_KEYS[key])
                 raise ValueError(f"{path}: manifest key {key!r} must be {names}, "
                                  f"got {json.dumps(value)}")
+            element, name = _LIST_ELEMENTS.get(key, (None, None))
+            if element and any(isinstance(v, bool) or not isinstance(v, element)
+                               for v in value):
+                raise ValueError(f"{path}: manifest key {key!r} must be a list of {name}, "
+                                 f"got {json.dumps(value)}")
         values.update(raw)
         values["config_path"] = path
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("datasets", "methods", "history_lengths", "window_lengths"):
+    for key in _LIST_ELEMENTS:
         if key in values:
             values[key] = tuple(values[key])
     return RunManifest(**values)

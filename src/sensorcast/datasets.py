@@ -305,7 +305,7 @@ def load_csv(path, descriptor: DatasetDescriptor) -> TimeSeries:
     if period is None:
         return series
     seed = zlib.crc32(f"{family.value}:{descriptor.group}".encode())
-    return gap_fill(series, period, seed=seed, noise_scope="filled")
+    return gap_fill(series, period, seed=seed)
 
 
 def write_series_csv(path, series: TimeSeries) -> None:

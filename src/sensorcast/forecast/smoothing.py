@@ -1,5 +1,10 @@
 """Exponential smoothing: simple level tracking and the damped-free trend form.
 
+Level-only smoothing is ARIMA(0,1,1) and Holt's linear trend is ARIMA(0,2,2)
+(MA coefficients alpha - 1; alpha(1 + beta) - 2 and 1 - alpha), so both
+variants compute their one-step errors as that MA filter over first or second
+differences and recover the final level and trend from the last errors.
+
 Smoothing weights are chosen by minimizing the in-sample sum of squared
 one-step-ahead errors over a coarse grid, then sharpening the best cell with
 golden-section steps.  Variant choice (level-only vs level+trend) is by AICc
@@ -34,33 +39,25 @@ def simple_errors(values: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     Level starts at the first observation; errors begin at the second.
     """
     values = np.asarray(values, dtype=np.float64)
-    # level_t = alpha*x_t + (1-alpha)*level_{t-1}, initial level = x_0:
-    # a linear filter with state, so the whole recursion vectorizes.
-    levels = lfilter([alpha], [1.0, -(1.0 - alpha)], values[1:],
-                     zi=np.array([(1.0 - alpha) * values[0]]))[0]
-    preds = np.concatenate(([values[0]], levels[:-1]))
-    errors = values[1:] - preds
-    final_level = levels[-1] if len(levels) else values[0]
-    return errors, float(final_level)
+    # ARIMA(0,1,1): diff(x)_t = e_t + (alpha-1)*e_{t-1}, with e_0 = 0.
+    e = np.concatenate(([0.0], lfilter([1.0], [1.0, alpha - 1.0], np.diff(values))))
+    # level_t = x_t - (1-alpha)*e_t
+    return e[1:], float(values[-1] - (1.0 - alpha) * e[-1])
 
 
 def trend_errors(values: np.ndarray, alpha: float, beta: float) -> tuple[np.ndarray, float, float]:
     """One-step errors of level+trend smoothing with the final level and trend.
 
-    Level starts at the first observation, trend at the first difference.
+    Level starts at the first observation, trend at the first difference,
+    so the first error is zero.
     """
     values = np.asarray(values, dtype=np.float64)
-    level = values[0]
-    trend = values[1] - values[0]
-    errors = np.empty(len(values) - 1)
-    for t in range(1, len(values)):
-        pred = level + trend
-        err = values[t] - pred
-        errors[t - 1] = err
-        new_level = pred + alpha * err
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
-        level = new_level
-    return errors, float(level), float(trend)
+    # ARIMA(0,2,2): diff(x, 2)_t = e_t + theta_1*e_{t-1} + theta_2*e_{t-2}, with e_0 = e_1 = 0.
+    ma = [1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha]
+    e = np.concatenate(([0.0, 0.0], lfilter([1.0], ma, np.diff(values, 2))))
+    # level_t = x_t - (1-alpha)*e_t; trend_t = level_t - level_{t-1} - alpha(1-beta)*e_t.
+    prev_level, level = values[-2:] - (1.0 - alpha) * e[-2:]
+    return e[1:], float(level), float(level - prev_level - alpha * (1.0 - beta) * e[-1])
 
 
 def _sse(errors: np.ndarray) -> float:
@@ -68,10 +65,9 @@ def _sse(errors: np.ndarray) -> float:
 
 
 def _refine_1d(fn, grid: np.ndarray, iters: int) -> float:
-    vals = [fn(a) for a in grid]
-    best = int(np.argmin(vals))
     if len(grid) == 1:
         return float(grid[0])
+    best = int(np.argmin([fn(a) for a in grid]))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     return golden_section(fn, float(lo), float(hi), iters=iters)

@@ -196,25 +196,13 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
     return out
 
 
-def gap_fill(series: TimeSeries, expected_period: float, *, sigma: float | None = None,
-             seed: int = 0, noise_scope: str = "filled") -> TimeSeries:
+def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> TimeSeries:
     """Interpolate onto the regular grid, then perturb the filled samples.
 
-    ``noise_scope`` selects which samples receive noise: ``"filled"`` (only
-    grid points that had no original observation), ``"all"``, or ``"none"``.
-    ``sigma`` defaults to the series resolution.
+    Only grid points that had no original observation receive noise, with
+    standard deviation equal to the series resolution.
     """
-    if noise_scope not in ("filled", "all", "none"):
-        raise ValueError(f"noise_scope must be 'filled', 'all' or 'none', got {noise_scope!r}")
     regular = interpolate_gaps(series, expected_period)
-    if noise_scope == "none":
-        return regular
-    if sigma is None:
-        sigma = series.resolution
-    if sigma == 0:
-        return regular
-    if noise_scope == "all":
-        return add_white_noise(regular, sigma, seed)
     # A grid point counts as observed when an original timestamp lands on it.
     tol = 1e-6 * expected_period
     idx = np.searchsorted(series.timestamps, regular.timestamps)
@@ -226,7 +214,7 @@ def gap_fill(series: TimeSeries, expected_period: float, *, sigma: float | None 
     )
     filled = near > tol
     rng = np.random.default_rng(seed)
-    noise = sigma * rng.standard_normal(len(regular))
+    noise = series.resolution * rng.standard_normal(len(regular))
     vals = regular.values.copy()
     vals[filled] += noise[filled]
     return regular.with_values(vals)

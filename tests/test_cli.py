@@ -62,6 +62,13 @@ def test_manifest_with_mistyped_value_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "n_splits" in err
+    for bad in ({"history_lengths": ["20"], "methods": ["constant"]},
+                {"datasets": ["ball"]}, {"methods": [1]}, {"window_lengths": [True]}):
+        path = write_manifest(tmp_path / "bad.json", **bad)
+        assert run_cli("evaluate", "--manifest", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert list(bad)[0] in err
     for key, value in (("methods", "constant"), ("delta_min", "0.5"),
                        ("seed", True), ("history_len", 5.0)):
         path = write_manifest(tmp_path / f"{key}.json", **{key: value})

@@ -205,23 +205,3 @@ def test_gap_fill_noise_only_on_filled_points():
     np.testing.assert_array_equal(out.values[[0, 1, 3, 4]], [1.0, 2.0, 4.0, 5.0])
     assert out.values[2] != 3.0
     assert abs(out.values[2] - 3.0) < 10 * 0.25
-
-
-def test_gap_fill_scopes():
-    s = TimeSeries(np.array([0.0, 30.0, 90.0]), np.array([1.0, 2.0, 4.0]),
-                   resolution=0.5)
-    none = gap_fill(s, 30.0, noise_scope="none")
-    np.testing.assert_array_equal(none.values, interpolate_gaps(s, 30.0).values)
-
-    everything = gap_fill(s, 30.0, noise_scope="all", seed=9)
-    clean = interpolate_gaps(s, 30.0)
-    assert np.all(everything.values != clean.values)
-
-    with pytest.raises(ValueError):
-        gap_fill(s, 30.0, noise_scope="observed")
-
-
-def test_gap_fill_sigma_zero_skips_noise():
-    s = TimeSeries(np.array([0.0, 30.0, 90.0]), np.array([1.0, 2.0, 4.0]))
-    out = gap_fill(s, 30.0, sigma=0.0, seed=1)
-    np.testing.assert_array_equal(out.values, interpolate_gaps(s, 30.0).values)

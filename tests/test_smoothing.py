@@ -15,7 +15,8 @@ ES_CONFIG = FitConfig(method="exponential_smoothing")
 
 
 def simple_errors_oracle(values, alpha):
-    # Plain-loop reference for the vectorized implementation.
+    # Plain-loop reference; the production code runs the equivalent
+    # ARIMA(0,1,1) filter over first differences.
     level = values[0]
     errors = []
     for x in values[1:]:
@@ -25,8 +26,8 @@ def simple_errors_oracle(values, alpha):
 
 
 def trend_errors_oracle(values, alpha, beta):
-    # Textbook component form; the production code uses the
-    # error-correction rewrite, which is algebraically identical.
+    # Textbook component form; the production code runs the equivalent
+    # ARIMA(0,2,2) filter over second differences.
     level = values[0]
     trend = values[1] - values[0]
     errors = []
@@ -39,14 +40,23 @@ def trend_errors_oracle(values, alpha, beta):
     return np.array(errors), level, trend
 
 
+def oracle_inputs(short, seed):
+    # The short series and a 1000-step walk, each at unit scale and at the
+    # extremes of float64; gaps are judged relative to the largest magnitude.
+    long = np.random.default_rng(seed).standard_normal(1000).cumsum()
+    for values in (short, long):
+        for scale in (1.0, 1e200, 1e-200):
+            yield values * scale, 1e-11 * scale * np.abs(values).max()
+
+
 def test_simple_errors_match_loop_oracle():
     rng = np.random.default_rng(17)
-    values = rng.standard_normal(60).cumsum()
-    for alpha in (0.01, 0.2, 0.55, 0.99):
-        got_err, got_level = simple_errors(values, alpha)
-        exp_err, exp_level = simple_errors_oracle(values, alpha)
-        np.testing.assert_allclose(got_err, exp_err, rtol=0, atol=1e-10)
-        assert got_level == pytest.approx(exp_level, abs=1e-10)
+    for values, tol in oracle_inputs(rng.standard_normal(60).cumsum(), 19):
+        for alpha in (0.01, 0.2, 0.55, 0.99, 1.0):
+            got_err, got_level = simple_errors(values, alpha)
+            exp_err, exp_level = simple_errors_oracle(values, alpha)
+            np.testing.assert_allclose(got_err, exp_err, rtol=0, atol=tol)
+            assert got_level == pytest.approx(exp_level, rel=0, abs=tol)
 
 
 def test_simple_errors_alpha_one_tracks_last_value():
@@ -58,13 +68,15 @@ def test_simple_errors_alpha_one_tracks_last_value():
 
 def test_trend_errors_match_component_oracle():
     rng = np.random.default_rng(23)
-    values = 5.0 + 0.3 * np.arange(50) + rng.standard_normal(50)
-    for alpha, beta in ((0.1, 0.1), (0.5, 0.05), (0.99, 0.99)):
-        got_err, got_l, got_b = trend_errors(values, alpha, beta)
-        exp_err, exp_l, exp_b = trend_errors_oracle(values, alpha, beta)
-        np.testing.assert_allclose(got_err, exp_err, rtol=0, atol=1e-9)
-        assert got_l == pytest.approx(exp_l, abs=1e-9)
-        assert got_b == pytest.approx(exp_b, abs=1e-9)
+    short = 5.0 + 0.3 * np.arange(50) + rng.standard_normal(50)
+    for values, tol in oracle_inputs(short, 29):
+        for alpha, beta in ((0.1, 0.1), (0.5, 0.05), (0.99, 0.99), (0.01, 0.01),
+                            (1.0, 0.3)):
+            got_err, got_l, got_b = trend_errors(values, alpha, beta)
+            exp_err, exp_l, exp_b = trend_errors_oracle(values, alpha, beta)
+            np.testing.assert_allclose(got_err, exp_err, rtol=0, atol=tol)
+            assert got_l == pytest.approx(exp_l, rel=0, abs=tol)
+            assert got_b == pytest.approx(exp_b, rel=0, abs=tol)
 
 
 def test_trend_variant_nails_a_noiseless_line():
