@@ -16,6 +16,7 @@ of every untransmitted step is strictly below the threshold.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -97,7 +98,8 @@ def encode_message(msg: DpsMessage) -> bytes:
 
 def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     """Inverse of :func:`encode_message`; malformed input raises
-    :class:`DpsProtocolError`."""
+    :class:`DpsProtocolError`.  A frame carrying a non-finite float (a NaN
+    or infinite measurement, model parameter or state) is malformed."""
     if len(data) < 1:
         raise DpsProtocolError("empty message")
     tag = data[0]
@@ -105,6 +107,8 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
         if len(data) != struct.calcsize("<BIId"):
             raise DpsProtocolError(f"measurement payload has {len(data)} bytes")
         _, seq, index, value = struct.unpack("<BIId", data)
+        if not math.isfinite(value):
+            raise DpsProtocolError(f"measurement carries non-finite value {value}")
         return Measurement(seq=seq, index=index, value=value)
     if tag != _TAG_MODEL_UPDATE:
         raise DpsProtocolError(f"unknown message tag 0x{tag:02x}")
@@ -125,7 +129,11 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     if len(data) != head + 8 * count:
         raise DpsProtocolError(f"model update payload has {len(data) - head} bytes, "
                                f"expected {8 * count}")
-    floats = np.frombuffer(data, dtype="<f8", count=count, offset=head)
+    # At most eleven floats, and every refit decodes twice (sensor and
+    # gateway): struct and math cost less here than numpy calls.
+    floats = struct.unpack_from(f"<{count}d", data, head)
+    if not all(map(math.isfinite, floats)):
+        raise DpsProtocolError(f"{kind.value}{orders} update carries non-finite floats")
     model = ForecastModel(kind=kind, orders=orders, params=floats[:n_params],
                           state=floats[n_params:])
     return ModelUpdate(seq=seq, model=model, piggybacked=piggybacked)
@@ -213,11 +221,16 @@ class SensorNode:
         history = np.array(self._buffer)
         try:
             model = fit_model(history, self.config)
-        except FitError:
+            shipped = _wire_round_trip(model)
+        except (FitError, DpsProtocolError):
+            # No fit, or one the wire refuses because a parameter or state
+            # is not finite (a linear slope between +-1e308 overflows):
+            # hold the last value instead.
             model = fit_constant(history)
+            shipped = _wire_round_trip(model)
             self.fallback_steps.append(self._t - 1)
         update = ModelUpdate(seq=self._next_seq(), model=model, piggybacked=piggybacked)
-        self._window.install(forecast(_wire_round_trip(model), self.window_len))
+        self._window.install(forecast(shipped, self.window_len))
         return update
 
     def step(self, value: float) -> list[DpsMessage]:

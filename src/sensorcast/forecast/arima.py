@@ -12,6 +12,10 @@ a1 = m phi1, a2 = m^2 phi2 (AR) or a1 = -m theta1, a2 = -m^2 theta2 (MA),
 admit only when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible
 candidate is dropped; a fit raises ``FitError`` only when none is left.
 
+The CSS objective runs a few hundred times per candidate, so it works on
+Python floats: it unpacks the simplex vertex once, tests admissibility on
+those floats and passes them to ``css_residuals`` as lists.
+
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
 history average, while a differenced fit carrying a drift term would no
@@ -75,44 +79,46 @@ def choose_differencing(values: np.ndarray, allowed_d=(0, 1, 2)) -> int:
     return allowed[-1]
 
 
-def css_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray,
-                  mu: float) -> np.ndarray:
+def css_residuals(z: np.ndarray, phi, theta, mu: float) -> np.ndarray:
     """Conditional-sum-of-squares residuals of an ARMA model on ``z``.
 
-    Residuals before ``max(p, q)`` are treated as zero and excluded; the
-    returned array covers t = max(p, q) .. n-1 only.
+    ``z`` is a float64 array; ``phi`` and ``theta`` are sequences of floats
+    (arrays or lists).  Residuals before ``max(p, q)`` are treated as zero
+    and excluded; the returned array covers t = max(p, q) .. n-1 only.
     """
-    z = np.asarray(z, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
     p, q = len(phi), len(theta)
     start = max(p, q)
-    if len(z) <= start:
-        raise ValueError(f"series of length {len(z)} too short for orders ({p}, {q})")
-    zt = z - mu
-    w = zt[start:].copy()
     n = len(z)
+    if n <= start:
+        raise ValueError(f"series of length {n} too short for orders ({p}, {q})")
+    zt = z - mu
+    w = zt[start:]
     for i in range(1, p + 1):
-        w -= phi[i - 1] * zt[start - i:n - i]
+        w = w - phi[i - 1] * zt[start - i:n - i]
     if q == 0:
         return w
-    return lfilter([1.0], np.concatenate(([1.0], theta)), w)
+    return lfilter([1.0], [1.0, *theta], w)
 
 
-def _roots_outside_margin(coefs: np.ndarray, sign: float) -> bool:
-    # Roots of 1 - sign*(c1 z + c2 z^2) all lie beyond ROOT_MARGIN: the
-    # margin-scaled triangle of the module docstring.  NaN fails every
-    # comparison, so a non-finite candidate is inadmissible.  The unpacking
-    # fails above degree 2, which FitConfig and hannan_rissanen_start reject.
-    c1, c2 = [float(v) for v in coefs] + [0.0] * (2 - len(coefs))
-    a1 = sign * ROOT_MARGIN * c1
-    a2 = sign * ROOT_MARGIN ** 2 * c2
+def _in_unit_triangle(a1: float, a2: float) -> bool:
+    # Both roots of 1 - a1 z - a2 z^2 lie outside the unit circle.  NaN fails
+    # every comparison, so a non-finite candidate is inadmissible.
     return abs(a2) < 1.0 and a1 + a2 < 1.0 and a2 - a1 < 1.0
 
 
-def _admissible(phi: np.ndarray, theta: np.ndarray) -> bool:
-    # AR polynomial 1 - phi1 z - phi2 z^2, MA polynomial 1 + theta1 z + theta2 z^2.
-    return _roots_outside_margin(phi, 1.0) and _roots_outside_margin(theta, -1.0)
+_MARGIN_SQUARED = ROOT_MARGIN ** 2
+
+
+def _admissible(phi, theta) -> bool:
+    # Every root of the AR polynomial 1 - phi1 z - phi2 z^2 and of the MA
+    # polynomial 1 + theta1 z + theta2 z^2 lies beyond ROOT_MARGIN: the
+    # margin-scaled triangle of the module docstring.  The unpacking fails
+    # above degree 2, which FitConfig and hannan_rissanen_start reject.
+    phi1, phi2 = [float(v) for v in phi] + [0.0] * (2 - len(phi))
+    if not _in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2):
+        return False
+    theta1, theta2 = [float(v) for v in theta] + [0.0] * (2 - len(theta))
+    return _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2)
 
 
 def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
@@ -256,13 +262,13 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     x0 = np.concatenate([phi0, theta0, [mu0] if with_mean else []])
 
     def objective(vec: np.ndarray) -> float:
-        phi = vec[:p]
-        theta = vec[p:p + q]
-        mu = vec[p + q] if with_mean else 0.0
+        values = vec.tolist()
+        phi = values[:p]
+        theta = values[p:p + q]
         if not _admissible(phi, theta):
             # Steer back toward the admissible region.
             return 1e30 * (1.0 + float(np.sum(np.abs(vec))))
-        e = css_residuals(z, phi, theta, mu)
+        e = css_residuals(z, phi, theta, values[p + q] if with_mean else 0.0)
         return float(e @ e)
 
     result = nelder_mead(objective, x0, max_evals=config.max_evals)

@@ -22,6 +22,36 @@ class SimplexResult:
     n_evals: int
 
 
+def _column_means(rows: list[list[float]]) -> list[float]:
+    # numpy's mean(axis=0): each column summed from 0.0 in row order, then
+    # divided by the row count.
+    means = []
+    for column in zip(*rows):
+        total = 0.0
+        for v in column:
+            total += v
+        means.append(total / len(rows))
+    return means
+
+
+def _min_propagating_nan(values: list[float]) -> float:
+    # numpy's min reduction: NaN wins, and of equal values (0.0 and -0.0)
+    # the later one is kept.
+    low = values[0]
+    for v in values[1:]:
+        if not (low < v or low != low):
+            low = v
+    return low
+
+
+def _argmin_first_nan(values: list[float]) -> int:
+    # numpy's argmin: the first NaN if there is one, else the first minimum.
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+    return min(range(len(values)), key=values.__getitem__)
+
+
 def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
                 fatol: float = 1e-10) -> SimplexResult:
     """Minimize ``fn`` from ``x0`` with the Nelder-Mead simplex method.
@@ -33,8 +63,14 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
 
     Returns the best vertex ever evaluated, so starting at a local optimum
     cannot end anywhere worse than the start.
+
+    The simplex is kept as lists of Python floats, which cost far less than
+    numpy calls on a handful of entries; ``fn`` still receives an ndarray.
+    The arithmetic and its order are those of the array form, and NaN
+    behaves as in numpy: it sorts last, propagates into ``trace`` and wins
+    the final argmin.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64).tolist()
     n = len(x0)
     if n == 0:
         raise ValueError("nelder_mead needs at least one free parameter")
@@ -43,30 +79,32 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
     # floor keeps zero starts from collapsing the simplex).
     simplex = [x0]
     for i in range(n):
-        v = x0.copy()
+        v = list(x0)
         v[i] += 0.1 * max(abs(v[i]), 0.25)
         simplex.append(v)
-    simplex = np.array(simplex)
-    fvals = np.array([fn(v) for v in simplex])
+    fvals = [float(fn(np.array(v))) for v in simplex]
     n_evals = n + 1
-    trace = [float(np.min(fvals))]
+    trace = [_min_propagating_nan(fvals)]
 
     while n_evals < max_evals:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
+        # Stable, with NaN after every number, as numpy's argsort.
+        order = sorted(range(n + 1), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
         if (fvals[-1] - fvals[0] <= fatol
-                and np.max(np.abs(simplex[1:] - simplex[0])) <= xatol):
+                and all(abs(a - b) <= xatol
+                        for v in simplex[1:] for a, b in zip(v, best))):
             break
 
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = fn(reflected)
+        centroid = _column_means(simplex[:-1])
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
+        f_r = float(fn(np.array(reflected)))
         n_evals += 1
 
         if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = fn(expanded)
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            f_e = float(fn(np.array(expanded)))
             n_evals += 1
             if f_e < f_r:
                 simplex[-1], fvals[-1] = expanded, f_e
@@ -75,21 +113,21 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
         elif f_r < fvals[-2]:
             simplex[-1], fvals[-1] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_c = fn(contracted)
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            f_c = float(fn(np.array(contracted)))
             n_evals += 1
             if f_c < fvals[-1]:
                 simplex[-1], fvals[-1] = contracted, f_c
             else:
                 # Shrink towards the best vertex, which stays in place.
                 for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = fn(simplex[i])
+                    simplex[i] = [b + 0.5 * (a - b) for a, b in zip(simplex[i], best)]
+                    fvals[i] = float(fn(np.array(simplex[i])))
                 n_evals += n
-        trace.append(float(np.min(fvals)))
+        trace.append(_min_propagating_nan(fvals))
 
-    best = int(np.argmin(fvals))
-    return SimplexResult(x=simplex[best].copy(), fun=float(fvals[best]),
+    best = _argmin_first_nan(fvals)
+    return SimplexResult(x=np.array(simplex[best]), fun=fvals[best],
                          trace=tuple(trace), n_evals=n_evals)
 
 

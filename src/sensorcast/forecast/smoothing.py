@@ -7,8 +7,12 @@ differences and recover the final level and trend from the last errors.
 
 Smoothing weights are chosen by minimizing the in-sample sum of squared
 one-step-ahead errors over a coarse grid, then sharpening the best cell with
-golden-section steps.  Variant choice (level-only vs level+trend) is by AICc
-with the initial states charged as parameters.
+golden-section steps.  The search runs on the history scaled by a power of
+two that puts max|x| in [0.5, 1): the scaling is exact, so the chosen
+weights do not depend on the series' magnitude, and no sum of squares
+overflows or underflows at extreme ones.  Errors, states and the likelihood
+come from the unscaled history.  Variant choice (level-only vs level+trend)
+is by AICc with the initial states charged as parameters.
 """
 
 from __future__ import annotations
@@ -77,11 +81,18 @@ def _default_grid(n_points: int) -> np.ndarray:
     return np.linspace(_ALPHA_LO, _ALPHA_HI, n_points)
 
 
-def _fit_simple(values: np.ndarray, config: FitConfig) -> ForecastModel:
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    # values * 2**-e with max|values| = m * 2**e, m in [0.5, 1): exact unless
+    # a value falls into the subnormal range.
+    _, exponent = np.frexp(np.max(np.abs(values)))
+    return np.ldexp(values, -exponent)
+
+
+def _fit_simple(values: np.ndarray, search: np.ndarray, config: FitConfig) -> ForecastModel:
     grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
             if config.es_alpha_grid is not None
             else _default_grid(max(3, min(25, config.budget ** 2))))
-    alpha = _refine_1d(lambda a: _sse(simple_errors(values, a)[0]),
+    alpha = _refine_1d(lambda a: _sse(simple_errors(search, a)[0]),
                        grid, config.refine_iters)
     errors, level = simple_errors(values, alpha)
     # k: one smoothing weight plus the fitted initial level.
@@ -97,7 +108,7 @@ def _fit_simple(values: np.ndarray, config: FitConfig) -> ForecastModel:
     )
 
 
-def _fit_trend(values: np.ndarray, config: FitConfig) -> ForecastModel:
+def _fit_trend(values: np.ndarray, search: np.ndarray, config: FitConfig) -> ForecastModel:
     n_points = max(3, min(13, config.budget + 3))
     alpha_grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
                   if config.es_alpha_grid is not None
@@ -107,16 +118,16 @@ def _fit_trend(values: np.ndarray, config: FitConfig) -> ForecastModel:
     best = (np.inf, float(alpha_grid[0]), float(beta_grid[0]))
     for a in alpha_grid:
         for b in beta_grid:
-            sse = _sse(trend_errors(values, a, b)[0])
+            sse = _sse(trend_errors(search, a, b)[0])
             if sse < best[0]:
                 best = (sse, float(a), float(b))
     _, alpha, beta = best
 
     # Coordinate-wise sharpening; two passes settle the interaction.
     for _ in range(2):
-        alpha = _refine_1d(lambda a: _sse(trend_errors(values, a, beta)[0]),
+        alpha = _refine_1d(lambda a: _sse(trend_errors(search, a, beta)[0]),
                            alpha_grid, config.refine_iters)
-        beta = _refine_1d(lambda b: _sse(trend_errors(values, alpha, b)[0]),
+        beta = _refine_1d(lambda b: _sse(trend_errors(search, alpha, b)[0]),
                           beta_grid, config.refine_iters)
 
     errors, level, trend = trend_errors(values, alpha, beta)
@@ -147,9 +158,10 @@ def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> Forecas
         )
 
     fitters = {"simple": _fit_simple, "trend": _fit_trend}
+    search = _unit_scaled(values)
     ranked = []
     for order, variant in enumerate(config.es_variants):
-        model = fitters[variant](values, config)
+        model = fitters[variant](values, search, config)
         try:
             crit = aicc(model.neg2_loglik, model.k, model.loglik_n)
             undefined = 0

@@ -323,3 +323,39 @@ def test_admissible_rejects_non_finite_and_huge_coefficients():
         assert not _admissible(np.zeros(0), np.array([bad, 0.1]))
         assert not _admissible(np.array([bad, bad]), np.array([bad, bad]))
     assert _admissible(np.zeros(0), np.zeros(0))
+
+
+def arma_history(seed, d, n=60):
+    # ARMA(1, 2) noise (phi 0.4, theta 0.6 and 0.3), integrated d times.
+    rng = np.random.default_rng(seed)
+    z = lfilter([1.0, 0.6, 0.3], [1.0, -0.4], rng.standard_normal(n + 20))[20:]
+    for _ in range(d):
+        z = np.cumsum(z)
+    return z
+
+
+# Golden fits, bit for bit (float.hex): each winner has an MA part, so its
+# coefficients come from the simplex search on the CSS objective.
+FIT_ARIMA_PINS = [
+    (1, 0, (2, 0, 2),
+     ["0x1.6b84852312cd2p+0", "-0x1.3732a6e57de85p-1", "-0x1.237ed79dc549ap-1",
+      "-0x1.b78be8d30cd47p-2", "-0x1.49e3c707c3178p-2"],
+     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.5ff75f49a1240p-5",
+      "-0x1.5806ba9505688p-2"]),
+    (0, 1, (1, 1, 2),
+     ["0x1.9c56338c5dd58p-2", "0x1.62ac7a75de88cp-1", "0x1.a760e41bdb435p-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb8d0p+1", "-0x1.32e59affe6e6cp-3", "0x1.e9292e64ade60p+0",
+      "0x1.3e781dad504a6p+5"]),
+    (0, 2, (1, 2, 2),
+     ["0x1.a70797d14a106p-2", "0x1.5e2efe1b14fa0p-1", "0x1.9f9aa71936067p-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb800p+1", "-0x1.186502b8cb488p-3", "0x1.e8f05d3b5cab7p+0",
+      "0x1.23f3897c7ca65p+10", "0x1.3e781dad504a0p+5"]),
+]
+
+
+@pytest.mark.parametrize("seed, d, orders, params, state", FIT_ARIMA_PINS)
+def test_fit_arima_reproduces_pinned_fits(seed, d, orders, params, state):
+    model = fit_arima(arma_history(seed, d), ARIMA_CONFIG)
+    assert model.orders == orders
+    assert [v.hex() for v in model.params.tolist()] == params
+    assert [v.hex() for v in model.state.tolist()] == state

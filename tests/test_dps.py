@@ -118,6 +118,34 @@ def test_decode_rejects_malformed_frames():
         decode_message(bytes(bad_kind))
 
 
+def test_decode_refuses_non_finite_floats():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DpsProtocolError, match="non-finite"):
+            decode_message(encode_message(Measurement(seq=1, index=2, value=bad)))
+    for model in (
+        ForecastModel(kind=MethodKind.LINEAR, params=[np.nan, np.inf], k=2),
+        ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 0), params=[0.5, 0.0],
+                      state=[1.0, -np.inf], k=2),
+    ):
+        with pytest.raises(DpsProtocolError, match="non-finite"):
+            decode_message(encode_message(ModelUpdate(seq=1, model=model)))
+
+
+def test_non_finite_fit_falls_back_to_value_holding():
+    # A linear fit on alternating +-1e308 has slope -inf or inf: the wire
+    # refuses it, so every refit ships the last value instead.
+    series = TimeSeries.regular(np.tile([1e308, -1e308], 40))
+    delta = 0.5
+    with np.errstate(over="ignore"):
+        trace = run_dps(series, FitConfig(method="linear"), history_len=10,
+                        window_len=10, delta_min=delta)
+    assert trace.n_steps == 80
+    assert trace.fallback_steps == (9, 19, 29, 39, 49, 59, 69, 79)
+    updates = [m for _, m in trace.messages if isinstance(m, ModelUpdate)]
+    assert [m.model.kind for m in updates] == [MethodKind.CONSTANT] * 8
+    assert_quality_guarantee(trace, series, delta)
+
+
 def test_bootstrap_relays_every_reading():
     series = TimeSeries.regular(np.arange(12.0))
     trace = run_dps(series, FitConfig(method="linear"), history_len=6,
@@ -185,12 +213,18 @@ def test_quality_guarantee_on_ball_segments():
 
 def test_nan_forecast_fails_closed(monkeypatch):
     # A model whose forecast is NaN must transmit every reading, never let
-    # the gateway stand NaN in for it.
-    nan_model = ForecastModel(kind=MethodKind.LINEAR, params=[np.nan, 0.0], k=2)
+    # the gateway stand NaN in for it.  Its floats are finite, so the wire
+    # carries it: the AR recursion meets inf - inf.
+    nan_model = ForecastModel(kind=MethodKind.ARIMA, orders=(2, 0, 0),
+                              params=[1e300, 1e300, 0.0], state=[1e300, -1e300], k=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(forecast(nan_model, 10)).all()
     monkeypatch.setattr(dps_module, "fit_model", lambda history, config: nan_model)
     series = ball_series(1).slice(0, 80)
-    trace = run_dps(series, FitConfig(method="linear"), history_len=10,
-                    window_len=10, delta_min=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run_dps(series, FitConfig(method="arima"), history_len=10,
+                        window_len=10, delta_min=0.5)
+    assert trace.fallback_steps == ()
     assert trace.post_bootstrap_measurements == len(series) - 10
     np.testing.assert_array_equal(trace.reconstructed.values, series.values)
 

@@ -156,3 +156,17 @@ def test_budget_zero_still_fits():
         values, FitConfig(method="exponential_smoothing", budget=0))
     assert m.orders in ((1, 0, 0), (2, 0, 0))
     assert np.isfinite(forecast(m, 3)).all()
+
+
+@pytest.mark.parametrize("variant", ["simple", "trend"])
+def test_weights_do_not_depend_on_the_scale(variant):
+    # At 2**600 every squared error overflows and at 2**-600 it underflows;
+    # the weight search must still pick the unit-scale weights, bit for bit.
+    values = np.random.default_rng(1).standard_normal(50).cumsum()
+    config = FitConfig(method="exponential_smoothing", es_variants=(variant,))
+    unit = fit_exponential_smoothing(values, config)
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        with np.errstate(over="ignore"):
+            scaled = fit_exponential_smoothing(values * scale, config)
+        assert [v.hex() for v in scaled.params.tolist()] == \
+            [v.hex() for v in unit.params.tolist()], scale
