@@ -118,8 +118,9 @@ class FitConfig:
 
     ``order_grid`` restricts the ARIMA search; ``es_variants`` restricts the
     smoothing family ("simple", "trend"); an explicit ``es_alpha_grid``
-    replaces the default coarse grid of level weights (and its [0.01, 0.99]
-    clamp), while the trend weight always searches the default grid.
+    (non-empty, every weight finite and in [0, 1]) replaces the default
+    coarse grid of level weights (and its [0.01, 0.99] clamp), while the
+    trend weight always searches the default grid.
     ``budget`` scales optimizer effort: simplex searches are capped at
     ``budget**3`` objective evaluations, refinement runs ``3 * budget``
     bracket steps, and default smoothing grids densify with it.
@@ -149,6 +150,14 @@ class FitConfig:
         if not variants:
             raise ValueError("es_variants must not be empty")
         object.__setattr__(self, "es_variants", variants)
+        if self.es_alpha_grid is not None:
+            alphas = tuple(float(a) for a in self.es_alpha_grid)
+            if not alphas:
+                raise ValueError("es_alpha_grid must not be empty")
+            for a in alphas:
+                if not (0.0 <= a <= 1.0):
+                    raise ValueError(f"smoothing weight must lie in [0, 1], got {a}")
+            object.__setattr__(self, "es_alpha_grid", alphas)
 
     @property
     def max_evals(self) -> int:

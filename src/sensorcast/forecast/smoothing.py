@@ -7,12 +7,16 @@ differences and recover the final level and trend from the last errors.
 
 Smoothing weights are chosen by minimizing the in-sample sum of squared
 one-step-ahead errors over a coarse grid, then sharpening the best cell with
-golden-section steps.  The search runs on the history scaled by a power of
-two that puts max|x| in [0.5, 1): the scaling is exact, so the chosen
-weights do not depend on the series' magnitude, and no sum of squares
-overflows or underflows at extreme ones.  Errors, states and the likelihood
-come from the unscaled history.  Variant choice (level-only vs level+trend)
-is by AICc with the initial states charged as parameters.
+golden-section steps.  Each variant takes its differences once; the trend
+grid runs as one recursion over all (alpha, beta) cells, bit for bit the
+per-cell lfilter, and each refinement step is one lfilter call.  The search
+runs on the history scaled by a power of two that puts max|x| in [0.5, 1):
+the scaling is exact, so the chosen weights do not depend on the series'
+magnitude, and no sum of squares overflows or underflows at extreme ones.
+Level and trend come from the unscaled history; the likelihood comes from
+the scaled errors plus the scale's exact log, so the variant choice
+(level-only vs level+trend, by AICc with the initial states charged as
+parameters) does not depend on the magnitude either.
 """
 
 from __future__ import annotations
@@ -68,6 +72,44 @@ def _sse(errors: np.ndarray) -> float:
     return float(errors @ errors)
 
 
+def _lane_sse(w: np.ndarray, ma1: np.ndarray, ma2: np.ndarray) -> np.ndarray:
+    """``_sse(lfilter([1], [1, ma1[i], ma2[i]], w))`` for all lanes i, bit for bit.
+
+    One pass over ``w`` steps every lane in lfilter's transposed direct-form
+    II order, y = x + ((-ma2 * y_2) - ma1 * y_1); a stack of 1 x n by n x 1
+    products then runs ``_sse``'s dot product once per lane.
+    """
+    y = np.zeros((len(w) + 2, len(ma1)))
+    rows = list(y)
+    neg_ma2 = -ma2
+    tmp = np.empty(len(ma1))
+    for t, x in enumerate(w.tolist(), start=2):
+        np.multiply(neg_ma2, rows[t - 2], out=rows[t])
+        np.multiply(ma1, rows[t - 1], out=tmp)
+        np.subtract(rows[t], tmp, out=rows[t])
+        np.add(rows[t], x, out=rows[t])
+    lanes = np.ascontiguousarray(y[2:].T)
+    return np.matmul(lanes[:, None, :], lanes[:, :, None]).ravel()
+
+
+def _best_cell(w: np.ndarray, alpha_grid: np.ndarray,
+               beta_grid: np.ndarray) -> tuple[float, float]:
+    # The cell with the least trend SSE over w, alpha-major: the first strict
+    # minimum wins and a NaN never does, so with no finite SSE the first cell.
+    alphas, betas = (g.ravel() for g in np.meshgrid(alpha_grid, beta_grid, indexing="ij"))
+    sse = _lane_sse(w, alphas * (1.0 + betas) - 2.0, 1.0 - alphas)
+    best = int(np.argmin(np.where(np.isnan(sse), np.inf, sse)))
+    return float(alphas[best]), float(betas[best])
+
+
+def _neg2_loglik(search_errors: np.ndarray, exponent: int) -> float:
+    # The history's errors are the search errors times 2**exponent, so its
+    # -2 log L is theirs plus n * log(4**exponent), with no sum of squares
+    # that can overflow or underflow.
+    n = len(search_errors)
+    return gaussian_neg2_loglik(search_errors) + 2.0 * n * exponent * np.log(2.0)
+
+
 def _refine_1d(fn, grid: np.ndarray, iters: int) -> float:
     if len(grid) == 1:
         return float(grid[0])
@@ -81,20 +123,27 @@ def _default_grid(n_points: int) -> np.ndarray:
     return np.linspace(_ALPHA_LO, _ALPHA_HI, n_points)
 
 
-def _unit_scaled(values: np.ndarray) -> np.ndarray:
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     # values * 2**-e with max|values| = m * 2**e, m in [0.5, 1): exact unless
     # a value falls into the subnormal range.
     _, exponent = np.frexp(np.max(np.abs(values)))
-    return np.ldexp(values, -exponent)
+    return np.ldexp(values, -exponent), int(exponent)
 
 
-def _fit_simple(values: np.ndarray, search: np.ndarray, config: FitConfig) -> ForecastModel:
+def _fit_simple(values: np.ndarray, search: np.ndarray, exponent: int,
+                config: FitConfig) -> ForecastModel:
     grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
             if config.es_alpha_grid is not None
             else _default_grid(max(3, min(25, config.budget ** 2))))
-    alpha = _refine_1d(lambda a: _sse(simple_errors(search, a)[0]),
-                       grid, config.refine_iters)
-    errors, level = simple_errors(values, alpha)
+    # simple_errors(search, a)[0], with the differences taken once.
+    diffs = np.diff(search)
+
+    def search_errors(a):
+        return lfilter([1.0], [1.0, a - 1.0], diffs)
+
+    alpha = _refine_1d(lambda a: _sse(search_errors(a)), grid, config.refine_iters)
+    _, level = simple_errors(values, alpha)
+    errors = search_errors(alpha)
     # k: one smoothing weight plus the fitted initial level.
     return ForecastModel(
         kind=MethodKind.EXPONENTIAL_SMOOTHING,
@@ -103,34 +152,35 @@ def _fit_simple(values: np.ndarray, search: np.ndarray, config: FitConfig) -> Fo
         state=[level],
         k=2,
         fit_n=len(values),
-        neg2_loglik=gaussian_neg2_loglik(errors),
+        neg2_loglik=_neg2_loglik(errors, exponent),
         loglik_n=len(errors),
     )
 
 
-def _fit_trend(values: np.ndarray, search: np.ndarray, config: FitConfig) -> ForecastModel:
+def _fit_trend(values: np.ndarray, search: np.ndarray, exponent: int,
+               config: FitConfig) -> ForecastModel:
     n_points = max(3, min(13, config.budget + 3))
     alpha_grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
                   if config.es_alpha_grid is not None
                   else _default_grid(n_points))
     beta_grid = _default_grid(n_points)
+    # trend_errors(search, a, b)[0], with the differences taken once: the
+    # leading zero is the error trend_errors fixes at the second step.
+    diffs = np.concatenate(([0.0], np.diff(search, 2)))
 
-    best = (np.inf, float(alpha_grid[0]), float(beta_grid[0]))
-    for a in alpha_grid:
-        for b in beta_grid:
-            sse = _sse(trend_errors(search, a, b)[0])
-            if sse < best[0]:
-                best = (sse, float(a), float(b))
-    _, alpha, beta = best
+    def search_errors(a, b):
+        return lfilter([1.0], [1.0, a * (1.0 + b) - 2.0, 1.0 - a], diffs)
 
+    alpha, beta = _best_cell(diffs, alpha_grid, beta_grid)
     # Coordinate-wise sharpening; two passes settle the interaction.
     for _ in range(2):
-        alpha = _refine_1d(lambda a: _sse(trend_errors(search, a, beta)[0]),
+        alpha = _refine_1d(lambda a: _sse(search_errors(a, beta)),
                            alpha_grid, config.refine_iters)
-        beta = _refine_1d(lambda b: _sse(trend_errors(search, alpha, b)[0]),
+        beta = _refine_1d(lambda b: _sse(search_errors(alpha, b)),
                           beta_grid, config.refine_iters)
 
-    errors, level, trend = trend_errors(values, alpha, beta)
+    _, level, trend = trend_errors(values, alpha, beta)
+    errors = search_errors(alpha, beta)
     # k: two smoothing weights plus two fitted initial states.
     return ForecastModel(
         kind=MethodKind.EXPONENTIAL_SMOOTHING,
@@ -139,7 +189,7 @@ def _fit_trend(values: np.ndarray, search: np.ndarray, config: FitConfig) -> For
         state=[level, trend],
         k=4,
         fit_n=len(values),
-        neg2_loglik=gaussian_neg2_loglik(errors),
+        neg2_loglik=_neg2_loglik(errors, exponent),
         loglik_n=len(errors),
     )
 
@@ -158,10 +208,10 @@ def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> Forecas
         )
 
     fitters = {"simple": _fit_simple, "trend": _fit_trend}
-    search = _unit_scaled(values)
+    search, exponent = _unit_scaled(values)
     ranked = []
     for order, variant in enumerate(config.es_variants):
-        model = fitters[variant](values, search, config)
+        model = fitters[variant](values, search, exponent, config)
         try:
             crit = aicc(model.neg2_loglik, model.k, model.loglik_n)
             undefined = 0

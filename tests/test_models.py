@@ -48,6 +48,11 @@ def test_fit_config_validation():
         FitConfig(order_grid=())
     with pytest.raises(ValueError):
         FitConfig(es_variants=("holt",))
+    # Level weights must be finite and in [0, 1], and there must be one.
+    assert FitConfig(es_alpha_grid=(0.0, 1.0)).es_alpha_grid == (0.0, 1.0)
+    for grid in ((), (float("nan"),), (3.0,), (0.5, -0.1), (float("inf"),)):
+        with pytest.raises(ValueError):
+            FitConfig(es_alpha_grid=grid)
 
 
 def test_forecast_model_round_trips_through_json():

@@ -3,9 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sensorcast.forecast.models import FitConfig, FitError, MethodKind
+from sensorcast.forecast.models import FitConfig, FitError, MethodKind, gaussian_neg2_loglik
 from sensorcast.forecast.selection import forecast
 from sensorcast.forecast.smoothing import (
+    _best_cell,
+    _default_grid,
+    _lane_sse,
+    _sse,
+    _unit_scaled,
     fit_exponential_smoothing,
     simple_errors,
     trend_errors,
@@ -170,3 +175,96 @@ def test_weights_do_not_depend_on_the_scale(variant):
             scaled = fit_exponential_smoothing(values * scale, config)
         assert [v.hex() for v in scaled.params.tolist()] == \
             [v.hex() for v in unit.params.tolist()], scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_variant_choice_does_not_depend_on_the_scale():
+    # At unit scale the trend variant wins on AICc; at 2**+-600 the
+    # likelihood must not overflow or underflow into a tie that the
+    # parameter count then breaks the other way.
+    values = np.random.default_rng(0).standard_normal(50).cumsum()
+    for scale in (1.0, 2.0 ** 600, 2.0 ** -600):
+        m = fit_exponential_smoothing(values * scale, ES_CONFIG)
+        assert m.orders == (2, 0, 0), scale
+        # -2 log L of the history itself, not of its scaled copy.
+        expected = (gaussian_neg2_loglik(trend_errors(values, *m.params)[0])
+                    + 2.0 * (len(values) - 1) * np.log(scale))
+        assert m.neg2_loglik == pytest.approx(expected, rel=1e-12), scale
+
+
+def pinned_inputs():
+    rng = np.random.default_rng(43)
+    flat = 10.0 + 0.3 * rng.standard_normal(50)
+    ramp = 5.0 + 0.3 * np.arange(50.0) + 0.2 * rng.standard_normal(50)
+    return {
+        "level_h50": (flat, {}),
+        "trend_h50": (ramp, {}),
+        "walk_h5": (rng.standard_normal(5).cumsum(), {}),
+        "smooth_h500": (rng.standard_normal(500).cumsum().cumsum(), {}),
+        "budget_zero": (rng.standard_normal(40).cumsum(), {"budget": 0}),
+        "alpha_one": (ramp, {"es_alpha_grid": (1.0,)}),
+    }
+
+
+# Orders, params and state as float.hex, recorded when every grid cell and
+# refinement step still ran its own trend_errors/simple_errors call.
+PINNED_FITS = {
+    "level_h50": ((1, 0, 0), ["0x1.68ddcf3dd8c9ep-5"],
+                  ["0x1.3f02da1cd4e40p+3"]),
+    "trend_h50": ((2, 0, 0), ["0x1.43772e8f36218p-2", "0x1.c0a1e4db0a2c5p-2"],
+                  ["0x1.39b9a2d048cccp+4", "0x1.53b1271bbdd5cp-2"]),
+    "walk_h5": ((1, 0, 0), ["0x1.47ae267b99339p-7"],
+                ["-0x1.08fe05decf883p-2"]),
+    "smooth_h500": ((2, 0, 0), ["0x1.f4f389b6a3a93p-1", "0x1.fae1471e0ebb8p-1"],
+                    ["0x1.77538c19b71a2p+11", "-0x1.9dce8a903eb72p-3"]),
+    "budget_zero": ((1, 0, 0), ["0x1.9b0d67ee1b772p-1"],
+                    ["-0x1.a1a627a6201f4p+1"]),
+    "alpha_one": ((2, 0, 0), ["0x1.0000000000000p+0", "0x1.17c3d5a4899a0p-4"],
+                  ["0x1.3db8f29d65e15p+4", "0x1.4ab76b01bb37cp-2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FITS))
+def test_fit_exponential_smoothing_reproduces_pinned_fits(name):
+    values, overrides = pinned_inputs()[name]
+    m = fit_exponential_smoothing(
+        values, FitConfig(method="exponential_smoothing", **overrides))
+    orders, params, state = PINNED_FITS[name]
+    assert m.orders == orders
+    assert [v.hex() for v in m.params.tolist()] == params
+    assert [v.hex() for v in m.state.tolist()] == state
+
+
+def best_cell_oracle(search, alpha_grid, beta_grid):
+    # One trend_errors call per cell, alpha-major; the first strict minimum
+    # wins and a NaN never does.
+    best = (np.inf, float(alpha_grid[0]), float(beta_grid[0]))
+    for a in alpha_grid:
+        for b in beta_grid:
+            sse = _sse(trend_errors(search, a, b)[0])
+            if sse < best[0]:
+                best = (sse, float(a), float(b))
+    return best[1:]
+
+
+def test_lane_kernel_matches_single_filters():
+    rng = np.random.default_rng(47)
+    histories = [rng.standard_normal(n).cumsum() for n in (4, 5, 50, 200)]
+    histories.append(5.0 + 0.3 * np.arange(60.0) + rng.standard_normal(60))
+    histories.append(np.zeros(30))
+    grids = [(_default_grid(13), _default_grid(13)),
+             (_default_grid(3), _default_grid(3)),
+             (np.array([0.0, 0.4, 1.0]), _default_grid(5))]
+    for values in histories:
+        search, _ = _unit_scaled(values)
+        w = np.concatenate(([0.0], np.diff(search, 2)))
+        for alpha_grid, beta_grid in grids:
+            alphas, betas = (g.ravel() for g in np.meshgrid(alpha_grid, beta_grid,
+                                                            indexing="ij"))
+            got = _lane_sse(w, alphas * (1.0 + betas) - 2.0, 1.0 - alphas)
+            expected = [_sse(trend_errors(search, a, b)[0])
+                        for a, b in zip(alphas, betas)]
+            # Same operations in the same order: equal, not merely close.
+            assert got.tolist() == expected
+            assert _best_cell(w, alpha_grid, beta_grid) == \
+                best_cell_oracle(search, alpha_grid, beta_grid)
