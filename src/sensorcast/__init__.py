@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .series import (
     Split,
     TimeSeries,
-    add_white_noise,
     extract_splits,
     gap_fill,
     interpolate_gaps,
@@ -77,7 +76,7 @@ from .evaluation import (
 
 __all__ = [
     "__version__",
-    "TimeSeries", "Split", "interpolate_gaps", "add_white_noise",
+    "TimeSeries", "Split", "interpolate_gaps",
     "quantize_to_resolution", "extract_splits", "gap_fill",
     "MethodKind", "FitConfig", "FitError", "ForecastModel", "fit_model",
     "Measurement", "ModelUpdate", "SensorNode", "Gateway", "DpsTrace",

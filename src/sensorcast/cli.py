@@ -104,6 +104,8 @@ _MANIFEST_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)
 # The JSON type of each element of the list-valued keys, by its JSON name.
 _LIST_ELEMENTS = {"datasets": (dict, "object"), "methods": (str, "str"),
                   "history_lengths": (int, "int"), "window_lengths": (int, "int")}
+# Keys a dataset entry may set: the descriptor's fields plus the csv path.
+_DATASET_KEYS = {f.name for f in fields(DatasetDescriptor)} | {"path"}
 
 
 def load_manifest(path: str | None, overrides: dict) -> RunManifest:
@@ -128,6 +130,11 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
                                for v in value):
                 raise ValueError(f"{path}: manifest key {key!r} must be a list of {name}, "
                                  f"got {json.dumps(value)}")
+        for entry in raw.get("datasets", ()):
+            unknown = set(entry) - _DATASET_KEYS
+            if unknown:
+                raise ValueError(f"{path}: unknown dataset keys {sorted(unknown)} "
+                                 f"in {json.dumps(entry)}")
         values.update(raw)
         values["config_path"] = path
     values.update({k: v for k, v in overrides.items() if v is not None})
@@ -157,6 +164,12 @@ def _resolve_series(entry: dict, manifest: RunManifest) -> tuple[DatasetDescript
     if not os.path.exists(full):
         raise ValueError(f"dataset not found for {descriptor.label}: {full}")
     return descriptor, load_csv(full, descriptor)
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _scenario_task(item):
@@ -238,10 +251,8 @@ def cmd_evaluate(args) -> int:
     csv_path = os.path.join(manifest.output_dir, "report.csv")
     digest = emit_report(rows, json_path, csv_path, manifest=manifest.hashed_dict())
     echo_path = os.path.join(manifest.output_dir, "manifest.json")
-    with open(echo_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"manifest": manifest.effective_dict(), "manifest_sha256": digest,
-                   "skipped_scenarios": skipped}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(echo_path, {"manifest": manifest.effective_dict(), "manifest_sha256": digest,
+                            "skipped_scenarios": skipped})
     print(f"wrote {csv_path} ({len(rows)} rows, {len(skipped)} skipped)")
     print(f"wrote {json_path}")
     print(f"wrote {echo_path}")
@@ -310,10 +321,8 @@ def cmd_dps(args) -> int:
                   f"{count_model_overhead(trace)} model updates)")
 
     summary_path = os.path.join(manifest.output_dir, "dps_summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"manifest": effective, "manifest_sha256": digest,
-                   "runs": summaries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary_path, {"manifest": effective, "manifest_sha256": digest,
+                               "runs": summaries})
     print(f"wrote {summary_path}")
     return 0
 
@@ -330,10 +339,8 @@ def cmd_calibrate(args) -> int:
     print(f"{descriptor.label}: resolution {resolution!r} reaches "
           f"equal-pair fraction >= {fraction_target}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"dataset": descriptor.label, "target": fraction_target,
-                       "resolution": resolution}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.output, {"dataset": descriptor.label, "target": fraction_target,
+                                  "resolution": resolution})
         print(f"wrote {args.output}")
     return 0
 

@@ -1,7 +1,10 @@
 """Dataset descriptors, built-in thresholds, CSV ingestion, and the bouncing
 ball generator.
 
-CSV schemas (header required, extra whitespace tolerated):
+Every per-family ingestion fact (threshold, unit, cadence, CSV header, which
+columns hold time, value and sensor id, and whether time counts epochs or
+seconds) lives in one table, ``_FAMILIES``.  The CSV schemas (header
+required, extra whitespace tolerated):
 
 * indoor temperature (``intel`` family): ``epoch,moteid,temperature``;
   ``epoch`` is a monotone sample counter, converted to seconds by the
@@ -70,36 +73,42 @@ class DatasetFamily(enum.Enum):
             raise ValueError(f"unknown dataset family {value!r}; expected one of: {names}") from None
 
 
-# Reporting resolutions of the source sensors, doubling as transmission
+@dataclass(frozen=True)
+class _Family:
+    """How one family's files are read and what its samples mean."""
+
+    threshold: float
+    unit: str
+    cadence: float | None  # seconds between samples; None keeps raw timestamps
+    header: tuple[str, ...]
+    time: str
+    value: str
+    sensor: str | None = None  # sensor-id column of multi-sensor files
+    epochs: bool = False  # time counts samples of the cadence, not seconds
+
+
+_GPS_HEADER = ("timestamp", "latitude", "longitude")
+
+# Reporting resolutions of the source sensors double as transmission
 # thresholds.  The outdoor stations digitize [-55, 130] degC at 12 bits.
-_THRESHOLDS = {
-    DatasetFamily.INTEL: 0.01,
-    DatasetFamily.SENSORSCOPE: (130.0 - (-55.0)) / 2 ** 12,
-    DatasetFamily.BALL: 0.001,
-    DatasetFamily.RUNNING_LATITUDE: 8.38e-8,
-    DatasetFamily.RUNNING_LONGITUDE: 8.38e-8,
-}
-
-_UNITS = {
-    DatasetFamily.INTEL: "degC",
-    DatasetFamily.SENSORSCOPE: "degC",
-    DatasetFamily.BALL: "m",
-    DatasetFamily.RUNNING_LATITUDE: "deg",
-    DatasetFamily.RUNNING_LONGITUDE: "deg",
-}
-
-_PERIODS = {
-    DatasetFamily.INTEL: 31.0,
-    DatasetFamily.SENSORSCOPE: 30.0,
-    DatasetFamily.BALL: 1.0,
-    DatasetFamily.RUNNING_LATITUDE: None,
-    DatasetFamily.RUNNING_LONGITUDE: None,
+_FAMILIES = {
+    DatasetFamily.INTEL: _Family(0.01, "degC", 31.0, ("epoch", "moteid", "temperature"),
+                                 "epoch", "temperature", sensor="moteid", epochs=True),
+    DatasetFamily.SENSORSCOPE: _Family((130.0 - (-55.0)) / 2 ** 12, "degC", 30.0,
+                                       ("station", "epoch", "temperature"),
+                                       "epoch", "temperature", sensor="station", epochs=True),
+    DatasetFamily.BALL: _Family(0.001, "m", 1.0, ("timestamp", "position"),
+                                "timestamp", "position"),
+    DatasetFamily.RUNNING_LATITUDE: _Family(8.38e-8, "deg", None, _GPS_HEADER,
+                                            "timestamp", "latitude"),
+    DatasetFamily.RUNNING_LONGITUDE: _Family(8.38e-8, "deg", None, _GPS_HEADER,
+                                             "timestamp", "longitude"),
 }
 
 
 def builtin_threshold(family) -> float:
     """Default transmission threshold for a dataset family."""
-    return _THRESHOLDS[DatasetFamily.coerce(family)]
+    return _FAMILIES[DatasetFamily.coerce(family)].threshold
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,6 @@ class DatasetDescriptor:
     group: int = 1
     delta_min: float | None = None
     expected_period: float | None = None
-    unit: str = ""
     sensor_id: int | None = None
 
     def __post_init__(self) -> None:
@@ -120,12 +128,16 @@ class DatasetDescriptor:
 
     @property
     def threshold(self) -> float:
-        return self.delta_min if self.delta_min is not None else _THRESHOLDS[self.family]
+        return self.delta_min if self.delta_min is not None else _FAMILIES[self.family].threshold
 
     @property
     def period(self) -> float | None:
         return (self.expected_period if self.expected_period is not None
-                else _PERIODS[self.family])
+                else _FAMILIES[self.family].cadence)
+
+    @property
+    def unit(self) -> str:
+        return _FAMILIES[self.family].unit
 
     @property
     def label(self) -> str:
@@ -134,10 +146,7 @@ class DatasetDescriptor:
 
 def descriptor_for(family, group: int = 1, **overrides) -> DatasetDescriptor:
     """Descriptor with the family's built-in threshold, period, and unit."""
-    family = DatasetFamily.coerce(family)
-    fields = dict(unit=_UNITS[family])
-    fields.update(overrides)
-    return DatasetDescriptor(family=family, group=group, **fields)
+    return DatasetDescriptor(family=family, group=group, **overrides)
 
 
 @dataclass(frozen=True)
@@ -201,8 +210,8 @@ def generate_ball(params: BallParams, *, with_noise: bool = True) -> TimeSeries:
     if with_noise:
         rng = np.random.default_rng(params.seed)
         values = values + rng.standard_normal(params.n_samples)
-    return TimeSeries(t, values, unit=_UNITS[DatasetFamily.BALL],
-                      resolution=_THRESHOLDS[DatasetFamily.BALL])
+    ball = _FAMILIES[DatasetFamily.BALL]
+    return TimeSeries(t, values, unit=ball.unit, resolution=ball.threshold)
 
 
 def ball_series(group: int, *, with_noise: bool = True) -> TimeSeries:
@@ -212,41 +221,33 @@ def ball_series(group: int, *, with_noise: bool = True) -> TimeSeries:
     return generate_ball(BALL_GROUPS[group], with_noise=with_noise)
 
 
-_SCHEMAS = {
-    DatasetFamily.INTEL: ("epoch", "moteid", "temperature"),
-    DatasetFamily.SENSORSCOPE: ("station", "epoch", "temperature"),
-    DatasetFamily.BALL: ("timestamp", "position"),
-    DatasetFamily.RUNNING_LATITUDE: ("timestamp", "latitude", "longitude"),
-    DatasetFamily.RUNNING_LONGITUDE: ("timestamp", "latitude", "longitude"),
-}
-
-
-def _parse_rows(path, schema: tuple[str, ...]) -> list[tuple[float, ...]]:
-    rows = []
+def _parse_columns(path, header: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """One float64 array per header column; blank rows are skipped."""
+    flat: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        found = next(reader, None)
+        if found is None:
             raise DataFormatError(f"{path}: empty file")
-        header = tuple(h.strip().lower() for h in header)
-        if header != schema:
+        found = tuple(h.strip().lower() for h in found)
+        if found != header:
             raise DataFormatError(
-                f"{path}: header {header} does not match expected {schema}"
+                f"{path}: header {found} does not match expected {header}"
             )
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            if len(row) != len(schema):
+            if len(row) != len(header):
                 raise DataFormatError(
-                    f"{path}:{line_no}: expected {len(schema)} fields, got {len(row)}"
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append(tuple(float(cell) for cell in row))
+                flat.extend(map(float, row))
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{line_no}: {exc}") from None
-    if not rows:
+    if not flat:
         raise DataFormatError(f"{path}: no data rows")
-    return rows
+    return dict(zip(header, np.array(flat).reshape(-1, len(header)).T))
 
 
 def _dedupe_sorted(ts: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,46 +266,34 @@ def load_csv(path, descriptor: DatasetDescriptor) -> TimeSeries:
     timestamps.  The result carries the descriptor's threshold as its
     resolution.
     """
-    family = descriptor.family
-    rows = _parse_rows(path, _SCHEMAS[family])
-
-    if family in (DatasetFamily.RUNNING_LATITUDE, DatasetFamily.RUNNING_LONGITUDE):
-        col = 1 if family is DatasetFamily.RUNNING_LATITUDE else 2
-        ts = np.array([r[0] for r in rows])
-        vs = np.array([r[col] for r in rows])
-    elif family is DatasetFamily.BALL:
-        ts = np.array([r[0] for r in rows])
-        vs = np.array([r[1] for r in rows])
-    else:
-        id_col, epoch_col, value_col = (1, 0, 2) if family is DatasetFamily.INTEL else (0, 1, 2)
-        ids = np.array([r[id_col] for r in rows])
-        distinct = np.unique(ids)
+    spec = _FAMILIES[descriptor.family]
+    columns = _parse_columns(path, spec.header)
+    ts, vs = columns[spec.time], columns[spec.value]
+    if spec.sensor is not None:
+        ids = columns[spec.sensor]
         if descriptor.sensor_id is not None:
             mask = ids == descriptor.sensor_id
             if not np.any(mask):
                 raise DataFormatError(
                     f"{path}: no rows for sensor id {descriptor.sensor_id}"
                 )
-        elif len(distinct) > 1:
+            ts, vs = ts[mask], vs[mask]
+        elif len(distinct := np.unique(ids)) > 1:
             raise DataFormatError(
                 f"{path}: {len(distinct)} sensor ids present; descriptor must "
                 f"select one via sensor_id"
             )
-        else:
-            mask = np.ones(len(rows), dtype=bool)
-        period = descriptor.period
-        ts = np.array([r[epoch_col] for r in rows])[mask] * period
-        vs = np.array([r[value_col] for r in rows])[mask]
+    period = descriptor.period
+    if spec.epochs:
+        ts = ts * period
 
     ts, vs = _dedupe_sorted(ts, vs)
     if len(ts) < 2:
         raise DataFormatError(f"{path}: need at least two distinct samples")
-    series = TimeSeries(ts, vs, unit=descriptor.unit or _UNITS[family],
-                        resolution=descriptor.threshold)
-    period = descriptor.period
+    series = TimeSeries(ts, vs, unit=spec.unit, resolution=descriptor.threshold)
     if period is None:
         return series
-    seed = zlib.crc32(f"{family.value}:{descriptor.group}".encode())
+    seed = zlib.crc32(f"{descriptor.family.value}:{descriptor.group}".encode())
     return gap_fill(series, period, seed=seed)
 
 

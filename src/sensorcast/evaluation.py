@@ -39,7 +39,6 @@ __all__ = [
     "calibrate_resolution",
     "equal_pair_fraction",
     "emit_report",
-    "load_report",
     "manifest_sha256",
 ]
 
@@ -380,12 +379,6 @@ def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> s
         lines.append(",".join(cell(d[col]) for col in _CSV_COLUMNS))
     _atomic_write(csv_path, "\n".join(lines) + "\n")
     return digest
-
-
-def load_report(json_path) -> dict:
-    """Parse a JSON report written by :func:`emit_report`."""
-    with open(json_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def attach_fairness(rows: list[ScenarioResult]) -> list[ScenarioResult]:

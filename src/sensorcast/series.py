@@ -16,7 +16,6 @@ __all__ = [
     "TimeSeries",
     "Split",
     "interpolate_gaps",
-    "add_white_noise",
     "quantize_to_resolution",
     "extract_splits",
     "gap_fill",
@@ -134,17 +133,6 @@ def interpolate_gaps(series: TimeSeries, expected_period: float) -> TimeSeries:
     grid = t0 + expected_period * np.arange(n_steps + 1, dtype=np.float64)
     vals = np.interp(grid, series.timestamps, series.values)
     return TimeSeries(grid, vals, unit=series.unit, resolution=series.resolution)
-
-
-def add_white_noise(series: TimeSeries, sigma: float, seed: int) -> TimeSeries:
-    """Add iid N(0, sigma^2) noise; the draw is fully determined by ``seed``."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return series
-    rng = np.random.default_rng(seed)
-    noisy = series.values + sigma * rng.standard_normal(len(series))
-    return series.with_values(noisy)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:

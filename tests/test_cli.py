@@ -56,6 +56,23 @@ def test_manifest_rejects_unknown_keys(tmp_path):
         load_manifest(str(not_object), {})
 
 
+def test_manifest_rejects_unknown_dataset_keys(tmp_path, capsys):
+    manifest = write_manifest(tmp_path / "m.json",
+                              datasets=[{"family": "ball", "grup": 3}],
+                              output_dir=str(tmp_path / "out"))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "grup" in err
+    assert not (tmp_path / "out").exists()
+    assert run_cli("dps", "--manifest", str(manifest)) == 2
+    assert "grup" in capsys.readouterr().err
+    every_key = {"family": "intel", "group": 2, "path": "intel.csv", "sensor_id": 7,
+                 "delta_min": 0.5, "expected_period": 60.0}
+    ok = write_manifest(tmp_path / "ok.json", datasets=[every_key])
+    assert load_manifest(str(ok), {}).datasets == (every_key,)
+
+
 def test_manifest_with_mistyped_value_exits_2(tmp_path, capsys):
     manifest = write_manifest(tmp_path / "m.json", n_splits="5")
     assert run_cli("evaluate", "--manifest", str(manifest)) == 2
@@ -218,6 +235,28 @@ def test_dps_trace_and_summary(tmp_path, capsys):
     tail = json.loads(trace_lines[-1])
     assert tail["type"] == "summary"
     assert tail["measurements"] == run["measurements"]
+
+
+def test_dps_on_generated_csv_matches_generated_series(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    assert run_cli("generate", "--paper-defaults", "--output-dir", str(fixtures)) == 0
+    run = ("dps", "--family", "ball", "--group", "1", "--method", "constant",
+           "--history-len", "50", "--window-len", "20")
+    assert run_cli(*run, "--output-dir", str(tmp_path / "generated")) == 0
+    assert run_cli(*run, "--path", "ball_group1.csv", "--data-dir", str(fixtures),
+                   "--output-dir", str(tmp_path / "csv")) == 0
+    name = "dps_ball-g1_constant.jsonl"
+    generated = (tmp_path / "generated" / name).read_text().splitlines()
+    loaded = (tmp_path / "csv" / name).read_text().splitlines()
+    assert len(loaded) > 2
+    assert loaded[1:] == generated[1:]
+    # Only the header differs: its manifest digest covers the csv path.
+    headers = [json.loads(lines[0]) for lines in (generated, loaded)]
+    assert headers[0].pop("manifest_sha256") != headers[1].pop("manifest_sha256")
+    assert headers[0] == headers[1]
+    runs = [json.loads((tmp_path / d / "dps_summary.json").read_text())["runs"]
+            for d in ("generated", "csv")]
+    assert runs[0] == runs[1]
 
 
 def test_dps_default_threshold_is_family_builtin(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,71 @@ def test_load_running_track_keeps_raw_timestamps(tmp_path):
     np.testing.assert_array_equal(lat.values, [45.1, 45.2, 45.3])
     np.testing.assert_array_equal(lon.values, [7.6, 7.7, 7.9])
     assert lat.resolution == 8.38e-8
+
+
+# One small file per family in its schema, with the timestamps it must load
+# to: epoch counters scale by the family cadence, seconds stay as written.
+_FAMILY_CASES = {
+    DatasetFamily.INTEL: ("epoch,moteid,temperature\n1,7,20.0\n2,7,20.5\n3,7,21.0\n",
+                          [31.0, 62.0, 93.0], [20.0, 20.5, 21.0], "degC"),
+    DatasetFamily.SENSORSCOPE: ("station,epoch,temperature\n3,1,20.0\n3,2,20.5\n3,3,21.0\n",
+                                [30.0, 60.0, 90.0], [20.0, 20.5, 21.0], "degC"),
+    DatasetFamily.BALL: ("timestamp,position\n4,20.0\n5,20.5\n6,21.0\n",
+                         [4.0, 5.0, 6.0], [20.0, 20.5, 21.0], "m"),
+    DatasetFamily.RUNNING_LATITUDE: (
+        "timestamp,latitude,longitude\n0.0,20.0,7.0\n1.5,20.5,7.5\n9.0,21.0,8.0\n",
+        [0.0, 1.5, 9.0], [20.0, 20.5, 21.0], "deg"),
+    DatasetFamily.RUNNING_LONGITUDE: (
+        "timestamp,latitude,longitude\n0.0,20.0,7.0\n1.5,20.5,7.5\n9.0,21.0,8.0\n",
+        [0.0, 1.5, 9.0], [7.0, 7.5, 8.0], "deg"),
+}
+
+
+@pytest.mark.parametrize("family", list(DatasetFamily), ids=lambda f: f.value)
+def test_every_family_loads_its_schema(tmp_path, family):
+    text, timestamps, values, unit = _FAMILY_CASES[family]
+    path = tmp_path / f"{family.value}.csv"
+    path.write_text(text)
+    descriptor = descriptor_for(family)
+    s = load_csv(path, descriptor)
+    np.testing.assert_array_equal(s.timestamps, timestamps)
+    np.testing.assert_array_equal(s.values, values)
+    assert s.unit == descriptor.unit == unit
+    assert s.resolution == builtin_threshold(family)
+
+
+def _messy_intel_csv() -> str:
+    """Two motes over epochs 1-40 with 17-18 missing, a whitespace-padded
+    row, a blank and a whitespace-only row, and a late re-report of epoch
+    12 by mote 3 (last write wins)."""
+    rng = np.random.default_rng(2024)
+    lines = ["epoch,moteid,temperature"]
+    for epoch in range(1, 41):
+        if epoch in (17, 18):
+            continue
+        for mote in (3, 9):
+            lines.append(f"{epoch},{mote},{20.0 + rng.standard_normal()!r}")
+    lines[5] = f"  {lines[5].replace(',', ' , ')}  "
+    lines[20:20] = ["", " , , "]
+    lines.append(f"12,3,{25.0 + rng.standard_normal()!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sensor_id, golden", [
+    (3, "43f2c13aeb9e403a4f6422bdfae9250ab78a85e187d2426f155bd7b928c7235d"),
+    (9, "d247ba29f18b6c82b308b6b638e4b7ebcbeb5fcee7f98b54c2a7fd9240f14eac"),
+])
+def test_load_csv_output_is_pinned(tmp_path, sensor_id, golden):
+    path = tmp_path / "motes.csv"
+    path.write_text(_messy_intel_csv())
+    s = load_csv(path, descriptor_for("intel", 2, sensor_id=sensor_id))
+    assert len(s) == 40
+    digest = hashlib.sha256()
+    digest.update(s.timestamps.astype("<f8").tobytes())
+    digest.update(s.values.astype("<f8").tobytes())
+    digest.update(s.unit.encode())
+    digest.update(float(s.resolution).hex().encode())
+    assert digest.hexdigest() == golden
 
 
 def test_load_rejects_schema_violations(tmp_path):

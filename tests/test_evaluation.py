@@ -24,7 +24,6 @@ from sensorcast.evaluation import (
     emit_report,
     equal_pair_fraction,
     fairness_filter,
-    load_report,
     manifest_sha256,
     mape,
     run_scenario,
@@ -324,7 +323,8 @@ def test_emit_report_csv_and_json(tmp_path):
     # Floats are repr'd: parse back bit-exact.
     assert float(constant_cells[5]) == rows[0].mape_mean
 
-    payload = load_report(json_path)
+    with open(json_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
     assert payload["manifest_sha256"] == digest
     assert payload["manifest"] == manifest
     assert len(payload["rows"]) == 2

@@ -6,7 +6,6 @@ import pytest
 from sensorcast.series import (
     Split,
     TimeSeries,
-    add_white_noise,
     extract_splits,
     gap_fill,
     interpolate_gaps,
@@ -103,28 +102,6 @@ def test_interpolate_gaps_rejects_degenerate_input(short_series):
     one = TimeSeries(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         interpolate_gaps(one, 1.0)
-
-
-def test_add_white_noise_is_seeded_and_sized(short_series):
-    a = add_white_noise(short_series, 0.5, seed=7)
-    b = add_white_noise(short_series, 0.5, seed=7)
-    c = add_white_noise(short_series, 0.5, seed=8)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    np.testing.assert_array_equal(a.timestamps, short_series.timestamps)
-
-
-def test_add_white_noise_zero_sigma_is_identity(short_series):
-    assert add_white_noise(short_series, 0.0, seed=1) is short_series
-    with pytest.raises(ValueError):
-        add_white_noise(short_series, -1.0, seed=1)
-
-
-def test_add_white_noise_moments():
-    s = TimeSeries.regular(np.zeros(200_000))
-    noisy = add_white_noise(s, 2.0, seed=3)
-    assert abs(np.mean(noisy.values)) < 0.02
-    assert abs(np.std(noisy.values) - 2.0) < 0.02
 
 
 def test_quantize_ties_round_away_from_zero():
