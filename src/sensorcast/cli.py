@@ -98,14 +98,27 @@ class RunManifest:
 # Keys a manifest file may set: every field but the two the tool fills in,
 # each with the JSON types its field accepts.
 _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)),
-               "float | None": (int, float, type(None)), "str": (str,), "tuple": (list,)}
+               "float | None": (int, float, type(None)), "str": (str,), "tuple": (list,),
+               "DatasetFamily": (str,)}
 _MANIFEST_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)
                   if f.name not in ("config_path", "tool_version")}
 # The JSON type of each element of the list-valued keys, by its JSON name.
 _LIST_ELEMENTS = {"datasets": (dict, "object"), "methods": (str, "str"),
                   "history_lengths": (int, "int"), "window_lengths": (int, "int")}
-# Keys a dataset entry may set: the descriptor's fields plus the csv path.
-_DATASET_KEYS = {f.name for f in fields(DatasetDescriptor)} | {"path"}
+# Keys a dataset entry may set, the descriptor's fields plus the csv path,
+# each with its JSON types.  Any of them may also be null, which reads as
+# absent (see _resolve_series).
+_DATASET_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(DatasetDescriptor)}
+_DATASET_KEYS["path"] = (str,)
+
+
+def _mistyped(value, types) -> bool:
+    # JSON true/false are Python ints, but no key takes a boolean.
+    return isinstance(value, bool) or not isinstance(value, types)
+
+
+def _type_names(types) -> str:
+    return "/".join("null" if t is type(None) else t.__name__ for t in types)
 
 
 def load_manifest(path: str | None, overrides: dict) -> RunManifest:
@@ -120,21 +133,23 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
         if unknown:
             raise ValueError(f"{path}: unknown manifest keys: {sorted(unknown)}")
         for key, value in raw.items():
-            if isinstance(value, bool) or not isinstance(value, _MANIFEST_KEYS[key]):
-                names = "/".join("null" if t is type(None) else t.__name__
-                                 for t in _MANIFEST_KEYS[key])
-                raise ValueError(f"{path}: manifest key {key!r} must be {names}, "
-                                 f"got {json.dumps(value)}")
+            if _mistyped(value, _MANIFEST_KEYS[key]):
+                raise ValueError(f"{path}: manifest key {key!r} must be "
+                                 f"{_type_names(_MANIFEST_KEYS[key])}, got {json.dumps(value)}")
             element, name = _LIST_ELEMENTS.get(key, (None, None))
-            if element and any(isinstance(v, bool) or not isinstance(v, element)
-                               for v in value):
+            if element and any(_mistyped(v, element) for v in value):
                 raise ValueError(f"{path}: manifest key {key!r} must be a list of {name}, "
                                  f"got {json.dumps(value)}")
         for entry in raw.get("datasets", ()):
-            unknown = set(entry) - _DATASET_KEYS
+            unknown = set(entry) - set(_DATASET_KEYS)
             if unknown:
                 raise ValueError(f"{path}: unknown dataset keys {sorted(unknown)} "
                                  f"in {json.dumps(entry)}")
+            for key, value in entry.items():
+                if value is not None and _mistyped(value, _DATASET_KEYS[key]):
+                    raise ValueError(f"{path}: dataset key {key!r} must be "
+                                     f"{_type_names(_DATASET_KEYS[key])}, got "
+                                     f"{json.dumps(value)} in {json.dumps(entry)}")
         values.update(raw)
         values["config_path"] = path
     values.update({k: v for k, v in overrides.items() if v is not None})
@@ -145,7 +160,9 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
 
 
 def _resolve_series(entry: dict, manifest: RunManifest) -> tuple[DatasetDescriptor, TimeSeries]:
-    entry = dict(entry)
+    # The one reading of a dataset entry: a key that is null counts as
+    # absent, so delta_min falls back to the manifest's, then the family's.
+    entry = {k: v for k, v in entry.items() if v is not None}
     family = DatasetFamily.coerce(entry.get("family"))
     group = int(entry.get("group", 1))
     delta = entry.get("delta_min", manifest.delta_min)
@@ -284,7 +301,6 @@ def cmd_dps(args) -> int:
 
     summaries = []
     for entry in manifest.datasets:
-        entry = {k: v for k, v in dict(entry).items() if v is not None}
         descriptor, series = _resolve_series(entry, manifest)
         for method_name in manifest.methods:
             config = FitConfig(method=MethodKind.coerce(method_name))
@@ -329,10 +345,8 @@ def cmd_dps(args) -> int:
 
 def cmd_calibrate(args) -> int:
     manifest = load_manifest(None, {"data_dir": args.data_dir})
-    entry = {k: v for k, v in {
-        "family": args.family, "group": args.group, "path": args.path,
-        "sensor_id": args.sensor_id,
-    }.items() if v is not None}
+    entry = {"family": args.family, "group": args.group, "path": args.path,
+             "sensor_id": args.sensor_id}
     descriptor, series = _resolve_series(entry, manifest)
     resolution = calibrate_resolution(series, args.target)
     fraction_target = args.target

@@ -13,8 +13,11 @@ admit only when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible
 candidate is dropped; a fit raises ``FitError`` only when none is left.
 
 The CSS objective runs a few hundred times per candidate, so it works on
-Python floats: it unpacks the simplex vertex once, tests admissibility on
-those floats and passes them to ``css_residuals`` as lists.
+Python floats: it takes the simplex vertex as a list, tests admissibility
+on its floats and passes them on to ``css_residuals`` as lists.  The MA
+part of the residuals is one all-pole filter, run on lfilter's C kernel
+through ``filters.all_pole``: at a few dozen samples lfilter's Python
+wrapper costs twice the kernel, and a fit makes about 2,000 such calls.
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
@@ -25,9 +28,11 @@ the intercept slot (0.0) at d >= 1 so layouts never vary.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.signal import lfilter
+import math
 
+import numpy as np
+
+from .filters import all_pole
 from .models import (
     FitConfig,
     FitError,
@@ -91,13 +96,15 @@ def css_residuals(z: np.ndarray, phi, theta, mu: float) -> np.ndarray:
     n = len(z)
     if n <= start:
         raise ValueError(f"series of length {n} too short for orders ({p}, {q})")
-    zt = z - mu
+    # z - 0.0 is z bit for bit, so a fit without a mean skips that copy; -0.0
+    # is still subtracted, because it turns -0.0 entries into +0.0.
+    zt = z if mu == 0.0 and math.copysign(1.0, mu) > 0.0 else z - mu
     w = zt[start:]
     for i in range(1, p + 1):
         w = w - phi[i - 1] * zt[start - i:n - i]
     if q == 0:
-        return w
-    return lfilter([1.0], [1.0, *theta], w)
+        return w if p else w.copy()
+    return all_pole([1.0, *theta], w)
 
 
 def _in_unit_triangle(a1: float, a2: float) -> bool:
@@ -109,16 +116,21 @@ def _in_unit_triangle(a1: float, a2: float) -> bool:
 _MARGIN_SQUARED = ROOT_MARGIN ** 2
 
 
-def _admissible(phi, theta) -> bool:
+def _admissible_floats(phi1: float, phi2: float, theta1: float,
+                       theta2: float) -> bool:
     # Every root of the AR polynomial 1 - phi1 z - phi2 z^2 and of the MA
     # polynomial 1 + theta1 z + theta2 z^2 lies beyond ROOT_MARGIN: the
-    # margin-scaled triangle of the module docstring.  The unpacking fails
-    # above degree 2, which FitConfig and hannan_rissanen_start reject.
+    # margin-scaled triangle of the module docstring.
+    return (_in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2)
+            and _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2))
+
+
+def _admissible(phi, theta) -> bool:
+    # The unpacking fails above degree 2, which FitConfig and
+    # hannan_rissanen_start reject.
     phi1, phi2 = [float(v) for v in phi] + [0.0] * (2 - len(phi))
-    if not _in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2):
-        return False
     theta1, theta2 = [float(v) for v in theta] + [0.0] * (2 - len(theta))
-    return _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2)
+    return _admissible_floats(phi1, phi2, theta1, theta2)
 
 
 def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
@@ -261,13 +273,17 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     phi0, theta0, mu0 = hannan_rissanen_start(z, p, q, with_mean)
     x0 = np.concatenate([phi0, theta0, [mu0] if with_mean else []])
 
-    def objective(vec: np.ndarray) -> float:
-        values = vec.tolist()
+    phi_pad = [0.0] * (2 - p)
+    theta_pad = [0.0] * (2 - q)
+
+    def objective(values: list[float]) -> float:
         phi = values[:p]
         theta = values[p:p + q]
-        if not _admissible(phi, theta):
+        phi1, phi2 = phi + phi_pad
+        theta1, theta2 = theta + theta_pad
+        if not _admissible_floats(phi1, phi2, theta1, theta2):
             # Steer back toward the admissible region.
-            return 1e30 * (1.0 + float(np.sum(np.abs(vec))))
+            return 1e30 * (1.0 + float(np.sum(np.abs(values))))
         e = css_residuals(z, phi, theta, values[p + q] if with_mean else 0.0)
         return float(e @ e)
 

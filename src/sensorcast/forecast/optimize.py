@@ -65,7 +65,8 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
     cannot end anywhere worse than the start.
 
     The simplex is kept as lists of Python floats, which cost far less than
-    numpy calls on a handful of entries; ``fn`` still receives an ndarray.
+    numpy calls on a handful of entries; ``fn`` receives a vertex as such a
+    list and must not modify it.
     The arithmetic and its order are those of the array form, and NaN
     behaves as in numpy: it sorts last, propagates into ``trace`` and wins
     the final argmin.
@@ -82,7 +83,7 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
         v = list(x0)
         v[i] += 0.1 * max(abs(v[i]), 0.25)
         simplex.append(v)
-    fvals = [float(fn(np.array(v))) for v in simplex]
+    fvals = [float(fn(v)) for v in simplex]
     n_evals = n + 1
     trace = [_min_propagating_nan(fvals)]
 
@@ -99,12 +100,12 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
 
         centroid = _column_means(simplex[:-1])
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
-        f_r = float(fn(np.array(reflected)))
+        f_r = float(fn(reflected))
         n_evals += 1
 
         if f_r < fvals[0]:
             expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            f_e = float(fn(np.array(expanded)))
+            f_e = float(fn(expanded))
             n_evals += 1
             if f_e < f_r:
                 simplex[-1], fvals[-1] = expanded, f_e
@@ -114,7 +115,7 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
             simplex[-1], fvals[-1] = reflected, f_r
         else:
             contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
-            f_c = float(fn(np.array(contracted)))
+            f_c = float(fn(contracted))
             n_evals += 1
             if f_c < fvals[-1]:
                 simplex[-1], fvals[-1] = contracted, f_c
@@ -122,7 +123,7 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
                 # Shrink towards the best vertex, which stays in place.
                 for i in range(1, n + 1):
                     simplex[i] = [b + 0.5 * (a - b) for a, b in zip(simplex[i], best)]
-                    fvals[i] = float(fn(np.array(simplex[i])))
+                    fvals[i] = float(fn(simplex[i]))
                 n_evals += n
         trace.append(_min_propagating_nan(fvals))
 

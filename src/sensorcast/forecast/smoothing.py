@@ -9,10 +9,13 @@ Smoothing weights are chosen by minimizing the in-sample sum of squared
 one-step-ahead errors over a coarse grid, then sharpening the best cell with
 golden-section steps.  Each variant takes its differences once; the trend
 grid runs as one recursion over all (alpha, beta) cells, bit for bit the
-per-cell lfilter, and each refinement step is one lfilter call.  The search
-runs on the history scaled by a power of two that puts max|x| in [0.5, 1):
-the scaling is exact, so the chosen weights do not depend on the series'
-magnitude, and no sum of squares overflows or underflows at extreme ones.
+per-cell filter, and each refinement step is one filter over them.  A fit
+runs about 240 such filters in sequence on a few dozen samples, so they go
+straight to lfilter's C kernel through ``filters.all_pole``: lfilter's
+Python wrapper would cost twice the kernel.  The search runs on the history
+scaled by a power of two that puts max|x| in [0.5, 1): the scaling is
+exact, so the chosen weights do not depend on the series' magnitude, and
+no sum of squares overflows or underflows at extreme ones.
 Level and trend come from the unscaled history; the likelihood comes from
 the scaled errors plus the scale's exact log, so the variant choice
 (level-only vs level+trend, by AICc with the initial states charged as
@@ -22,8 +25,8 @@ parameters) does not depend on the magnitude either.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
+from .filters import all_pole
 from .models import (
     FitConfig,
     FitError,
@@ -48,7 +51,7 @@ def simple_errors(values: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """
     values = np.asarray(values, dtype=np.float64)
     # ARIMA(0,1,1): diff(x)_t = e_t + (alpha-1)*e_{t-1}, with e_0 = 0.
-    e = np.concatenate(([0.0], lfilter([1.0], [1.0, alpha - 1.0], np.diff(values))))
+    e = np.concatenate(([0.0], all_pole([1.0, alpha - 1.0], np.diff(values))))
     # level_t = x_t - (1-alpha)*e_t
     return e[1:], float(values[-1] - (1.0 - alpha) * e[-1])
 
@@ -62,7 +65,7 @@ def trend_errors(values: np.ndarray, alpha: float, beta: float) -> tuple[np.ndar
     values = np.asarray(values, dtype=np.float64)
     # ARIMA(0,2,2): diff(x, 2)_t = e_t + theta_1*e_{t-1} + theta_2*e_{t-2}, with e_0 = e_1 = 0.
     ma = [1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha]
-    e = np.concatenate(([0.0, 0.0], lfilter([1.0], ma, np.diff(values, 2))))
+    e = np.concatenate(([0.0, 0.0], all_pole(ma, np.diff(values, 2))))
     # level_t = x_t - (1-alpha)*e_t; trend_t = level_t - level_{t-1} - alpha(1-beta)*e_t.
     prev_level, level = values[-2:] - (1.0 - alpha) * e[-2:]
     return e[1:], float(level), float(level - prev_level - alpha * (1.0 - beta) * e[-1])
@@ -139,7 +142,7 @@ def _fit_simple(values: np.ndarray, search: np.ndarray, exponent: int,
     diffs = np.diff(search)
 
     def search_errors(a):
-        return lfilter([1.0], [1.0, a - 1.0], diffs)
+        return all_pole([1.0, a - 1.0], diffs)
 
     alpha = _refine_1d(lambda a: _sse(search_errors(a)), grid, config.refine_iters)
     _, level = simple_errors(values, alpha)
@@ -169,7 +172,7 @@ def _fit_trend(values: np.ndarray, search: np.ndarray, exponent: int,
     diffs = np.concatenate(([0.0], np.diff(search, 2)))
 
     def search_errors(a, b):
-        return lfilter([1.0], [1.0, a * (1.0 + b) - 2.0, 1.0 - a], diffs)
+        return all_pole([1.0, a * (1.0 + b) - 2.0, 1.0 - a], diffs)
 
     alpha, beta = _best_cell(diffs, alpha_grid, beta_grid)
     # Coordinate-wise sharpening; two passes settle the interaction.

@@ -95,6 +95,37 @@ def test_manifest_with_mistyped_value_exits_2(tmp_path, capsys):
     assert load_manifest(str(ok), {}).delta_min == 1
 
 
+def test_dataset_entry_with_mistyped_value_exits_2(tmp_path, capsys):
+    for key, value in (("delta_min", "0.5"), ("sensor_id", "9"), ("group", 1.5),
+                       ("family", 3), ("path", True)):
+        entry = {"family": "intel", "path": "intel.csv", key: value}
+        manifest = write_manifest(tmp_path / f"{key}.json", datasets=[entry],
+                                  output_dir=str(tmp_path / "out"))
+        for command in ("evaluate", "dps"):
+            assert run_cli(command, "--manifest", str(manifest)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"dataset key {key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_dataset_value_reads_as_absent(tmp_path):
+    # delta_min: null takes the manifest-level value in both commands, as an
+    # entry without the key does.
+    datasets = [{"family": "ball", "group": 1, "delta_min": None, "sensor_id": None},
+                {"family": "ball", "group": 2}]
+    manifest = write_manifest(tmp_path / "m.json", datasets=datasets, delta_min=0.5,
+                              methods=["constant"], n_splits=2,
+                              output_dir=str(tmp_path / "eval"))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 0
+    rows = json.loads((tmp_path / "eval" / "report.json").read_text())["rows"]
+    assert [row["delta_min"] for row in rows] == [0.5, 0.5]
+    assert run_cli("dps", "--manifest", str(manifest),
+                   "--output-dir", str(tmp_path / "dps")) == 0
+    runs = json.loads((tmp_path / "dps" / "dps_summary.json").read_text())["runs"]
+    assert [run["delta_min"] for run in runs] == [0.5, 0.5]
+
+
 def test_manifest_hash_excludes_placement():
     a = RunManifest(seed=1, output_dir="x", workers=2)
     b = RunManifest(seed=1, output_dir="y", workers=8)

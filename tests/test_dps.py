@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from sensorcast.forecast import (
     fit_linear,
     forecast,
 )
-from sensorcast.series import TimeSeries
+from sensorcast.series import TimeSeries, quantize_to_resolution
 
 ALL_METHODS = ("constant", "linear", "simple_mean", "exponential_smoothing", "arima")
 
@@ -365,3 +366,22 @@ def test_trace_jsonl_round_trip(tmp_path):
     path2 = tmp_path / "trace2.jsonl"
     trace.to_jsonl(path2, extra_header={"run": "t1"})
     assert path.read_bytes() == path2.read_bytes()
+
+
+# sha256 of every message's wire bytes, in order, for a whole run on a
+# quantized ball segment: the fits, the suppression decisions and the
+# encoding together, bit for bit.
+RUN_DIGESTS = {
+    "arima": "04766855e39efe091aa71e64f49619610e9d57492a4b1dc17a97eb113bb5fbd0",
+    "exponential_smoothing":
+        "61b674367ec60172e80c89d58df0c79db808a05027884316123979a648631628",
+}
+
+
+@pytest.mark.parametrize("method", sorted(RUN_DIGESTS))
+def test_run_dps_reproduces_pinned_wire_stream(method):
+    series = quantize_to_resolution(ball_series(1).slice(0, 250), 1.9)
+    trace = run_dps(series, FitConfig(method=method), history_len=50,
+                    window_len=20, delta_min=1.9)
+    wire = b"".join(encode_message(msg) for _, msg in trace.messages)
+    assert hashlib.sha256(wire).hexdigest() == RUN_DIGESTS[method]
