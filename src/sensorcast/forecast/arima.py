@@ -12,18 +12,31 @@ a1 = m phi1, a2 = m^2 phi2 (AR) or a1 = -m theta1, a2 = -m^2 theta2 (MA),
 admit only when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible
 candidate is dropped; a fit raises ``FitError`` only when none is left.
 
-The CSS objective runs a few hundred times per candidate, so it works on
-Python floats: it takes the simplex vertex as a list, tests admissibility
-on its floats and passes them on to ``css_residuals`` as lists.  The MA
-part of the residuals is one all-pole filter, run on lfilter's C kernel
-through ``filters.all_pole``: at a few dozen samples lfilter's Python
-wrapper costs twice the kernel, and a fit makes about 2,000 such calls.
+The simplex searches the p + q coefficients only: at d = 0 the mean is
+profiled out (the concentrated CSS of Box, Jenkins & Reinsel, ch. 7).  The
+residuals are affine in the mean, so for each vertex the mean that
+minimizes their sum of squares, and that sum, follow in closed form from
+the residuals at the sample mean and the filtered constant.  The objective
+runs a few hundred times per candidate, so it works on Python floats and
+as few numpy calls as it can: it takes the simplex vertex as a list, tests
+admissibility on its floats, and gets both residual rows from one product
+with lag rows built once per candidate and one all-pole filter call, run
+on lfilter's C kernel through ``filters.all_pole`` (at a few dozen samples
+lfilter's Python wrapper costs twice the kernel).
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
 history average, while a differenced fit carrying a drift term would no
 longer reduce to value-holding when p = q = 0.  The parameter vector keeps
 the intercept slot (0.0) at d >= 1 so layouts never vary.
+
+Fits run on the history scaled by the power of two that puts max|x| in
+[0.5, 1).  The scaling is exact, so the chosen orders and coefficients do
+not depend on the series' magnitude and no sum of squares overflows or
+underflows; the mean, the state and the likelihood are scaled back, and
+candidates are ranked by AICc on the scaled residuals, because their
+residual counts differ and the scale's log would weigh on each
+differently.
 """
 
 from __future__ import annotations
@@ -38,6 +51,8 @@ from .models import (
     FitError,
     ForecastModel,
     MethodKind,
+    _scaled_neg2_loglik,
+    _unit_scaled,
     aicc,
     gaussian_neg2_loglik,
 )
@@ -218,12 +233,15 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
             f"for this grid, got {len(x)}"
         )
 
-    d = choose_differencing(x, [dd for _, dd, _ in grid])
+    # Everything is fitted on the history scaled by 2**-exponent; the mean,
+    # state and likelihood are scaled back.
+    scaled, exponent = _unit_scaled(x)
+    d = choose_differencing(scaled, [dd for _, dd, _ in grid])
     pq_pairs: list[tuple[int, int]] = []
     for p, dd, q in grid:
         if dd == d and (p, q) not in pq_pairs:
             pq_pairs.append((p, q))
-    z = np.diff(x, n=d)
+    z = np.diff(scaled, n=d)
     with_mean = d == 0
 
     best = None
@@ -237,8 +255,8 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
             continue
         phi, theta, mu = fitted
         resid = css_residuals(z, phi, theta, mu)
-        crit = aicc(gaussian_neg2_loglik(resid), k, n_eff)
-        key = (crit, k, idx)
+        # Ranked on the scaled residuals, so the choice is scale-free.
+        key = (aicc(gaussian_neg2_loglik(resid), k, n_eff), k, idx)
         if best is None or key < best[0]:
             best = (key, p, q, phi, theta, mu, resid)
 
@@ -249,19 +267,80 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
         )
 
     (_, k, _), p, q, phi, theta, mu, resid = best
-    anchors = [float(np.diff(x, n=i)[-1]) for i in range(d)]
+    anchors = [float(np.diff(scaled, n=i)[-1]) for i in range(d)]
     state = np.concatenate([z[len(z) - p:], resid[len(resid) - q:] if q else [],
                             anchors]) if (p or q or d) else np.zeros(0)
     return ForecastModel(
         kind=MethodKind.ARIMA,
         orders=(p, d, q),
-        params=np.concatenate([phi, theta, [mu]]),
-        state=state,
+        params=np.concatenate([phi, theta, np.ldexp([mu], exponent)]),
+        state=np.ldexp(state, exponent),
         k=k,
         fit_n=len(x),
-        neg2_loglik=gaussian_neg2_loglik(resid),
+        neg2_loglik=_scaled_neg2_loglik(resid, exponent),
         loglik_n=len(resid),
     )
+
+
+def _css_search(z: np.ndarray, p: int, q: int, with_mean: bool):
+    """The simplex objective over (phi, theta), with the mean profiled out.
+
+    Returns ``(sse, mean)``: ``sse(values)`` is the CSS sum of squares of
+    the vertex ``values`` = [phi..., theta...] (a list of floats) at its
+    best mean, or a penalty above any sum of squares of a unit-scaled
+    history when the vertex is inadmissible; ``mean(values)`` is that best
+    mean.  Without a mean (d >= 1) both are taken at mu = 0.
+
+    The residuals are affine in the mean: e(mu) = e_c - (mu - zbar) g, with
+    e_c = theta(B)^-1 phi(B) (z - zbar) and g = theta(B)^-1 phi(1) 1.  So
+    with G the Gram matrix of the rows e_c and g, the least sum of squares
+    is G00 - G01^2 / G11, at mu = zbar + G01 / G11.  A vertex costs one
+    product of its coefficients with the lag rows built here, one filter
+    call over both rows and one Gram product.
+    """
+    n, start = len(z), max(p, q)
+    zbar = float(np.mean(z)) if with_mean else 0.0
+    zc = z - zbar
+    # For t = start .. n-1: z_t - zbar, its lags 1..p, and ones.
+    lags = np.stack([zc[start - i:n - i] for i in range(p + 1)] + [np.ones(n - start)])
+    # Rows [1, -phi_1 .. -phi_p, 0] and [0 .. 0, phi(1)], written in place
+    # for each vertex (cheaper than a new array).
+    coef = np.zeros((2, p + 2))
+    coef[0, 0] = 1.0
+    flat = coef.reshape(-1)
+    phi_pad = [0.0] * (2 - p)
+    theta_pad = [0.0] * (2 - q)
+
+    def gram(phi1: float, phi2: float, theta: list[float]):
+        rows = lags
+        if p:
+            flat[1] = -phi1
+            if p == 2:
+                flat[2] = -phi2
+            flat[-1] = 1.0 - phi1 - phi2
+            rows = coef.dot(lags)
+        e = all_pole([1.0, *theta], rows)
+        (g00, g01), (_, g11) = e.dot(e.T).tolist()
+        return g00, g01, g11
+
+    def sse(values: list[float]) -> float:
+        theta = values[p:]
+        phi1, phi2 = values[:p] + phi_pad
+        theta1, theta2 = theta + theta_pad
+        if not _admissible_floats(phi1, phi2, theta1, theta2):
+            # Steer back toward the admissible region.
+            return 1e30 * (1.0 + float(np.sum(np.abs(values))))
+        g00, g01, g11 = gram(phi1, phi2, theta)
+        return g00 - g01 * g01 / g11 if with_mean else g00
+
+    def mean(values: list[float]) -> float:
+        if not with_mean:
+            return 0.0
+        phi1, phi2 = values[:p] + phi_pad
+        _, g01, g11 = gram(phi1, phi2, values[p:])
+        return zbar + g01 / g11
+
+    return sse, mean
 
 
 def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
@@ -270,30 +349,14 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     if q == 0:
         return _exact_ar_fit(z, p, with_mean)
 
-    phi0, theta0, mu0 = hannan_rissanen_start(z, p, q, with_mean)
-    x0 = np.concatenate([phi0, theta0, [mu0] if with_mean else []])
-
-    phi_pad = [0.0] * (2 - p)
-    theta_pad = [0.0] * (2 - q)
-
-    def objective(values: list[float]) -> float:
-        phi = values[:p]
-        theta = values[p:p + q]
-        phi1, phi2 = phi + phi_pad
-        theta1, theta2 = theta + theta_pad
-        if not _admissible_floats(phi1, phi2, theta1, theta2):
-            # Steer back toward the admissible region.
-            return 1e30 * (1.0 + float(np.sum(np.abs(values))))
-        e = css_residuals(z, phi, theta, values[p + q] if with_mean else 0.0)
-        return float(e @ e)
-
-    result = nelder_mead(objective, x0, max_evals=config.max_evals)
+    phi0, theta0, _ = hannan_rissanen_start(z, p, q, with_mean)
+    sse, mean = _css_search(z, p, q, with_mean)
+    result = nelder_mead(sse, np.concatenate([phi0, theta0]), max_evals=config.max_evals)
     phi = result.x[:p]
-    theta = result.x[p:p + q]
-    mu = float(result.x[p + q]) if with_mean else 0.0
+    theta = result.x[p:]
     if not _admissible(phi, theta):
         return None
-    return phi, theta, mu
+    return phi, theta, mean(result.x.tolist())
 
 
 def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:

@@ -27,7 +27,8 @@ def all_pole(a, x: np.ndarray) -> np.ndarray:
     """``lfilter([1.0], a, x)``: y_t = x_t - a_1 y_{t-1} - ... - a_k y_{t-k}.
 
     ``a`` is a sequence of two or more floats (lfilter takes another path for
-    one); ``x`` is a 1-D float64 array, which may be a strided view.  Returns
-    a new array.
+    one); ``x`` is a 1-D or 2-D float64 array, which may be a strided view.
+    A 2-D ``x`` is filtered along its last axis, each row as its own 1-D
+    call would be, bit for bit.  Returns a new array.
     """
     return _linear_filter(_ONE, a, x, -1)

@@ -194,6 +194,21 @@ def gaussian_neg2_loglik(residuals: np.ndarray) -> float:
     return n * (np.log(2.0 * np.pi * sigma2) + 1.0)
 
 
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    # values * 2**-e with max|values| = m * 2**e, m in [0.5, 1): exact unless
+    # a value falls into the subnormal range.
+    _, exponent = np.frexp(np.max(np.abs(values)))
+    return np.ldexp(values, -exponent), int(exponent)
+
+
+def _scaled_neg2_loglik(residuals: np.ndarray, exponent: int) -> float:
+    # -2 log L of residuals * 2**exponent: that of the residuals plus
+    # n * log(4**exponent), with no sum of squares that can overflow or
+    # underflow.
+    n = len(residuals)
+    return gaussian_neg2_loglik(residuals) + 2.0 * n * exponent * np.log(2.0)
+
+
 def fit_constant(history: np.ndarray) -> ForecastModel:
     """Repeat the last observed value.  O(1): touches one array element."""
     history = np.asarray(history, dtype=np.float64)

@@ -87,22 +87,42 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
     n_evals = n + 1
     trace = [_min_propagating_nan(fvals)]
 
+    shrunk = True
     while n_evals < max_evals:
-        # Stable, with NaN after every number, as numpy's argsort.
-        order = sorted(range(n + 1), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
+        # Keep the simplex in numpy's stable argsort order, NaN after every
+        # number.  Only a shrink moves more than the last vertex, so
+        # otherwise the other n stay sorted and the last, which every step
+        # accepts only as a number, goes in after each vertex not above it:
+        # where the stable sort puts it.
+        if shrunk:
+            order = sorted(range(n + 1), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
+            simplex = [simplex[i] for i in order]
+            fvals = [fvals[i] for i in order]
+            centroid = None
+        else:
+            f_new = fvals.pop()
+            i = n
+            while i and not fvals[i - 1] <= f_new:
+                i -= 1
+            fvals.insert(i, f_new)
+            simplex.insert(i, simplex.pop())
+            if i < n:
+                centroid = None
         best, worst = simplex[0], simplex[-1]
         if (fvals[-1] - fvals[0] <= fatol
                 and all(abs(a - b) <= xatol
                         for v in simplex[1:] for a, b in zip(v, best))):
             break
 
-        centroid = _column_means(simplex[:-1])
+        # The best n rows, and so their mean, are unchanged when the new
+        # vertex went in last.
+        if centroid is None:
+            centroid = _column_means(simplex[:-1])
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         f_r = float(fn(reflected))
         n_evals += 1
 
+        shrunk = False
         if f_r < fvals[0]:
             expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             f_e = float(fn(expanded))
@@ -125,6 +145,7 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
                     simplex[i] = [b + 0.5 * (a - b) for a, b in zip(simplex[i], best)]
                     fvals[i] = float(fn(simplex[i]))
                 n_evals += n
+                shrunk = True
         trace.append(_min_propagating_nan(fvals))
 
     best = _argmin_first_nan(fvals)

@@ -32,8 +32,9 @@ from .models import (
     FitError,
     ForecastModel,
     MethodKind,
+    _scaled_neg2_loglik,
+    _unit_scaled,
     aicc,
-    gaussian_neg2_loglik,
 )
 from .optimize import golden_section
 
@@ -105,14 +106,6 @@ def _best_cell(w: np.ndarray, alpha_grid: np.ndarray,
     return float(alphas[best]), float(betas[best])
 
 
-def _neg2_loglik(search_errors: np.ndarray, exponent: int) -> float:
-    # The history's errors are the search errors times 2**exponent, so its
-    # -2 log L is theirs plus n * log(4**exponent), with no sum of squares
-    # that can overflow or underflow.
-    n = len(search_errors)
-    return gaussian_neg2_loglik(search_errors) + 2.0 * n * exponent * np.log(2.0)
-
-
 def _refine_1d(fn, grid: np.ndarray, iters: int) -> float:
     if len(grid) == 1:
         return float(grid[0])
@@ -124,13 +117,6 @@ def _refine_1d(fn, grid: np.ndarray, iters: int) -> float:
 
 def _default_grid(n_points: int) -> np.ndarray:
     return np.linspace(_ALPHA_LO, _ALPHA_HI, n_points)
-
-
-def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
-    # values * 2**-e with max|values| = m * 2**e, m in [0.5, 1): exact unless
-    # a value falls into the subnormal range.
-    _, exponent = np.frexp(np.max(np.abs(values)))
-    return np.ldexp(values, -exponent), int(exponent)
 
 
 def _fit_simple(values: np.ndarray, search: np.ndarray, exponent: int,
@@ -155,7 +141,7 @@ def _fit_simple(values: np.ndarray, search: np.ndarray, exponent: int,
         state=[level],
         k=2,
         fit_n=len(values),
-        neg2_loglik=_neg2_loglik(errors, exponent),
+        neg2_loglik=_scaled_neg2_loglik(errors, exponent),
         loglik_n=len(errors),
     )
 
@@ -192,7 +178,7 @@ def _fit_trend(values: np.ndarray, search: np.ndarray, exponent: int,
         state=[level, trend],
         k=4,
         fit_n=len(values),
-        neg2_loglik=_neg2_loglik(errors, exponent),
+        neg2_loglik=_scaled_neg2_loglik(errors, exponent),
         loglik_n=len(errors),
     )
 

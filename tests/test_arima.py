@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -7,6 +9,7 @@ from scipy.signal import lfilter
 from sensorcast.forecast.arima import (
     ROOT_MARGIN,
     _admissible,
+    _css_search,
     choose_differencing,
     css_residuals,
     fit_arima,
@@ -260,6 +263,25 @@ def test_fit_arima_tiny_magnitudes_raise_only_fit_error():
     assert np.all(np.isfinite(forecast(model, 5)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_fit_arima_does_not_depend_on_the_scale(exponent):
+    # The fit runs on the exactly rescaled history, so orders and
+    # coefficients are bit-equal at any power-of-two scale, and the mean
+    # and state scale exactly.  (Ranked on the unscaled likelihood, this
+    # walk would take (2, 0, 0) at unit scale but (0, 0, 0) at 2**-600.)
+    x = np.random.default_rng(1).standard_normal(50).cumsum()
+    base = fit_arima(x, ARIMA_CONFIG)
+    model = fit_arima(np.ldexp(x, exponent), ARIMA_CONFIG)
+    assert base.orders == model.orders == (1, 0, 1)
+    assert [v.hex() for v in model.params[:2].tolist()] == \
+        [v.hex() for v in base.params[:2].tolist()]
+    np.testing.assert_array_equal(model.params[2:], np.ldexp(base.params[2:], exponent))
+    np.testing.assert_array_equal(model.state, np.ldexp(base.state, exponent))
+    assert model.neg2_loglik == pytest.approx(
+        base.neg2_loglik + 2 * model.loglik_n * exponent * math.log(2.0), rel=1e-12)
+
+
 def min_root_modulus_oracle(coefs, sign):
     # Roots of 1 + sign*(c1 z + c2 z^2) by companion-matrix eigenvalues.
     c = np.trim_zeros(np.asarray(coefs, dtype=np.float64), "b")
@@ -338,18 +360,17 @@ def arma_history(seed, d, n=60):
 # coefficients come from the simplex search on the CSS objective.
 FIT_ARIMA_PINS = [
     (1, 0, (2, 0, 2),
-     ["0x1.6b84852312cd2p+0", "-0x1.3732a6e57de85p-1", "-0x1.237ed79dc549ap-1",
-      "-0x1.b78be8d30cd47p-2", "-0x1.49e3c707c3178p-2"],
-     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.5ff75f49a1240p-5",
-      "-0x1.5806ba9505688p-2"]),
-    (0, 1, (1, 1, 2),
-     ["0x1.9c56338c5dd58p-2", "0x1.62ac7a75de88cp-1", "0x1.a760e41bdb435p-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb8d0p+1", "-0x1.32e59affe6e6cp-3", "0x1.e9292e64ade60p+0",
-      "0x1.3e781dad504a6p+5"]),
-    (0, 2, (1, 2, 2),
-     ["0x1.a70797d14a106p-2", "0x1.5e2efe1b14fa0p-1", "0x1.9f9aa71936067p-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb800p+1", "-0x1.186502b8cb488p-3", "0x1.e8f05d3b5cab7p+0",
-      "0x1.23f3897c7ca65p+10", "0x1.3e781dad504a0p+5"]),
+     ["0x1.6966a2d0d777ap+0", "-0x1.33a6e17170a44p-1", "-0x1.1c4cd30c4ee72p-1",
+      "-0x1.c5ec43ca3534ep-2", "-0x1.495cceed4c894p-2"],
+     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.6c71530493eb0p-5",
+      "-0x1.62dba5ce64d1ap-2"]),
+    (0, 1, (1, 1, 1),
+     ["0x1.57772883f0521p-1", "0x1.57e4eab97594ap-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb8d0p+1", "0x1.0fb9089bd6dccp+1", "0x1.3e781dad504a6p+5"]),
+    (0, 2, (1, 2, 1),
+     ["0x1.5c89e3fa65607p-1", "0x1.52833377ffe16p-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb800p+1", "0x1.0f6719759c98ap+1", "0x1.23f3897c7ca65p+10",
+      "0x1.3e781dad504a0p+5"]),
 ]
 
 
@@ -359,3 +380,54 @@ def test_fit_arima_reproduces_pinned_fits(seed, d, orders, params, state):
     assert model.orders == orders
     assert [v.hex() for v in model.params.tolist()] == params
     assert [v.hex() for v in model.state.tolist()] == state
+
+
+def profiled_mean_cases():
+    # (z, phi, theta): random admissible coefficients on ARMA data with a
+    # mean, AR parts near the unit-root margin (a real root at 1.002 and a
+    # complex pair of modulus 1.0015), pure MA (p = 0) and a constant history.
+    rng = np.random.default_rng(71)
+    cases = []
+    while len(cases) < 40:
+        p, q = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        phi, theta = rng.uniform(-1.5, 1.5, p), rng.uniform(-1.5, 1.5, q)
+        if not _admissible(phi, theta):
+            continue
+        z = 3.0 + lfilter([1.0, 0.5], [1.0, -0.6], rng.standard_normal(50)) * 10.0 ** rng.uniform(-3, 3)
+        cases.append((z, phi.tolist(), theta.tolist()))
+    walk = np.cumsum(rng.standard_normal(50))
+    cases.append((walk, [1.0 / 1.002], [0.3]))
+    r = 1.0015
+    cases.append((walk, [2.0 * math.cos(0.4) / r, -1.0 / r ** 2], [-0.5, 0.2]))
+    cases.append((walk, [], [0.9]))
+    cases.append((np.full(50, 3.0), [0.5], [0.4]))
+    cases.append((np.full(50, 0.1), [], [0.4, -0.2]))  # its mean is not 0.1
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(profiled_mean_cases())))
+def test_profiled_search_objective_is_the_css_sum_at_its_mean(case):
+    z, phi, theta = profiled_mean_cases()[case]
+    sse, mean = _css_search(z, len(phi), len(theta), True)
+    vertex = phi + theta
+    mu = mean(vertex)
+    e = css_residuals(z, phi, theta, mu)
+    scale = float(np.max(np.abs(z)))
+    # An exact fit sums rounding errors of the residuals alone.
+    assert math.isclose(sse(vertex), float(e @ e), rel_tol=1e-10,
+                        abs_tol=len(z) * (1e-15 * scale) ** 2)
+    # Near the unit root phi(1) is tiny and so is the sum's curvature in the
+    # mean: there moving it is a change within the sum's own rounding.
+    for shift in (-1e-6 * scale, 1e-6 * scale):
+        moved = css_residuals(z, phi, theta, mu + shift)
+        assert float(moved @ moved) >= float(e @ e) * (1.0 - 1e-14)
+
+
+def test_unmeaned_search_objective_is_the_css_sum_at_zero():
+    rng = np.random.default_rng(73)
+    z = rng.standard_normal(60)
+    sse, mean = _css_search(z, 2, 1, False)
+    vertex = [0.4, -0.2, 0.5]
+    e = css_residuals(z, vertex[:2], vertex[2:], 0.0)
+    assert mean(vertex) == 0.0
+    assert math.isclose(sse(vertex), float(e @ e), rel_tol=1e-12)

@@ -372,7 +372,7 @@ def test_trace_jsonl_round_trip(tmp_path):
 # quantized ball segment: the fits, the suppression decisions and the
 # encoding together, bit for bit.
 RUN_DIGESTS = {
-    "arima": "04766855e39efe091aa71e64f49619610e9d57492a4b1dc17a97eb113bb5fbd0",
+    "arima": "c7570f023e8f4c01be48a0c7f9788e4997664d3233679221c9e1dd8d5c23682d",
     "exponential_smoothing":
         "61b674367ec60172e80c89d58df0c79db808a05027884316123979a648631628",
 }

@@ -66,3 +66,25 @@ def test_all_pole_returns_a_new_array():
     out = all_pole([1.0, -0.5], x)
     assert not np.shares_memory(out, x)
     np.testing.assert_array_equal(x, np.arange(5.0))
+
+
+@pytest.mark.parametrize("a", DENOMINATORS)
+def test_all_pole_filters_each_row_as_its_own_call(a):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 48)) * 10.0 ** rng.uniform(-3, 3, (2, 48))
+    x[1, 17] = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = all_pole(a, x)
+        assert out.shape == x.shape
+        for row, y in zip(x, out):
+            assert hexes(y) == hexes(lfilter([1.0], a, row))
+
+
+@pytest.mark.parametrize("a", DENOMINATORS[:4])
+def test_all_pole_on_strided_rows(a):
+    x = np.random.default_rng(8).standard_normal((6, 90))
+    for view in (x[::2], x[1:5, 3:80:3], x[::-3, ::-1], x.T[:40].T, x[:2].T.copy().T):
+        out = all_pole(a, view)
+        assert not np.shares_memory(out, x)
+        for row, y in zip(view, out):
+            assert hexes(y) == hexes(lfilter([1.0], a, row))
