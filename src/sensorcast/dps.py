@@ -79,8 +79,9 @@ def suppressed(predicted, actual, delta_min):
 def encode_message(msg: DpsMessage) -> bytes:
     """Wire encoding: 1-byte variant tag, little-endian fields.
 
-    ModelUpdate: u32 seq, u8 kind, u8 packed orders, u16 float count, then
-    the model's params followed by its state as float64.  Measurement:
+    ModelUpdate: u32 seq, u8 kind, u8 packed orders (p in bits 4-5, d in
+    2-3, q in 0-1; bits 6-7 reserved, zero), u16 float count, then the
+    model's params followed by its state as float64.  Measurement:
     u32 seq, u32 index, float64 value.
     """
     if isinstance(msg, Measurement):
@@ -99,7 +100,9 @@ def encode_message(msg: DpsMessage) -> bytes:
 def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     """Inverse of :func:`encode_message`; malformed input raises
     :class:`DpsProtocolError`.  A frame carrying a non-finite float (a NaN
-    or infinite measurement, model parameter or state) is malformed."""
+    or infinite measurement, model parameter or state), reserved order bits
+    or orders its kind's fitter never produces is malformed, so every frame
+    accepted re-encodes to its own bytes and can be forecast from."""
     if len(data) < 1:
         raise DpsProtocolError("empty message")
     tag = data[0]
@@ -119,8 +122,13 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     if kind_code not in _CODE_KINDS:
         raise DpsProtocolError(f"unknown model kind code {kind_code}")
     kind = _CODE_KINDS[kind_code]
-    orders = ((packed >> 4) & 0x3, (packed >> 2) & 0x3, packed & 0x3)
-    n_params, n_state = METHOD_SPECS[kind].payload_sizes(orders)
+    # p takes the reserved bits 6-7 too: set, they make p > 3, which no
+    # kind produces.
+    orders = (packed >> 4, (packed >> 2) & 0x3, packed & 0x3)
+    spec = METHOD_SPECS[kind]
+    if orders not in spec.orders:
+        raise DpsProtocolError(f"{kind.value} models have no orders {orders}")
+    n_params, n_state = spec.payload_sizes(orders)
     if count != n_params + n_state:
         raise DpsProtocolError(
             f"{kind.value}{orders} update carries {count} floats, expected "

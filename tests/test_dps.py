@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +131,30 @@ def test_decode_refuses_non_finite_floats():
     ):
         with pytest.raises(DpsProtocolError, match="non-finite"):
             decode_message(encode_message(ModelUpdate(seq=1, model=model)))
+
+
+def update_frame(kind_code: int, packed_orders: int, n_floats: int) -> bytes:
+    """A model-update frame whose float count matches what it claims."""
+    return struct.pack(f"<BIBBH{n_floats}d", 0x01, 3, kind_code, packed_orders,
+                       n_floats, *[0.5] * n_floats)
+
+
+@pytest.mark.parametrize("frame", [
+    pytest.param(update_frame(3, 0x00, 0), id="smoothing-(0,0,0)"),
+    pytest.param(update_frame(3, 0x30, 6), id="smoothing-(3,0,0)"),
+    pytest.param(update_frame(3, 0x14, 2), id="smoothing-(1,1,0)"),
+    pytest.param(update_frame(0, 0xFF, 1), id="constant-all-order-bits"),
+    pytest.param(update_frame(0, 0x40, 1), id="constant-reserved-bit-6"),
+    pytest.param(update_frame(1, 0x10, 2), id="linear-(1,0,0)"),
+    pytest.param(update_frame(2, 0x04, 1), id="simple-mean-(0,1,0)"),
+    pytest.param(update_frame(4, 0x30, 7), id="arima-(3,0,0)"),
+    pytest.param(update_frame(4, 0x0C, 4), id="arima-(0,3,0)"),
+    pytest.param(update_frame(4, 0x03, 7), id="arima-(0,0,3)"),
+    pytest.param(update_frame(4, 0x80, 1), id="arima-reserved-bit-7"),
+])
+def test_decode_refuses_orders_the_kind_never_produces(frame):
+    with pytest.raises(DpsProtocolError, match="no orders"):
+        decode_message(frame)
 
 
 def test_non_finite_fit_falls_back_to_value_holding():
