@@ -32,7 +32,7 @@ from .datasets import (
     load_csv,
     write_series_csv,
 )
-from .dps import count_model_overhead, run_dps
+from .dps import run_dps
 from .evaluation import (
     Scenario,
     attach_fairness,
@@ -309,6 +309,8 @@ def cmd_dps(args) -> int:
             name = f"dps_{descriptor.label}_{method_name}.jsonl"
             trace_path = os.path.join(manifest.output_dir, name)
             trace.to_jsonl(trace_path, extra_header={"manifest_sha256": digest})
+            totals = trace.summary()
+            post_measurements = trace.post_bootstrap_measurements
             summary = {
                 "dataset": descriptor.label,
                 "method": method_name,
@@ -316,11 +318,8 @@ def cmd_dps(args) -> int:
                 "window_len": manifest.window_len,
                 "delta_min": descriptor.threshold,
                 "n_steps": trace.n_steps,
-                "measurements": trace.measurement_count,
-                "post_bootstrap_measurements": trace.post_bootstrap_measurements,
-                "model_updates": count_model_overhead(trace),
-                "fallback_steps": list(trace.fallback_steps),
-                "saved_fraction": trace.saved_fraction,
+                "post_bootstrap_measurements": post_measurements,
+                **totals,
                 "trace_file": name,
             }
             if net is not None:
@@ -328,13 +327,13 @@ def cmd_dps(args) -> int:
                     "branches": net.branches,
                     "depth": net.depth,
                     "total_transmissions": total_transmissions(net),
-                    "projected_savings": network_savings(net, trace.saved_fraction),
+                    "projected_savings": network_savings(net, totals["saved_fraction"]),
                 }
             summaries.append(summary)
             print(f"{descriptor.label} {method_name}: saved "
-                  f"{trace.saved_fraction:.2f}% "
-                  f"({trace.post_bootstrap_measurements} measurements, "
-                  f"{count_model_overhead(trace)} model updates)")
+                  f"{totals['saved_fraction']:.2f}% "
+                  f"({post_measurements} measurements, "
+                  f"{totals['model_updates']} model updates)")
 
     summary_path = os.path.join(manifest.output_dir, "dps_summary.json")
     _write_json(summary_path, {"manifest": effective, "manifest_sha256": digest,

@@ -362,6 +362,15 @@ class DpsTrace:
                 counts[(m.index - self.history_len) // self.window_len] += 1
         return counts
 
+    def summary(self) -> dict:
+        """The run's totals, as the JSONL trace and the dps summary report them."""
+        return {
+            "measurements": self.measurement_count,
+            "model_updates": count_model_overhead(self),
+            "fallback_steps": list(self.fallback_steps),
+            "saved_fraction": self.saved_fraction,
+        }
+
     def to_jsonl(self, path, *, extra_header: dict | None = None) -> None:
         """One JSON object per line: header, every message, then a summary."""
         header = {
@@ -387,13 +396,7 @@ class DpsTrace:
                     "piggybacked": msg.piggybacked,
                     "model": msg.model.to_json_dict(),
                 }, sort_keys=True))
-        lines.append(json.dumps({
-            "type": "summary",
-            "measurements": self.measurement_count,
-            "model_updates": count_model_overhead(self),
-            "fallback_steps": list(self.fallback_steps),
-            "saved_fraction": self.saved_fraction,
-        }, sort_keys=True))
+        lines.append(json.dumps({"type": "summary", **self.summary()}, sort_keys=True))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -355,11 +355,8 @@ def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> s
     if not rows:
         raise ValueError("emit_report needs at least one row")
     digest = manifest_sha256(manifest)
-    payload = {
-        "manifest": manifest or {},
-        "manifest_sha256": digest,
-        "rows": [r.to_json_dict() for r in rows],
-    }
+    dicts = [r.to_json_dict() for r in rows]
+    payload = {"manifest": manifest or {}, "manifest_sha256": digest, "rows": dicts}
     _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def cell(value) -> str:
@@ -373,10 +370,9 @@ def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> s
         return str(value)
 
     lines = [",".join(_CSV_COLUMNS)]
-    for r in rows:
-        d = r.to_json_dict()
-        d["manifest_sha256"] = digest
-        lines.append(",".join(cell(d[col]) for col in _CSV_COLUMNS))
+    for d in dicts:
+        row = {**d, "manifest_sha256": digest}
+        lines.append(",".join(cell(row[col]) for col in _CSV_COLUMNS))
     _atomic_write(csv_path, "\n".join(lines) + "\n")
     return digest
 

@@ -41,8 +41,6 @@ differently.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .filters import all_pole
@@ -111,14 +109,12 @@ def css_residuals(z: np.ndarray, phi, theta, mu: float) -> np.ndarray:
     n = len(z)
     if n <= start:
         raise ValueError(f"series of length {n} too short for orders ({p}, {q})")
-    # z - 0.0 is z bit for bit, so a fit without a mean skips that copy; -0.0
-    # is still subtracted, because it turns -0.0 entries into +0.0.
-    zt = z if mu == 0.0 and math.copysign(1.0, mu) > 0.0 else z - mu
+    zt = z - mu
     w = zt[start:]
     for i in range(1, p + 1):
         w = w - phi[i - 1] * zt[start - i:n - i]
     if q == 0:
-        return w if p else w.copy()
+        return w
     return all_pole([1.0, *theta], w)
 
 

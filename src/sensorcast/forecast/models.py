@@ -100,17 +100,6 @@ class ForecastModel:
             "fit_n": self.fit_n,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ForecastModel":
-        return cls(
-            kind=MethodKind.coerce(data["kind"]),
-            orders=tuple(data["orders"]),
-            params=np.asarray(data["params"], dtype=np.float64),
-            state=np.asarray(data["state"], dtype=np.float64),
-            k=int(data["k"]),
-            fit_n=int(data["fit_n"]),
-        )
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -118,7 +107,8 @@ class FitConfig:
 
     ``order_grid`` restricts the ARIMA search; ``es_variants`` restricts the
     smoothing family ("simple", "trend"); an explicit ``es_alpha_grid``
-    (non-empty, every weight finite and in [0, 1]) replaces the default
+    (non-empty, every weight finite and in [0, 1]; stored sorted, since
+    refinement brackets between grid neighbours) replaces the default
     coarse grid of level weights (and its [0.01, 0.99] clamp), while the
     trend weight always searches the default grid.
     ``budget`` scales optimizer effort: simplex searches are capped at
@@ -157,7 +147,7 @@ class FitConfig:
             for a in alphas:
                 if not (0.0 <= a <= 1.0):
                     raise ValueError(f"smoothing weight must lie in [0, 1], got {a}")
-            object.__setattr__(self, "es_alpha_grid", alphas)
+            object.__setattr__(self, "es_alpha_grid", tuple(sorted(alphas)))
 
     @property
     def max_evals(self) -> int:

@@ -1,8 +1,7 @@
 """Derivative-free minimizers used by the model fitters.
 
 Both routines are deterministic: no randomness, no environment-dependent
-stopping rules.  The simplex search records the best objective value after
-every iteration so callers can assert the descent property.
+stopping rules.
 """
 
 from __future__ import annotations
@@ -18,8 +17,13 @@ __all__ = ["SimplexResult", "nelder_mead", "golden_section"]
 class SimplexResult:
     x: np.ndarray
     fun: float
-    trace: tuple[float, ...]
     n_evals: int
+
+
+# The simplex has converged when its values span at most _FATOL and every
+# vertex lies within _XATOL of the best in each coordinate.
+_XATOL = 1e-8
+_FATOL = 1e-10
 
 
 def _column_means(rows: list[list[float]]) -> list[float]:
@@ -34,16 +38,6 @@ def _column_means(rows: list[list[float]]) -> list[float]:
     return means
 
 
-def _min_propagating_nan(values: list[float]) -> float:
-    # numpy's min reduction: NaN wins, and of equal values (0.0 and -0.0)
-    # the later one is kept.
-    low = values[0]
-    for v in values[1:]:
-        if not (low < v or low != low):
-            low = v
-    return low
-
-
 def _argmin_first_nan(values: list[float]) -> int:
     # numpy's argmin: the first NaN if there is one, else the first minimum.
     for i, v in enumerate(values):
@@ -52,24 +46,20 @@ def _argmin_first_nan(values: list[float]) -> int:
     return min(range(len(values)), key=values.__getitem__)
 
 
-def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
-                fatol: float = 1e-10) -> SimplexResult:
+def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
     """Minimize ``fn`` from ``x0`` with the Nelder-Mead simplex method.
 
     Standard reflection / expansion / contraction / shrink steps with the
-    usual coefficients (1, 2, 0.5, 0.5).  ``trace`` holds the best vertex
-    value after each completed iteration and is non-increasing: no accepted
-    step ever replaces the best vertex with a worse one.
-
-    Returns the best vertex ever evaluated, so starting at a local optimum
-    cannot end anywhere worse than the start.
+    usual coefficients (1, 2, 0.5, 0.5).  Returns the best vertex ever
+    evaluated, so starting at a local optimum cannot end anywhere worse than
+    the start.  ``n_evals`` counts the calls of ``fn``; no iteration starts
+    once it reaches ``max_evals``, so the last may overrun it by up to n + 1.
 
     The simplex is kept as lists of Python floats, which cost far less than
     numpy calls on a handful of entries; ``fn`` receives a vertex as such a
     list and must not modify it.
     The arithmetic and its order are those of the array form, and NaN
-    behaves as in numpy: it sorts last, propagates into ``trace`` and wins
-    the final argmin.
+    behaves as in numpy: it sorts last and wins the final argmin.
     """
     x0 = np.asarray(x0, dtype=np.float64).tolist()
     n = len(x0)
@@ -85,7 +75,6 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
         simplex.append(v)
     fvals = [float(fn(v)) for v in simplex]
     n_evals = n + 1
-    trace = [_min_propagating_nan(fvals)]
 
     shrunk = True
     while n_evals < max_evals:
@@ -109,8 +98,8 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
             if i < n:
                 centroid = None
         best, worst = simplex[0], simplex[-1]
-        if (fvals[-1] - fvals[0] <= fatol
-                and all(abs(a - b) <= xatol
+        if (fvals[-1] - fvals[0] <= _FATOL
+                and all(abs(a - b) <= _XATOL
                         for v in simplex[1:] for a, b in zip(v, best))):
             break
 
@@ -146,11 +135,9 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000, xatol: float = 1e-8,
                     fvals[i] = float(fn(simplex[i]))
                 n_evals += n
                 shrunk = True
-        trace.append(_min_propagating_nan(fvals))
 
     best = _argmin_first_nan(fvals)
-    return SimplexResult(x=np.array(simplex[best]), fun=fvals[best],
-                         trace=tuple(trace), n_evals=n_evals)
+    return SimplexResult(x=np.array(simplex[best]), fun=fvals[best], n_evals=n_evals)
 
 
 def golden_section(fn, lo: float, hi: float, *, iters: int = 30) -> float:

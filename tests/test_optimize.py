@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -29,7 +28,7 @@ def test_nelder_mead_solves_rosenbrock():
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
 
 
-def test_nelder_mead_trace_is_non_increasing():
+def test_nelder_mead_counts_evaluations_within_budget():
     counter = {"n": 0}
 
     def noisy_bowl(x):
@@ -37,8 +36,6 @@ def test_nelder_mead_trace_is_non_increasing():
         return quadratic_bowl(x) + 0.001 * np.sin(97.0 * x[0])
 
     res = nelder_mead(noisy_bowl, [3.0, 3.0], max_evals=600)
-    diffs = np.diff(res.trace)
-    assert np.all(diffs <= 0.0)
     assert res.n_evals == counter["n"]
     assert res.n_evals <= 600 + 2  # budget may be exceeded only mid-iteration
 
@@ -59,7 +56,6 @@ def test_nelder_mead_is_deterministic():
     a = nelder_mead(rosenbrock, [0.0, 0.0], max_evals=300)
     b = nelder_mead(rosenbrock, [0.0, 0.0], max_evals=300)
     np.testing.assert_array_equal(a.x, b.x)
-    assert a.trace == b.trace
     assert a.n_evals == b.n_evals
 
 
@@ -85,52 +81,34 @@ def nan_ridge(x):
     return (x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2
 
 
-def trace_digest(trace):
-    return hashlib.sha256(",".join(float(v).hex() for v in trace).encode()).hexdigest()
-
-
-# Golden results, bit for bit: x and fun as float.hex, n_evals, the trace's
-# length, its count of NaN entries and the sha256 of its float.hex values.
-# The search must reproduce them exactly, so any change to the arithmetic,
-# its order, the tie-breaking or the NaN ordering shows up here.
+# Golden results, bit for bit: x and fun as float.hex, and n_evals.  The
+# search must reproduce them exactly, so any change to the arithmetic, its
+# order, the tie-breaking or the NaN ordering shows up here.
 NELDER_MEAD_PINS = [
     (rosenbrock, [-1.2, 1.0], 4000,
-     ["0x1.00000002d8f40p+0", "0x1.000000045314dp+0"], "0x1.87d2269700080p-57",
-     249, 135, 0, "bf81ea6c7ea7f088e184e97101870ea1a4febc8605f2dd59548bbba11b7a22cd"),
+     ["0x1.00000002d8f40p+0", "0x1.000000045314dp+0"], "0x1.87d2269700080p-57", 249),
     (bowl3, [0.0, 0.0, 0.0], 2000,
      ["0x1.6b3e4539c6e55p+0", "-0x1.0c1bacf764991p+1", "0x1.0000003a6d3c2p-2"],
-     "-0x1.f914c1bacf917p-1",
-     253, 139, 0, "55a335bbe26ac5a1a1577f649e494a1ad018c7d614241acd4a5e43ea81a82681"),
-    # The start's second vertex is NaN: it sorts last, and the trace is NaN
-    # until that vertex is replaced.
+     "-0x1.f914c1bacf917p-1", 253),
+    # The start's second vertex is NaN: it sorts last until it is replaced.
     (nan_ridge, [1.45, 0.0], 300,
-     ["0x1.7ffffffff1bf3p+0", "-0x1.ffa63e6af63d7p-1"], "0x1.00001f7865062p-2",
-     225, 116, 2, "75a1dee91ac8c393c6cb36c602e1cd32b8d0aafd620f143902ccccbf167d0778"),
+     ["0x1.7ffffffff1bf3p+0", "-0x1.ffa63e6af63d7p-1"], "0x1.00001f7865062p-2", 225),
     # Stopped while a NaN vertex remains: the result is the first NaN vertex.
-    (nan_ridge, [1.45, 0.0], 4,
-     ["0x1.85c28f5c28f5cp+0", "0x0.0p+0"], "nan",
-     7, 2, 2, None),
+    (nan_ridge, [1.45, 0.0], 4, ["0x1.85c28f5c28f5cp+0", "0x0.0p+0"], "nan", 7),
 ]
 
 
-@pytest.mark.parametrize("fn, x0, max_evals, x, fun, n_evals, n_trace, n_nan, digest",
-                         NELDER_MEAD_PINS)
-def test_nelder_mead_reproduces_pinned_results(fn, x0, max_evals, x, fun, n_evals,
-                                               n_trace, n_nan, digest):
+@pytest.mark.parametrize("fn, x0, max_evals, x, fun, n_evals", NELDER_MEAD_PINS)
+def test_nelder_mead_reproduces_pinned_results(fn, x0, max_evals, x, fun, n_evals):
     res = nelder_mead(fn, x0, max_evals=max_evals)
     assert [float(v).hex() for v in res.x] == x
     assert float(res.fun).hex() == fun
     assert res.n_evals == n_evals
-    assert len(res.trace) == n_trace
-    assert sum(1 for v in res.trace if math.isnan(v)) == n_nan
-    if digest is not None:
-        assert trace_digest(res.trace) == digest
-    assert all(math.isnan(v) for v in res.trace[:n_nan])
 
 
 def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
-    # The search written on numpy arrays: argsort, mean(axis=0), np.min,
-    # np.argmin.  The list form must match it bit for bit.
+    # The search written on numpy arrays: argsort, mean(axis=0), np.argmin.
+    # The list form must match it bit for bit.
     x0 = np.asarray(x0, dtype=np.float64)
     n = len(x0)
     simplex = [x0]
@@ -141,7 +119,6 @@ def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
     simplex = np.array(simplex)
     fvals = np.array([fn(v) for v in simplex])
     n_evals = n + 1
-    trace = [float(np.min(fvals))]
     while n_evals < max_evals:
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
@@ -174,13 +151,11 @@ def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     fvals[i] = fn(simplex[i])
                 n_evals += n
-        trace.append(float(np.min(fvals)))
     best = int(np.argmin(fvals))
-    return simplex[best], float(fvals[best]), tuple(trace), n_evals
+    return simplex[best], float(fvals[best]), n_evals
 
 
 def same_bits(a, b):
-    # NaN matches any NaN: numpy's min reduction does not keep NaN sign bits.
     return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
 
 
@@ -215,12 +190,10 @@ def test_nelder_mead_matches_array_oracle_bit_for_bit():
             x0 = [math.copysign(0.0, v) for v in x0]
         max_evals = int(rng.integers(1, 300))
         res = nelder_mead(fn, x0, max_evals=max_evals)
-        x, fun, trace, n_evals = nelder_mead_array_oracle(fn, x0, max_evals)
+        x, fun, n_evals = nelder_mead_array_oracle(fn, x0, max_evals)
         assert [v.hex() for v in res.x.tolist()] == [v.hex() for v in x.tolist()], case
         assert same_bits(res.fun, fun), case
         assert res.n_evals == n_evals, case
-        assert len(res.trace) == len(trace), case
-        assert all(same_bits(u, v) for u, v in zip(res.trace, trace)), case
 
 
 def test_golden_section_finds_parabola_minimum():

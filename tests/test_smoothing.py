@@ -124,6 +124,19 @@ def test_explicit_grid_is_respected_exactly():
     assert m.params[0] == 0.3
 
 
+@pytest.mark.parametrize("variant", ["simple", "trend"])
+def test_unsorted_alpha_grid_fits_as_sorted(variant):
+    values = np.random.default_rng(37).standard_normal(40).cumsum()
+
+    def fit(grid):
+        return fit_exponential_smoothing(values, FitConfig(
+            method="exponential_smoothing", es_variants=(variant,), es_alpha_grid=grid))
+
+    got, want = fit((0.9, 0.1, 0.5)), fit((0.1, 0.5, 0.9))
+    assert got.params.tolist() == want.params.tolist()
+    assert got.state.tolist() == want.state.tolist()
+
+
 def test_variant_restriction_is_honored():
     rng = np.random.default_rng(31)
     values = rng.standard_normal(30).cumsum()
