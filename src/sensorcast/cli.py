@@ -40,6 +40,7 @@ from .evaluation import (
     emit_report,
     manifest_sha256,
     run_scenario,
+    write_json,
 )
 from .forecast import FitConfig, MethodKind, min_history
 from .ring import RingNetwork, approx_transmissions_paper, network_savings, nodes_in_ring, total_nodes, total_transmissions
@@ -183,12 +184,6 @@ def _resolve_series(entry: dict, manifest: RunManifest) -> tuple[DatasetDescript
     return descriptor, load_csv(full, descriptor)
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _scenario_task(item):
     scenario, series = item
     return run_scenario(scenario, series)
@@ -268,8 +263,8 @@ def cmd_evaluate(args) -> int:
     csv_path = os.path.join(manifest.output_dir, "report.csv")
     digest = emit_report(rows, json_path, csv_path, manifest=manifest.hashed_dict())
     echo_path = os.path.join(manifest.output_dir, "manifest.json")
-    _write_json(echo_path, {"manifest": manifest.effective_dict(), "manifest_sha256": digest,
-                            "skipped_scenarios": skipped})
+    write_json(echo_path, {"manifest": manifest.effective_dict(), "manifest_sha256": digest,
+                           "skipped_scenarios": skipped})
     print(f"wrote {csv_path} ({len(rows)} rows, {len(skipped)} skipped)")
     print(f"wrote {json_path}")
     print(f"wrote {echo_path}")
@@ -278,7 +273,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_dps(args) -> int:
     manifest = load_manifest(args.manifest, {
-        "seed": args.seed,
         "output_dir": args.output_dir,
         "data_dir": args.data_dir,
         "datasets": [{
@@ -336,8 +330,8 @@ def cmd_dps(args) -> int:
                   f"{totals['model_updates']} model updates)")
 
     summary_path = os.path.join(manifest.output_dir, "dps_summary.json")
-    _write_json(summary_path, {"manifest": effective, "manifest_sha256": digest,
-                               "runs": summaries})
+    write_json(summary_path, {"manifest": effective, "manifest_sha256": digest,
+                              "runs": summaries})
     print(f"wrote {summary_path}")
     return 0
 
@@ -352,8 +346,8 @@ def cmd_calibrate(args) -> int:
     print(f"{descriptor.label}: resolution {resolution!r} reaches "
           f"equal-pair fraction >= {fraction_target}")
     if args.output:
-        _write_json(args.output, {"dataset": descriptor.label, "target": fraction_target,
-                                  "resolution": resolution})
+        write_json(args.output, {"dataset": descriptor.label, "target": fraction_target,
+                                 "resolution": resolution})
         print(f"wrote {args.output}")
     return 0
 
@@ -411,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-len", type=int, dest="window_len")
     p.add_argument("--delta", type=float,
                    help="transmission threshold (default: family built-in)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--ring-branches", type=int, dest="ring_branches")

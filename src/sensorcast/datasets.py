@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -125,6 +126,11 @@ class DatasetDescriptor:
         object.__setattr__(self, "family", DatasetFamily.coerce(self.family))
         if self.group < 1:
             raise ValueError(f"group must be >= 1, got {self.group}")
+        # Every command takes its threshold and period from a descriptor.
+        for name in ("delta_min", "expected_period"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def threshold(self) -> float:

@@ -125,10 +125,10 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     # p takes the reserved bits 6-7 too: set, they make p > 3, which no
     # kind produces.
     orders = (packed >> 4, (packed >> 2) & 0x3, packed & 0x3)
-    spec = METHOD_SPECS[kind]
-    if orders not in spec.orders:
+    sizes = METHOD_SPECS[kind].payloads.get(orders)
+    if sizes is None:
         raise DpsProtocolError(f"{kind.value} models have no orders {orders}")
-    n_params, n_state = spec.payload_sizes(orders)
+    n_params, n_state = sizes
     if count != n_params + n_state:
         raise DpsProtocolError(
             f"{kind.value}{orders} update carries {count} floats, expected "
@@ -156,30 +156,28 @@ def _wire_round_trip(model: ForecastModel) -> ForecastModel:
 class _Window:
     """One endpoint's current prediction and its position in it.
 
-    A forecasting method predicts from a window of forecast values and is
-    due a refit once the window is used up.  Value-holding predicts the
-    last transmitted value: its window is that one value, the position
-    never moves, and every transmission replaces it.
+    Both endpoints advance it once per reading, bootstrap included.  A
+    forecasting method is due its first fit after the bootstrap's last
+    reading, and a refit each time a window of forecasts is used up.
+    Value-holding predicts the last transmitted value: its window is that
+    one value, the position never moves, and every transmission (each
+    bootstrap reading among them) replaces it.
     """
 
     __slots__ = ("holds", "length", "values", "pos")
 
-    def __init__(self, holds: bool, length: int):
+    def __init__(self, holds: bool, history_len: int):
         self.holds = holds
-        self.length = length
+        # The bootstrap's readings count as the first window, so the first
+        # fit falls due after the last of them.
+        self.length = history_len
         self.values: list[float] | None = None
         self.pos = 0
 
     def install(self, forecast_values: np.ndarray) -> None:
         self.values = forecast_values.tolist()
+        self.length = len(self.values)
         self.pos = 0
-
-    def start(self, last_value: float) -> bool:
-        """Enter steady state after the bootstrap's last reading; True when
-        a model must be fitted first."""
-        if self.holds:
-            self.values = [last_value]
-        return not self.holds
 
     def predicted(self) -> float:
         try:
@@ -190,7 +188,7 @@ class _Window:
             raise DpsProtocolError("forecast window exhausted") from None
 
     def advance(self, value: float, transmitted: bool) -> bool:
-        """Move past one steady-state step; True when a refit is due."""
+        """Move past one reading; True when a fit is due."""
         if self.holds:
             if transmitted:
                 self.values = [value]
@@ -208,8 +206,8 @@ class SensorNode:
             raise ValueError(f"history_len must be >= 1, got {history_len}")
         if window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {window_len}")
-        if not (delta_min > 0):
-            raise ValueError(f"delta_min must be positive, got {delta_min}")
+        if not 0 < delta_min < math.inf:
+            raise ValueError(f"delta_min must be finite and positive, got {delta_min}")
         self.config = config
         self.history_len = history_len
         self.window_len = window_len
@@ -217,7 +215,7 @@ class SensorNode:
         self._buffer: deque[float] = deque(maxlen=history_len)
         self._seq = 0
         self._t = 0
-        self._window = _Window(METHOD_SPECS[config.method].holds, window_len)
+        self._window = _Window(METHOD_SPECS[config.method].holds, history_len)
         self.fallback_steps: list[int] = []
 
     def _next_seq(self) -> int:
@@ -247,20 +245,16 @@ class SensorNode:
         t = self._t
         self._t += 1
         self._buffer.append(value)
-        if t < self.history_len:
-            # Bootstrap: relay raw readings so the gateway sees the same
-            # history the first fit will use.
-            messages: list[DpsMessage] = [Measurement(seq=self._next_seq(), index=t, value=value)]
-            if self._t == self.history_len and self._window.start(value):
-                messages.append(self._refit(piggybacked=True))
-            return messages
-
-        messages = []
-        transmit = not suppressed(self._window.predicted(), value, self.delta_min)
+        # The bootstrap relays raw readings, so the gateway sees the same
+        # history the first fit will use, and that fit rides along with
+        # the last of them.
+        bootstrap = t < self.history_len
+        messages: list[DpsMessage] = []
+        transmit = bootstrap or not suppressed(self._window.predicted(), value, self.delta_min)
         if transmit:
             messages.append(Measurement(seq=self._next_seq(), index=t, value=value))
         if self._window.advance(value, transmit):
-            messages.append(self._refit(piggybacked=False))
+            messages.append(self._refit(piggybacked=bootstrap))
         return messages
 
 
@@ -277,7 +271,7 @@ class Gateway:
         self.history_len = history_len
         self.window_len = window_len
         self.reconstructed: list[float] = []
-        self._window = _Window(METHOD_SPECS[method].holds, window_len)
+        self._window = _Window(METHOD_SPECS[method].holds, history_len)
 
     def step(self, messages) -> float:
         """Consume one step's messages and return the reconstructed value."""
@@ -309,10 +303,7 @@ class Gateway:
             value = self._window.predicted()
 
         self.reconstructed.append(value)
-        if t >= self.history_len:
-            self._window.advance(value, measurement is not None)
-        elif t == self.history_len - 1:
-            self._window.start(value)
+        self._window.advance(value, measurement is not None)
         if update is not None:
             model = _wire_round_trip(update.model)
             self._window.install(forecast(model, self.window_len))

@@ -40,6 +40,7 @@ __all__ = [
     "equal_pair_fraction",
     "emit_report",
     "manifest_sha256",
+    "write_json",
 ]
 
 HISTORY_GRID = (5, 10, 20, 50, 100, 200, 500, 1000)
@@ -341,7 +342,12 @@ def _atomic_write(path, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise OSError(f"writing report {path}: {exc}") from exc
+        raise OSError(f"writing {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` atomically as indented JSON with sorted keys."""
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> str:
@@ -357,7 +363,7 @@ def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> s
     digest = manifest_sha256(manifest)
     dicts = [r.to_json_dict() for r in rows]
     payload = {"manifest": manifest or {}, "manifest_sha256": digest, "rows": dicts}
-    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(json_path, payload)
 
     def cell(value) -> str:
         if value is None:

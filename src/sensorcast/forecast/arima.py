@@ -62,6 +62,7 @@ __all__ = [
     "choose_differencing",
     "css_residuals",
     "hannan_rissanen_start",
+    "min_history",
     "ROOT_MARGIN",
 ]
 
@@ -74,6 +75,11 @@ ROOT_MARGIN = 1.001
 _DIFF_RATIO = 0.2
 
 _MIN_EXTRA_HISTORY = 10
+
+
+def min_history(order_grid) -> int:
+    """Shortest history :func:`fit_arima` accepts for this order grid."""
+    return _MIN_EXTRA_HISTORY + max(map(max, order_grid))
 
 
 def choose_differencing(values: np.ndarray, allowed_d=(0, 1, 2)) -> int:
@@ -222,12 +228,9 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
     """
     x = np.asarray(history, dtype=np.float64)
     grid = config.order_grid
-    max_order = max(max(p, d, q) for p, d, q in grid)
-    if len(x) < _MIN_EXTRA_HISTORY + max_order:
-        raise FitError(
-            f"arima needs >= {_MIN_EXTRA_HISTORY + max_order} observations "
-            f"for this grid, got {len(x)}"
-        )
+    need = min_history(grid)
+    if len(x) < need:
+        raise FitError(f"arima needs >= {need} observations for this grid, got {len(x)}")
 
     # Everything is fitted on the history scaled by 2**-exponent; the mean,
     # state and likelihood are scaled back.

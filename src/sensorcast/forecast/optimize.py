@@ -58,8 +58,9 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
     The simplex is kept as lists of Python floats, which cost far less than
     numpy calls on a handful of entries; ``fn`` receives a vertex as such a
     list and must not modify it.
-    The arithmetic and its order are those of the array form, and NaN
-    behaves as in numpy: it sorts last and wins the final argmin.
+    The arithmetic and its order are those of the array form: the centroid
+    is the mean of the best n vertices, taken afresh every iteration, and
+    NaN behaves as in numpy: it sorts last and wins the final argmin.
     """
     x0 = np.asarray(x0, dtype=np.float64).tolist()
     n = len(x0)
@@ -87,7 +88,6 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
             order = sorted(range(n + 1), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
             simplex = [simplex[i] for i in order]
             fvals = [fvals[i] for i in order]
-            centroid = None
         else:
             f_new = fvals.pop()
             i = n
@@ -95,18 +95,13 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
                 i -= 1
             fvals.insert(i, f_new)
             simplex.insert(i, simplex.pop())
-            if i < n:
-                centroid = None
         best, worst = simplex[0], simplex[-1]
         if (fvals[-1] - fvals[0] <= _FATOL
                 and all(abs(a - b) <= _XATOL
                         for v in simplex[1:] for a, b in zip(v, best))):
             break
 
-        # The best n rows, and so their mean, are unchanged when the new
-        # vertex went in last.
-        if centroid is None:
-            centroid = _column_means(simplex[:-1])
+        centroid = _column_means(simplex[:-1])
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         f_r = float(fn(reflected))
         n_evals += 1

@@ -2,9 +2,9 @@
 
 A :class:`MethodSpec` holds what the rest of the package needs to know
 about a forecasting family: its wire code, how to fit it, how to forecast
-from a fitted model, the orders it can produce and the payload sizes they
-imply, the shortest history it can be fitted on, and whether it is the
-value-holding baseline.
+from a fitted model, its payload table (each order it can produce and the
+float counts that order ships), the shortest history it can be fitted on,
+and whether it is the value-holding baseline.
 Fitters are looked up by module-global name at call time, so a wrapper
 installed on ``fit_arima`` or ``fit_exponential_smoothing`` here sees
 every call.
@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .arima import _MIN_EXTRA_HISTORY, fit_arima, forecast_arima
+from .arima import fit_arima, forecast_arima
+from .arima import min_history as _arima_min_history
 from .models import (FULL_ORDER_GRID, FitConfig, ForecastModel, MethodKind, fit_constant,
                      fit_linear, fit_simple_mean)
 from .smoothing import _MIN_HISTORY as _ES_MIN_HISTORY
@@ -32,9 +33,9 @@ Orders = tuple[int, int, int]
 class MethodSpec:
     """Everything that differs between forecasting families.
 
-    ``orders`` is every (p, d, q) the fitter can produce; a model update
-    with any other orders is malformed.  ``payload_sizes`` maps a model's
-    orders to its (param count, state count).  ``holds`` marks
+    ``payloads`` maps every (p, d, q) the fitter can produce to the
+    (param count, state count) a model of those orders carries; a model
+    update with any other orders is malformed.  ``holds`` marks
     value-holding: it predicts the last transmitted value, re-anchors on
     every transmission and never ships a model.
     """
@@ -42,8 +43,7 @@ class MethodSpec:
     code: int
     fit: Callable[[np.ndarray, FitConfig], ForecastModel]
     forecast: Callable[[ForecastModel, int], np.ndarray]
-    orders: frozenset[Orders]
-    payload_sizes: Callable[[Orders], tuple[int, int]]
+    payloads: dict[Orders, tuple[int, int]]
     min_history: Callable[[FitConfig], int]
     holds: bool = False
 
@@ -63,36 +63,30 @@ def _forecast_smoothing(model: ForecastModel, n_steps: int) -> np.ndarray:
     return _line(*model.state, n_steps)
 
 
-def _arima_payload_sizes(orders: Orders) -> tuple[int, int]:
-    p, d, q = orders
-    return p + q + 1, p + q + d
-
-
-_CLOSED_FORM = frozenset({(0, 0, 0)})
-
 METHOD_SPECS: dict[MethodKind, MethodSpec] = {
     MethodKind.CONSTANT: MethodSpec(
         code=0, fit=lambda history, config: fit_constant(history),
-        forecast=lambda model, n: _flat(model.params[0], n), orders=_CLOSED_FORM,
-        payload_sizes=lambda orders: (1, 0), min_history=lambda config: 1, holds=True),
+        forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
+        min_history=lambda config: 1, holds=True),
     MethodKind.LINEAR: MethodSpec(
         code=1, fit=lambda history, config: fit_linear(history),
-        forecast=lambda model, n: _line(*model.params, n), orders=_CLOSED_FORM,
-        payload_sizes=lambda orders: (2, 0), min_history=lambda config: 2),
+        forecast=lambda model, n: _line(*model.params, n), payloads={(0, 0, 0): (2, 0)},
+        min_history=lambda config: 2),
     MethodKind.SIMPLE_MEAN: MethodSpec(
         code=2, fit=lambda history, config: fit_simple_mean(history),
-        forecast=lambda model, n: _flat(model.params[0], n), orders=_CLOSED_FORM,
-        payload_sizes=lambda orders: (1, 0), min_history=lambda config: 1),
+        forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
+        min_history=lambda config: 1),
     MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(
         code=3, fit=lambda history, config: fit_exponential_smoothing(history, config),
-        forecast=_forecast_smoothing, orders=frozenset({(1, 0, 0), (2, 0, 0)}),
-        payload_sizes=lambda orders: (orders[0], orders[0]),
+        forecast=_forecast_smoothing, payloads={(1, 0, 0): (1, 1), (2, 0, 0): (2, 2)},
         min_history=lambda config: _ES_MIN_HISTORY),
     MethodKind.ARIMA: MethodSpec(
         code=4, fit=lambda history, config: fit_arima(history, config),
-        forecast=forecast_arima, orders=frozenset(FULL_ORDER_GRID),
-        payload_sizes=_arima_payload_sizes,
-        min_history=lambda config: _MIN_EXTRA_HISTORY + max(map(max, config.order_grid))),
+        forecast=forecast_arima,
+        # Params phi, theta and the mean; state the p last values, the q
+        # last residuals and the d integration anchors.
+        payloads={(p, d, q): (p + q + 1, p + q + d) for p, d, q in FULL_ORDER_GRID},
+        min_history=lambda config: _arima_min_history(config.order_grid)),
 }
 
 

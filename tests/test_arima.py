@@ -307,7 +307,8 @@ def test_admissible_matches_root_oracle_on_random_coefficients():
         # within rounding of the margin.
         if any(abs(r / ROOT_MARGIN - 1.0) < 1e-12 for r in moduli if np.isfinite(r)):
             continue
-        assert _admissible(phi, theta) == oracle_admissible(phi, theta), (phi, theta)
+        # oracle_admissible, on the moduli just computed.
+        assert _admissible(phi, theta) == all(r > ROOT_MARGIN for r in moduli), (phi, theta)
         checked += 1
     assert checked > 3900
 

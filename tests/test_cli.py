@@ -126,6 +126,42 @@ def test_null_dataset_value_reads_as_absent(tmp_path):
     assert [run["delta_min"] for run in runs] == [0.5, 0.5]
 
 
+BAD_POSITIVE = (float("nan"), float("inf"), 0.0, -1.0)
+
+
+@pytest.mark.parametrize("where, key, value",
+                         [("manifest", "delta_min", v) for v in BAD_POSITIVE]
+                         + [("entry", key, v) for key in ("delta_min", "expected_period")
+                            for v in BAD_POSITIVE])
+def test_evaluate_refuses_a_threshold_or_period_not_finite_and_positive(
+        tmp_path, capsys, where, key, value):
+    # json writes nan and inf as NaN and Infinity, which json.load reads.
+    entry = {"family": "ball", "group": 1}
+    top = {}
+    (entry if where == "entry" else top)[key] = value
+    manifest = write_manifest(tmp_path / "m.json", datasets=[entry],
+                              output_dir=str(tmp_path / "out"), **top)
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    assert f"{key} must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan", "0", "-1"])
+def test_dps_refuses_a_threshold_not_finite_and_positive(tmp_path, capsys, delta):
+    assert run_cli("dps", "--family", "ball", "--method", "constant",
+                   "--delta", delta, "--output-dir", str(tmp_path / "out")) == 2
+    assert "delta_min must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dps_summary.json").exists()
+
+
+def test_dps_has_no_seed_flag(tmp_path, capsys):
+    # run_dps draws no random numbers; a seed flag would change only the
+    # manifest digest.
+    assert run_cli("dps", "--family", "ball", "--method", "constant", "--seed", "3",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    capsys.readouterr()
+
+
 def test_manifest_hash_excludes_placement():
     a = RunManifest(seed=1, output_dir="x", workers=2)
     b = RunManifest(seed=1, output_dir="y", workers=8)

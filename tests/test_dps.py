@@ -334,8 +334,9 @@ def test_sensor_validation():
         SensorNode(cfg, 0, 5, 0.1)
     with pytest.raises(ValueError):
         SensorNode(cfg, 5, 0, 0.1)
-    with pytest.raises(ValueError):
-        SensorNode(cfg, 5, 5, 0.0)
+    for delta in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SensorNode(cfg, 5, 5, delta)
 
 
 def test_run_dps_rejects_short_series():

@@ -31,8 +31,8 @@ measurements = st.builds(Measurement, seq=u32, index=u32, value=finite)
 def model_updates(draw):
     kind = draw(st.sampled_from(list(METHOD_SPECS)))
     spec = METHOD_SPECS[kind]
-    orders = draw(st.sampled_from(sorted(spec.orders)))
-    n_params, n_state = spec.payload_sizes(orders)
+    orders = draw(st.sampled_from(sorted(spec.payloads)))
+    n_params, n_state = spec.payloads[orders]
     floats = draw(st.lists(finite, min_size=n_params + n_state, max_size=n_params + n_state))
     model = ForecastModel(kind=kind, orders=orders, params=floats[:n_params],
                           state=floats[n_params:])

@@ -1,12 +1,14 @@
-"""Property-based test of the quality guarantee for every method.
+"""Property-based tests of the protocol for every method.
 
 For walks, constants, steps, sparse spikes and quantized walks of any
 finite magnitude from 1e-300 to 1e300, run at the shortest history the
 method accepts and a small window, every transmitted step is reconstructed
 exactly and every suppressed step lies strictly within ``delta_min``.
 The sensor catches only ``FitError`` from a refit (and ``DpsProtocolError``
-from the wire), so a fitter raising anything else fails the run.  Runs are
-derandomized, so the suite tests the same series every time.
+from the wire), so a fitter raising anything else fails the run.  On the
+same series, the sensor's and the gateway's windows agree bit for bit
+after every reading.  Runs are derandomized, so the suite tests the same
+series every time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorcast.dps import Measurement, run_dps
+from sensorcast.dps import Gateway, Measurement, ModelUpdate, SensorNode, run_dps
 from sensorcast.forecast import FitConfig, FitError, fit_model, min_history
 from sensorcast.series import TimeSeries
 
@@ -38,14 +40,17 @@ def shaped(shape: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.round(walk * 2.0) / 2.0
 
 
+RUNS = dict(method=st.sampled_from(METHODS),
+            shape=st.sampled_from(("walk", "constant", "step", "spikes", "quantized")),
+            exponent=st.sampled_from((-300, -150, -20, 0, 20, 150, 300)),
+            relative_delta=st.sampled_from((1e-3, 0.1, 1.0, 10.0)),
+            window_len=st.integers(1, 6),
+            n_windows=st.integers(1, 4),
+            seed=st.integers(0, 2**32 - 1))
+
+
 @PROPERTY
-@given(method=st.sampled_from(METHODS),
-       shape=st.sampled_from(("walk", "constant", "step", "spikes", "quantized")),
-       exponent=st.sampled_from((-300, -150, -20, 0, 20, 150, 300)),
-       relative_delta=st.sampled_from((1e-3, 0.1, 1.0, 10.0)),
-       window_len=st.integers(1, 6),
-       n_windows=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1))
+@given(**RUNS)
 def test_every_method_keeps_the_guarantee_at_any_magnitude(
         method, shape, exponent, relative_delta, window_len, n_windows, seed):
     config = FitConfig(method=method)
@@ -69,3 +74,36 @@ def test_every_method_keeps_the_guarantee_at_any_magnitude(
             assert err[t] == 0.0, (t, values[t])
         else:
             assert err[t] < delta, (t, err[t], delta)
+
+
+def window_state(window):
+    values = None if window.values is None else [v.hex() for v in window.values]
+    return values, window.pos
+
+
+@PROPERTY
+@given(**RUNS)
+def test_sensor_and_gateway_windows_agree_bit_for_bit(
+        method, shape, exponent, relative_delta, window_len, n_windows, seed):
+    config = FitConfig(method=method)
+    history_len = min_history(config)
+    n = history_len + window_len * n_windows
+    scale = 10.0 ** exponent
+    values = shaped(shape, n, np.random.default_rng(seed)) * scale
+    sensor = SensorNode(config, history_len, window_len, relative_delta * scale)
+    gateway = Gateway(config.method, history_len, window_len)
+
+    updates = []
+    for t, value in enumerate(values):
+        messages = sensor.step(value)
+        gateway.step(messages)
+        updates += [(t, m.piggybacked) for m in messages if isinstance(m, ModelUpdate)]
+        assert window_state(sensor._window) == window_state(gateway._window), t
+
+    # Value-holding ships no model; every other method fits after reading
+    # H and piggybacks that update on it, and only that one.
+    if method == "constant":
+        assert updates == []
+    else:
+        assert updates[0] == (history_len - 1, True)
+        assert not any(piggybacked for _, piggybacked in updates[1:])

@@ -63,7 +63,7 @@ def test_payload_sizes_match_fitted_models():
                 FitConfig(method="arima", order_grid=((2, 1, 1),))]
     for config in configs:
         model = fit_model(history, config)
-        sizes = METHOD_SPECS[model.kind].payload_sizes(model.orders)
+        sizes = METHOD_SPECS[model.kind].payloads[model.orders]
         assert sizes == (len(model.params), len(model.state)), (config, model.orders)
 
 
