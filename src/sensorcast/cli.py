@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -154,6 +155,11 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
         values.update(raw)
         values["config_path"] = path
     values.update({k: v for k, v in overrides.items() if v is not None})
+    # Checked here, not only by the descriptor, which never sees it when
+    # every dataset entry sets its own.
+    delta = values.get("delta_min")
+    if delta is not None and not 0 < delta < math.inf:
+        raise ValueError(f"manifest delta_min must be finite and positive, got {delta}")
     for key in _LIST_ELEMENTS:
         if key in values:
             values[key] = tuple(values[key])
@@ -272,11 +278,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dps(args) -> int:
+    # These flags describe the one dataset --family names; a manifest's
+    # datasets are described by their own entries.
+    dataset_flags = [flag for flag, value in (
+        ("--group", args.group), ("--path", args.path), ("--sensor-id", args.sensor_id),
+        ("--delta", args.delta)) if value is not None]
+    if dataset_flags and not args.family:
+        raise ValueError(f"{', '.join(dataset_flags)}: only valid together with --family")
     manifest = load_manifest(args.manifest, {
         "output_dir": args.output_dir,
         "data_dir": args.data_dir,
         "datasets": [{
-            "family": args.family, "group": args.group, "path": args.path,
+            "family": args.family, "group": 1 if args.group is None else args.group,
+            "path": args.path,
             "sensor_id": args.sensor_id, "delta_min": args.delta,
         }] if args.family else None,
         "methods": [args.method] if args.method else None,
@@ -397,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dps", help="run the sensor/gateway protocol over a series")
     p.add_argument("--manifest")
     p.add_argument("--family", choices=[f.value for f in DatasetFamily])
-    p.add_argument("--group", type=int, default=1)
+    p.add_argument("--group", type=int, help="(default: 1)")
     p.add_argument("--path", help="csv path for file-backed families")
     p.add_argument("--sensor-id", type=int, dest="sensor_id")
     p.add_argument("--method", choices=_ALL_METHODS)

@@ -3,26 +3,29 @@
 The fit pipeline: pick the differencing depth by a variance-ratio rule,
 then for every (p, q) pair in the grid estimate coefficients and keep the
 AICc winner.  Pure-AR pairs (q = 0) are linear least squares, solved in
-closed form; pairs with a moving-average part start from Hannan-Rissanen
-two-stage estimates and are refined with a simplex search on the CSS
-objective.  A candidate is admissible when every root of its AR and MA
+closed form; for pairs with a moving-average part a simplex search on the
+CSS objective refines the MA coefficients from their Hannan-Rissanen
+two-stage estimates, with the AR part and the mean solved exactly at each
+vertex.  A candidate is admissible when every root of its AR and MA
 polynomials has modulus above ``ROOT_MARGIN`` (1.001).  For degree <= 2
 that is the Box-Jenkins triangle after scaling by the margin: with
 a1 = m phi1, a2 = m^2 phi2 (AR) or a1 = -m theta1, a2 = -m^2 theta2 (MA),
 admit only when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible
 candidate is dropped; a fit raises ``FitError`` only when none is left.
 
-The simplex searches the p + q coefficients only: at d = 0 the mean is
-profiled out (the concentrated CSS of Box, Jenkins & Reinsel, ch. 7).  The
-residuals are affine in the mean, so for each vertex the mean that
-minimizes their sum of squares, and that sum, follow in closed form from
-the residuals at the sample mean and the filtered constant.  The objective
-runs a few hundred times per candidate, so it works on Python floats and
-as few numpy calls as it can: it takes the simplex vertex as a list, tests
-admissibility on its floats, and gets both residual rows from one product
-with lag rows built once per candidate and one all-pole filter call, run
-on lfilter's C kernel through ``filters.all_pole`` (at a few dozen samples
-lfilter's Python wrapper costs twice the kernel).
+The simplex searches the q <= 2 MA coefficients only, by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta
+the CSS residuals are linear in the AR coefficients and in the constant,
+so each vertex gets its phi and mean from a least-squares solve, and the
+search has one or two dimensions, not p + q.  The objective runs dozens to
+a few hundred times per candidate, so it works on Python floats and as
+few numpy calls as it can: it tests the vertex's MA admissibility on its
+floats, filters the lag rows built once per candidate in one all-pole
+filter call, run on lfilter's C kernel through ``filters.all_pole`` (at a
+few dozen samples lfilter's Python wrapper costs twice the kernel), takes
+one Gram product and solves normal equations of at most 3 unknowns by hand.
+A vertex whose solved phi is inadmissible gets the same penalty as an
+inadmissible theta.
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
@@ -133,21 +136,15 @@ def _in_unit_triangle(a1: float, a2: float) -> bool:
 _MARGIN_SQUARED = ROOT_MARGIN ** 2
 
 
-def _admissible_floats(phi1: float, phi2: float, theta1: float,
-                       theta2: float) -> bool:
+def _admissible(phi, theta) -> bool:
     # Every root of the AR polynomial 1 - phi1 z - phi2 z^2 and of the MA
     # polynomial 1 + theta1 z + theta2 z^2 lies beyond ROOT_MARGIN: the
-    # margin-scaled triangle of the module docstring.
-    return (_in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2)
-            and _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2))
-
-
-def _admissible(phi, theta) -> bool:
-    # The unpacking fails above degree 2, which FitConfig and
-    # hannan_rissanen_start reject.
+    # margin-scaled triangle of the module docstring.  The unpacking fails
+    # above degree 2, which FitConfig and hannan_rissanen_start reject.
     phi1, phi2 = [float(v) for v in phi] + [0.0] * (2 - len(phi))
     theta1, theta2 = [float(v) for v in theta] + [0.0] * (2 - len(theta))
-    return _admissible_floats(phi1, phi2, theta1, theta2)
+    return (_in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2)
+            and _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2))
 
 
 def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
@@ -281,81 +278,99 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
     )
 
 
-def _css_search(z: np.ndarray, p: int, q: int, with_mean: bool):
-    """The simplex objective over (phi, theta), with the mean profiled out.
+def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
+    """The least CSS sum of squares over phi and the mean, as a function of theta.
 
-    Returns ``(sse, mean)``: ``sse(values)`` is the CSS sum of squares of
-    the vertex ``values`` = [phi..., theta...] (a list of floats) at its
-    best mean, or a penalty above any sum of squares of a unit-scaled
-    history when the vertex is inadmissible; ``mean(values)`` is that best
-    mean.  Without a mean (d >= 1) both are taken at mu = 0.
+    Returns ``solve``: for ``theta`` a list of q floats, ``solve(theta)`` is
+    ``(sse, phi, mu)``, the least CSS sum of squares at that theta and the
+    AR coefficients (a list of p floats) and mean that attain it, or None
+    when theta or that phi is inadmissible or the lag rows are collinear
+    after filtering (a flat stretch).  Without a mean (d >= 1) mu is 0.
 
-    The residuals are affine in the mean: e(mu) = e_c - (mu - zbar) g, with
-    e_c = theta(B)^-1 phi(B) (z - zbar) and g = theta(B)^-1 phi(1) 1.  So
-    with G the Gram matrix of the rows e_c and g, the least sum of squares
-    is G00 - G01^2 / G11, at mu = zbar + G01 / G11.  A vertex costs one
-    product of its coefficients with the lag rows built here, one filter
-    call over both rows and one Gram product.
+    For fixed theta the residuals are linear in phi and in the constant
+    c = (mu - zbar) phi(1): e = F_0 - sum_i phi_i F_i - c F_c, where F_0, F_i
+    and F_c are z - zbar, its lag i and ones, each filtered by theta(B)^-1
+    (Golub & Pereyra's variable projection).  So a vertex costs one filter
+    call over those rows, one Gram product, and the normal equations of at
+    most 3 unknowns solved by symmetric elimination (Cholesky without the
+    square roots) on Python floats, no numpy call.  A pivot at most 1e-12
+    of its diagonal means the filtered regressors are collinear, as over a
+    flat quantized stretch, and refuses the vertex.
     """
     n, start = len(z), max(p, q)
     zbar = float(np.mean(z)) if with_mean else 0.0
     zc = z - zbar
-    # For t = start .. n-1: z_t - zbar, its lags 1..p, and ones.
-    lags = np.stack([zc[start - i:n - i] for i in range(p + 1)] + [np.ones(n - start)])
-    # Rows [1, -phi_1 .. -phi_p, 0] and [0 .. 0, phi(1)], written in place
-    # for each vertex (cheaper than a new array).
-    coef = np.zeros((2, p + 2))
-    coef[0, 0] = 1.0
-    flat = coef.reshape(-1)
-    phi_pad = [0.0] * (2 - p)
+    # For t = start .. n-1: the lags 1..p of z_t - zbar, ones (with a mean)
+    # and, last, z_t - zbar itself.
+    rows = np.stack([zc[start - i:n - i] for i in range(1, p + 1)]
+                    + ([np.ones(n - start)] if with_mean else []) + [zc[start:]])
+    k = len(rows) - 1
     theta_pad = [0.0] * (2 - q)
 
-    def gram(phi1: float, phi2: float, theta: list[float]):
-        rows = lags
-        if p:
-            flat[1] = -phi1
-            if p == 2:
-                flat[2] = -phi2
-            flat[-1] = 1.0 - phi1 - phi2
-            rows = coef.dot(lags)
-        e = all_pole([1.0, *theta], rows)
-        (g00, g01), (_, g11) = e.dot(e.T).tolist()
-        return g00, g01, g11
-
-    def sse(values: list[float]) -> float:
-        theta = values[p:]
-        phi1, phi2 = values[:p] + phi_pad
+    def solve(theta: list[float]):
         theta1, theta2 = theta + theta_pad
-        if not _admissible_floats(phi1, phi2, theta1, theta2):
-            # Steer back toward the admissible region.
-            return 1e30 * (1.0 + float(np.sum(np.abs(values))))
-        g00, g01, g11 = gram(phi1, phi2, theta)
-        return g00 - g01 * g01 / g11 if with_mean else g00
+        if not _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2):
+            return None
+        f = all_pole([1.0, *theta], rows)
+        gram = f.dot(f.T).tolist()
+        diagonal = [gram[j][j] for j in range(k)]
+        # Eliminate the regressors in order on the upper triangle; what is
+        # left of the target's diagonal is the least sum of squares.
+        for j in range(k):
+            row = gram[j]
+            pivot = row[j]
+            if not pivot > 1e-12 * diagonal[j]:
+                return None
+            for i in range(j + 1, k + 1):
+                factor = row[i] / pivot
+                below = gram[i]
+                for m in range(i, k + 1):
+                    below[m] -= factor * row[m]
+        beta = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            row = gram[i]
+            total = row[k]
+            for m in range(i + 1, k):
+                total -= row[m] * beta[m]
+            beta[i] = total / row[i]
+        phi = beta[:p]
+        phi1, phi2 = phi + [0.0] * (2 - p)
+        if not _in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2):
+            return None
+        mu = zbar + beta[p] / (1.0 - phi1 - phi2) if with_mean else 0.0
+        return gram[k][k], phi, mu
 
-    def mean(values: list[float]) -> float:
-        if not with_mean:
-            return 0.0
-        phi1, phi2 = values[:p] + phi_pad
-        _, g01, g11 = gram(phi1, phi2, values[p:])
-        return zbar + g01 / g11
-
-    return sse, mean
+    return solve
 
 
 def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                    config: FitConfig):
-    """Coefficients for one (p, q) pair, or None when inadmissible."""
+    """Coefficients for one (p, q) pair, or None when inadmissible.
+
+    A pure AR pair is solved in closed form.  Otherwise the simplex
+    searches theta alone, from its Hannan-Rissanen start: at each vertex
+    phi and the mean are solved exactly (``_profiled_css``), so the search
+    has one or two dimensions, not p + q.
+    """
     if q == 0:
         return _exact_ar_fit(z, p, with_mean)
 
-    phi0, theta0, _ = hannan_rissanen_start(z, p, q, with_mean)
-    sse, mean = _css_search(z, p, q, with_mean)
-    result = nelder_mead(sse, np.concatenate([phi0, theta0]), max_evals=config.max_evals)
-    phi = result.x[:p]
-    theta = result.x[p:]
-    if not _admissible(phi, theta):
+    solve = _profiled_css(z, p, q, with_mean)
+
+    def sse(theta: list[float]) -> float:
+        fit = solve(theta)
+        if fit is None:
+            # Steer back toward the admissible region.
+            return 1e30 * (1.0 + sum(abs(v) for v in theta))
+        return fit[0]
+
+    theta0 = hannan_rissanen_start(z, p, q, with_mean)[1]
+    result = nelder_mead(sse, theta0, max_evals=config.max_evals)
+    fit = solve(result.x.tolist())
+    if fit is None:
         return None
-    return phi, theta, mean(result.x.tolist())
+    _, phi, mu = fit
+    return np.array(phi), result.x, mu
 
 
 def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:

@@ -111,8 +111,9 @@ class FitConfig:
     refinement brackets between grid neighbours) replaces the default
     coarse grid of level weights (and its [0.01, 0.99] clamp), while the
     trend weight always searches the default grid.
-    ``budget`` scales optimizer effort: simplex searches are capped at
-    ``budget**3`` objective evaluations, refinement runs ``3 * budget``
+    ``budget`` scales optimizer effort: the ARIMA simplex, which searches
+    at most 2 MA coefficients, is capped at ``budget**3`` objective
+    evaluations, refinement runs ``3 * budget``
     bracket steps, and default smoothing grids densify with it.
     """
 

@@ -9,7 +9,7 @@ from scipy.signal import lfilter
 from sensorcast.forecast.arima import (
     ROOT_MARGIN,
     _admissible,
-    _css_search,
+    _profiled_css,
     choose_differencing,
     css_residuals,
     fit_arima,
@@ -358,19 +358,20 @@ def arma_history(seed, d, n=60):
 
 
 # Golden fits, bit for bit (float.hex): each winner has an MA part, so its
-# coefficients come from the simplex search on the CSS objective.
+# coefficients come from the simplex search over theta, with phi and the
+# mean solved at each vertex.
 FIT_ARIMA_PINS = [
     (1, 0, (2, 0, 2),
-     ["0x1.6966a2d0d777ap+0", "-0x1.33a6e17170a44p-1", "-0x1.1c4cd30c4ee72p-1",
-      "-0x1.c5ec43ca3534ep-2", "-0x1.495cceed4c894p-2"],
-     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.6c71530493eb0p-5",
-      "-0x1.62dba5ce64d1ap-2"]),
+     ["0x1.6966d5dc21757p+0", "-0x1.33a6cc5c54dbap-1", "-0x1.1c4c8563eaff8p-1",
+      "-0x1.c5ecdef343c88p-2", "-0x1.495cca70847f6p-2"],
+     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.6c69da409d420p-5",
+      "-0x1.62dc51ad3b216p-2"]),
     (0, 1, (1, 1, 1),
-     ["0x1.57772883f0521p-1", "0x1.57e4eab97594ap-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb8d0p+1", "0x1.0fb9089bd6dccp+1", "0x1.3e781dad504a6p+5"]),
+     ["0x1.5777285135343p-1", "0x1.57e4eb3ed8f6fp-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb8d0p+1", "0x1.0fb9089d9c50dp+1", "0x1.3e781dad504a6p+5"]),
     (0, 2, (1, 2, 1),
-     ["0x1.5c89e3fa65607p-1", "0x1.52833377ffe16p-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb800p+1", "0x1.0f6719759c98ap+1", "0x1.23f3897c7ca65p+10",
+     ["0x1.5c89e39b19e42p-1", "0x1.5283343837740p-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb800p+1", "0x1.0f67197a0bf77p+1", "0x1.23f3897c7ca65p+10",
       "0x1.3e781dad504a0p+5"]),
 ]
 
@@ -406,29 +407,54 @@ def profiled_mean_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", range(len(profiled_mean_cases())))
-def test_profiled_search_objective_is_the_css_sum_at_its_mean(case):
-    z, phi, theta = profiled_mean_cases()[case]
-    sse, mean = _css_search(z, len(phi), len(theta), True)
-    vertex = phi + theta
-    mu = mean(vertex)
+def assert_least_css(z, phi, theta, mu, sse, with_mean):
+    # ``sse`` is the CSS sum at (phi, theta, mu), and a step of 1e-6 in one
+    # AR coefficient, or in the mean (scaled by the history), never lowers it.
     e = css_residuals(z, phi, theta, mu)
+    least = float(e @ e)
     scale = float(np.max(np.abs(z)))
     # An exact fit sums rounding errors of the residuals alone.
-    assert math.isclose(sse(vertex), float(e @ e), rel_tol=1e-10,
-                        abs_tol=len(z) * (1e-15 * scale) ** 2)
+    assert math.isclose(sse, least, rel_tol=1e-10, abs_tol=len(z) * (1e-15 * scale) ** 2)
+    moves = [(phi[:i] + [phi[i] + step] + phi[i + 1:], mu)
+             for i in range(len(phi)) for step in (-1e-6, 1e-6)]
+    if with_mean:
+        moves += [(phi, mu + step * scale) for step in (-1e-6, 1e-6)]
     # Near the unit root phi(1) is tiny and so is the sum's curvature in the
     # mean: there moving it is a change within the sum's own rounding.
-    for shift in (-1e-6 * scale, 1e-6 * scale):
-        moved = css_residuals(z, phi, theta, mu + shift)
-        assert float(moved @ moved) >= float(e @ e) * (1.0 - 1e-14)
+    for moved_phi, moved_mu in moves:
+        moved = css_residuals(z, moved_phi, theta, moved_mu)
+        assert float(moved @ moved) >= least * (1.0 - 1e-14)
 
 
-def test_unmeaned_search_objective_is_the_css_sum_at_zero():
+@pytest.mark.parametrize("case", range(len(profiled_mean_cases())))
+def test_theta_objective_is_the_least_css_sum_at_its_phi_and_mean(case):
+    z, phi, theta = profiled_mean_cases()[case]
+    fit = _profiled_css(z, len(phi), len(theta), True)(theta)
+    if phi and np.ptp(z) == 0.0:
+        # A flat history leaves no AR lag to solve for: a refused vertex.
+        assert fit is None
+        return
+    sse, phi, mu = fit
+    assert_least_css(z, phi, theta, mu, sse, with_mean=True)
+
+
+def test_unmeaned_theta_objective_is_the_least_css_sum_at_zero():
     rng = np.random.default_rng(73)
     z = rng.standard_normal(60)
-    sse, mean = _css_search(z, 2, 1, False)
-    vertex = [0.4, -0.2, 0.5]
-    e = css_residuals(z, vertex[:2], vertex[2:], 0.0)
-    assert mean(vertex) == 0.0
-    assert math.isclose(sse(vertex), float(e @ e), rel_tol=1e-12)
+    sse, phi, mu = _profiled_css(z, 2, 1, False)([0.5])
+    assert mu == 0.0
+    assert_least_css(z, phi, [0.5], 0.0, sse, with_mean=False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("history", [np.full(60, 3.0), np.repeat([3.0, 3.5], 30),
+                                     np.arange(60.0)])
+@pytest.mark.parametrize("grid", [((1, 0, 1), (2, 0, 2)), ((1, 1, 1), (2, 1, 2))])
+def test_fit_arima_on_flat_stretches_with_ar_lags_gives_a_model_or_fit_error(history, grid):
+    # Flat (or, differenced, constant) lag rows make the AR part's Gram
+    # matrix singular at every vertex.
+    try:
+        model = fit_arima(history, FitConfig(method="arima", order_grid=grid))
+    except FitError:
+        return
+    assert np.all(np.isfinite(forecast(model, 5)))

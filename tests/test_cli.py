@@ -130,13 +130,15 @@ BAD_POSITIVE = (float("nan"), float("inf"), 0.0, -1.0)
 
 
 @pytest.mark.parametrize("where, key, value",
-                         [("manifest", "delta_min", v) for v in BAD_POSITIVE]
+                         [(where, "delta_min", v) for where in ("manifest", "shadowed")
+                          for v in BAD_POSITIVE]
                          + [("entry", key, v) for key in ("delta_min", "expected_period")
                             for v in BAD_POSITIVE])
 def test_evaluate_refuses_a_threshold_or_period_not_finite_and_positive(
         tmp_path, capsys, where, key, value):
     # json writes nan and inf as NaN and Infinity, which json.load reads.
-    entry = {"family": "ball", "group": 1}
+    # "shadowed": the manifest's value is bad but the entry sets its own.
+    entry = {"family": "ball", "group": 1, **({"delta_min": 0.5} if where == "shadowed" else {})}
     top = {}
     (entry if where == "entry" else top)[key] = value
     manifest = write_manifest(tmp_path / "m.json", datasets=[entry],
@@ -151,6 +153,19 @@ def test_dps_refuses_a_threshold_not_finite_and_positive(tmp_path, capsys, delta
     assert run_cli("dps", "--family", "ball", "--method", "constant",
                    "--delta", delta, "--output-dir", str(tmp_path / "out")) == 2
     assert "delta_min must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dps_summary.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--delta", "2.0"], ["--group", "2"], ["--path", "x.csv"],
+                                   ["--sensor-id", "3"], ["--group", "2", "--delta", "2.0"]])
+def test_dps_refuses_dataset_flags_without_family(tmp_path, capsys, flags):
+    # Without --family the manifest's entries name the datasets, and these
+    # flags would be dropped without a word.
+    manifest = write_manifest(tmp_path / "m.json", methods=["constant"],
+                              output_dir=str(tmp_path / "out"))
+    assert run_cli("dps", "--manifest", str(manifest), *flags) == 2
+    err = capsys.readouterr().err
+    assert f"{', '.join(flags[::2])}: only valid together with --family" in err
     assert not (tmp_path / "out" / "dps_summary.json").exists()
 
 
