@@ -160,6 +160,12 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
     delta = values.get("delta_min")
     if delta is not None and not 0 < delta < math.inf:
         raise ValueError(f"manifest delta_min must be finite and positive, got {delta}")
+    if values.get("workers", 0) < 0:
+        raise ValueError(f"manifest workers must be >= 0 (0: one per core), "
+                         f"got {values['workers']}")
+    if (values.get("ring_branches") is None) != (values.get("ring_depth") is None):
+        raise ValueError("ring_branches and ring_depth (--ring-branches, --ring-depth) "
+                         "are only valid together")
     for key in _LIST_ELEMENTS:
         if key in values:
             values[key] = tuple(values[key])
@@ -257,7 +263,7 @@ def cmd_evaluate(args) -> int:
     if not tasks:
         raise ValueError("manifest produced no runnable scenarios")
 
-    workers = manifest.workers if manifest.workers > 0 else (os.cpu_count() or 1)
+    workers = manifest.workers or os.cpu_count() or 1
     if workers <= 1 or len(tasks) == 1:
         rows = [_scenario_task(t) for t in tasks]
     else:
@@ -304,7 +310,7 @@ def cmd_dps(args) -> int:
     digest = manifest_sha256(manifest.hashed_dict())
 
     net = None
-    if manifest.ring_branches is not None and manifest.ring_depth is not None:
+    if manifest.ring_branches is not None:
         net = RingNetwork(branches=manifest.ring_branches, depth=manifest.ring_depth)
 
     summaries = []

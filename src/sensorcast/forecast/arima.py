@@ -2,16 +2,18 @@
 
 The fit pipeline: pick the differencing depth by a variance-ratio rule,
 then for every (p, q) pair in the grid estimate coefficients and keep the
-AICc winner.  Pure-AR pairs (q = 0) are linear least squares, solved in
-closed form; for pairs with a moving-average part a simplex search on the
-CSS objective refines the MA coefficients from their Hannan-Rissanen
-two-stage estimates, with the AR part and the mean solved exactly at each
-vertex.  A candidate is admissible when every root of its AR and MA
-polynomials has modulus above ``ROOT_MARGIN`` (1.001).  For degree <= 2
-that is the Box-Jenkins triangle after scaling by the margin: with
-a1 = m phi1, a2 = m^2 phi2 (AR) or a1 = -m theta1, a2 = -m^2 theta2 (MA),
-admit only when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible
-candidate is dropped; a fit raises ``FitError`` only when none is left.
+AICc winner.  Every pair gets its AR part and mean from one least-squares
+solve at a given theta: a pure-AR pair (q = 0) at theta = [], where the
+solve is the closed-form CSS optimum, and a pair with a moving-average part
+at each vertex of a simplex search that refines the MA coefficients from
+their Hannan-Rissanen two-stage estimates.  Flat lag rows (a constant
+stretch) make the solve singular and refuse the candidate.  A candidate is
+admissible when every root of its AR and MA polynomials has modulus above
+``ROOT_MARGIN`` (1.001).  For degree <= 2 that is the Box-Jenkins triangle
+after scaling by the margin: with a1 = m phi1, a2 = m^2 phi2 (AR) or
+a1 = -m theta1, a2 = -m^2 theta2 (MA), admit only when |a2| < 1,
+a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible or refused candidate is
+dropped; a fit raises ``FitError`` only when none is left.
 
 The simplex searches the q <= 2 MA coefficients only, by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta
@@ -191,31 +193,6 @@ def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
     return zeros
 
 
-def _exact_ar_fit(z: np.ndarray, p: int,
-                  with_mean: bool) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Closed-form CSS optimum for a pure AR(p) model, or None when inadmissible.
-
-    Conditional SSE of an AR model is an ordinary least-squares problem,
-    so the solution is global and a simplex pass could only wander the
-    floating-point plateau around it.  An admissible AR polynomial is
-    bounded away from a unit root, so the mean is always defined.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    n = len(z)
-    theta = np.zeros(0)
-    if p == 0:
-        return np.zeros(0), theta, (float(np.mean(z)) if with_mean else 0.0)
-    cols = [z[p - i:n - i] for i in range(1, p + 1)]
-    if with_mean:
-        cols.append(np.ones(n - p))
-    coef, *_ = np.linalg.lstsq(np.column_stack(cols), z[p:], rcond=None)
-    phi = coef[:p]
-    if not _admissible(phi, theta):
-        return None
-    mu = float(coef[p]) / (1.0 - float(np.sum(phi))) if with_mean else 0.0
-    return phi, theta, mu
-
-
 def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
     """Grid-search ARIMA fit: variance-rule d, AICc over (p, q).
 
@@ -286,6 +263,8 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
     AR coefficients (a list of p floats) and mean that attain it, or None
     when theta or that phi is inadmissible or the lag rows are collinear
     after filtering (a flat stretch).  Without a mean (d >= 1) mu is 0.
+    At q = 0 (``theta = []``) the filter is the identity and is skipped:
+    the solve is then the pure AR model's closed-form least squares.
 
     For fixed theta the residuals are linear in phi and in the constant
     c = (mu - zbar) phi(1): e = F_0 - sum_i phi_i F_i - c F_c, where F_0, F_i
@@ -311,7 +290,7 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
         theta1, theta2 = theta + theta_pad
         if not _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2):
             return None
-        f = all_pole([1.0, *theta], rows)
+        f = all_pole([1.0, *theta], rows) if q else rows
         gram = f.dot(f.T).tolist()
         diagonal = [gram[j][j] for j in range(k)]
         # Eliminate the regressors in order on the upper triangle; what is
@@ -347,30 +326,33 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                    config: FitConfig):
     """Coefficients for one (p, q) pair, or None when inadmissible.
 
-    A pure AR pair is solved in closed form.  Otherwise the simplex
-    searches theta alone, from its Hannan-Rissanen start: at each vertex
-    phi and the mean are solved exactly (``_profiled_css``), so the search
-    has one or two dimensions, not p + q.
+    Every pair is solved by ``_profiled_css``.  A pure AR pair takes one
+    solve at theta = [], the global least CSS sum, which a simplex could
+    only wander around.  Otherwise the simplex searches theta alone, from
+    its Hannan-Rissanen start, with phi and the mean solved at each vertex,
+    so the search has one or two dimensions, not p + q.  Flat lag rows are
+    refused either way.  p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces
+    bit for bit to the history mean.
     """
-    if q == 0:
-        return _exact_ar_fit(z, p, with_mean)
-
+    if p == q == 0:
+        return np.zeros(0), np.zeros(0), float(np.mean(z)) if with_mean else 0.0
     solve = _profiled_css(z, p, q, with_mean)
+    theta = np.zeros(0)
+    if q:
+        def sse(theta: list[float]) -> float:
+            fit = solve(theta)
+            if fit is None:
+                # Steer back toward the admissible region.
+                return 1e30 * (1.0 + sum(abs(v) for v in theta))
+            return fit[0]
 
-    def sse(theta: list[float]) -> float:
-        fit = solve(theta)
-        if fit is None:
-            # Steer back toward the admissible region.
-            return 1e30 * (1.0 + sum(abs(v) for v in theta))
-        return fit[0]
-
-    theta0 = hannan_rissanen_start(z, p, q, with_mean)[1]
-    result = nelder_mead(sse, theta0, max_evals=config.max_evals)
-    fit = solve(result.x.tolist())
+        theta0 = hannan_rissanen_start(z, p, q, with_mean)[1]
+        theta = nelder_mead(sse, theta0, max_evals=config.max_evals).x
+    fit = solve(theta.tolist())
     if fit is None:
         return None
     _, phi, mu = fit
-    return np.array(phi), result.x, mu
+    return np.array(phi), theta, mu
 
 
 def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:

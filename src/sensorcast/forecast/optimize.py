@@ -38,14 +38,6 @@ def _column_means(rows: list[list[float]]) -> list[float]:
     return means
 
 
-def _argmin_first_nan(values: list[float]) -> int:
-    # numpy's argmin: the first NaN if there is one, else the first minimum.
-    for i, v in enumerate(values):
-        if v != v:
-            return i
-    return min(range(len(values)), key=values.__getitem__)
-
-
 def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
     """Minimize ``fn`` from ``x0`` with the Nelder-Mead simplex method.
 
@@ -57,10 +49,10 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
 
     The simplex is kept as lists of Python floats, which cost far less than
     numpy calls on a handful of entries; ``fn`` receives a vertex as such a
-    list and must not modify it.
-    The arithmetic and its order are those of the array form: the centroid
-    is the mean of the best n vertices, taken afresh every iteration, and
-    NaN behaves as in numpy: it sorts last and wins the final argmin.
+    list and must not modify it, and must return a number, never NaN (which
+    would break the ordering every step relies on).  The arithmetic and its
+    order are those of the array form: the centroid is the mean of the best
+    n vertices, taken afresh every iteration.
     """
     x0 = np.asarray(x0, dtype=np.float64).tolist()
     n = len(x0)
@@ -79,19 +71,18 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
 
     shrunk = True
     while n_evals < max_evals:
-        # Keep the simplex in numpy's stable argsort order, NaN after every
-        # number.  Only a shrink moves more than the last vertex, so
-        # otherwise the other n stay sorted and the last, which every step
-        # accepts only as a number, goes in after each vertex not above it:
-        # where the stable sort puts it.
+        # Keep the simplex in numpy's stable argsort order.  Only a shrink
+        # moves more than the last vertex, so otherwise the other n stay
+        # sorted and the last goes in after each vertex not above it: where
+        # the stable sort puts it.
         if shrunk:
-            order = sorted(range(n + 1), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
+            order = sorted(range(n + 1), key=fvals.__getitem__)
             simplex = [simplex[i] for i in order]
             fvals = [fvals[i] for i in order]
         else:
             f_new = fvals.pop()
             i = n
-            while i and not fvals[i - 1] <= f_new:
+            while i and fvals[i - 1] > f_new:
                 i -= 1
             fvals.insert(i, f_new)
             simplex.insert(i, simplex.pop())
@@ -131,7 +122,7 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
                 n_evals += n
                 shrunk = True
 
-    best = _argmin_first_nan(fvals)
+    best = min(range(n + 1), key=fvals.__getitem__)
     return SimplexResult(x=np.array(simplex[best]), fun=fvals[best], n_evals=n_evals)
 
 

@@ -15,11 +15,13 @@ straight to lfilter's C kernel through ``filters.all_pole``: lfilter's
 Python wrapper would cost twice the kernel.  The search runs on the history
 scaled by a power of two that puts max|x| in [0.5, 1): the scaling is
 exact, so the chosen weights do not depend on the series' magnitude, and
-no sum of squares overflows or underflows at extreme ones.
-Level and trend come from the unscaled history; the likelihood comes from
-the scaled errors plus the scale's exact log, so the variant choice
-(level-only vs level+trend, by AICc with the initial states charged as
-parameters) does not depend on the magnitude either.
+no sum of squares overflows or underflows at extreme ones.  Each variant
+search returns its weights only; one ``simple_errors`` or ``trend_errors``
+call on the scaled history then gives the errors and the final level and
+trend.  The state is scaled back by the same power of two, exactly, and
+the likelihood is that of the scaled errors plus the scale's exact log, so
+the variant choice (level-only vs level+trend, by AICc with the initial
+states charged as parameters) does not depend on the magnitude either.
 """
 
 from __future__ import annotations
@@ -119,35 +121,17 @@ def _default_grid(n_points: int) -> np.ndarray:
     return np.linspace(_ALPHA_LO, _ALPHA_HI, n_points)
 
 
-def _fit_simple(values: np.ndarray, search: np.ndarray, exponent: int,
-                config: FitConfig) -> ForecastModel:
+def _simple_weights(search: np.ndarray, config: FitConfig) -> list[float]:
     grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
             if config.es_alpha_grid is not None
             else _default_grid(max(3, min(25, config.budget ** 2))))
     # simple_errors(search, a)[0], with the differences taken once.
     diffs = np.diff(search)
-
-    def search_errors(a):
-        return all_pole([1.0, a - 1.0], diffs)
-
-    alpha = _refine_1d(lambda a: _sse(search_errors(a)), grid, config.refine_iters)
-    _, level = simple_errors(values, alpha)
-    errors = search_errors(alpha)
-    # k: one smoothing weight plus the fitted initial level.
-    return ForecastModel(
-        kind=MethodKind.EXPONENTIAL_SMOOTHING,
-        orders=(1, 0, 0),
-        params=[alpha],
-        state=[level],
-        k=2,
-        fit_n=len(values),
-        neg2_loglik=_scaled_neg2_loglik(errors, exponent),
-        loglik_n=len(errors),
-    )
+    return [_refine_1d(lambda a: _sse(all_pole([1.0, a - 1.0], diffs)),
+                       grid, config.refine_iters)]
 
 
-def _fit_trend(values: np.ndarray, search: np.ndarray, exponent: int,
-               config: FitConfig) -> ForecastModel:
+def _trend_weights(search: np.ndarray, config: FitConfig) -> list[float]:
     n_points = max(3, min(13, config.budget + 3))
     alpha_grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
                   if config.es_alpha_grid is not None
@@ -157,30 +141,15 @@ def _fit_trend(values: np.ndarray, search: np.ndarray, exponent: int,
     # leading zero is the error trend_errors fixes at the second step.
     diffs = np.concatenate(([0.0], np.diff(search, 2)))
 
-    def search_errors(a, b):
-        return all_pole([1.0, a * (1.0 + b) - 2.0, 1.0 - a], diffs)
+    def sse(a, b):
+        return _sse(all_pole([1.0, a * (1.0 + b) - 2.0, 1.0 - a], diffs))
 
     alpha, beta = _best_cell(diffs, alpha_grid, beta_grid)
     # Coordinate-wise sharpening; two passes settle the interaction.
     for _ in range(2):
-        alpha = _refine_1d(lambda a: _sse(search_errors(a, beta)),
-                           alpha_grid, config.refine_iters)
-        beta = _refine_1d(lambda b: _sse(search_errors(alpha, b)),
-                          beta_grid, config.refine_iters)
-
-    _, level, trend = trend_errors(values, alpha, beta)
-    errors = search_errors(alpha, beta)
-    # k: two smoothing weights plus two fitted initial states.
-    return ForecastModel(
-        kind=MethodKind.EXPONENTIAL_SMOOTHING,
-        orders=(2, 0, 0),
-        params=[alpha, beta],
-        state=[level, trend],
-        k=4,
-        fit_n=len(values),
-        neg2_loglik=_scaled_neg2_loglik(errors, exponent),
-        loglik_n=len(errors),
-    )
+        alpha = _refine_1d(lambda a: sse(a, beta), alpha_grid, config.refine_iters)
+        beta = _refine_1d(lambda b: sse(alpha, b), beta_grid, config.refine_iters)
+    return [alpha, beta]
 
 
 def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> ForecastModel:
@@ -196,11 +165,26 @@ def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> Forecas
             f"exponential smoothing needs >= {_MIN_HISTORY} observations, got {len(values)}"
         )
 
-    fitters = {"simple": _fit_simple, "trend": _fit_trend}
     search, exponent = _unit_scaled(values)
     ranked = []
     for order, variant in enumerate(config.es_variants):
-        model = fitters[variant](values, search, exponent, config)
+        if variant == "simple":
+            weights = _simple_weights(search, config)
+            errors, *state = simple_errors(search, *weights)
+        else:
+            weights = _trend_weights(search, config)
+            errors, *state = trend_errors(search, *weights)
+        # k: the smoothing weights plus the fitted initial states.
+        model = ForecastModel(
+            kind=MethodKind.EXPONENTIAL_SMOOTHING,
+            orders=(len(weights), 0, 0),
+            params=weights,
+            state=np.ldexp(state, exponent),
+            k=len(weights) + len(state),
+            fit_n=len(values),
+            neg2_loglik=_scaled_neg2_loglik(errors, exponent),
+            loglik_n=len(errors),
+        )
         try:
             crit = aicc(model.neg2_loglik, model.k, model.loglik_n)
             undefined = 0

@@ -449,12 +449,21 @@ def test_unmeaned_theta_objective_is_the_least_css_sum_at_zero():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("history", [np.full(60, 3.0), np.repeat([3.0, 3.5], 30),
                                      np.arange(60.0)])
-@pytest.mark.parametrize("grid", [((1, 0, 1), (2, 0, 2)), ((1, 1, 1), (2, 1, 2))])
+@pytest.mark.parametrize("grid", [((1, 0, 1), (2, 0, 2)), ((1, 1, 1), (2, 1, 2)),
+                                  ((1, 0, 0), (2, 0, 0)), ((1, 1, 0), (2, 1, 0))])
 def test_fit_arima_on_flat_stretches_with_ar_lags_gives_a_model_or_fit_error(history, grid):
     # Flat (or, differenced, constant) lag rows make the AR part's Gram
-    # matrix singular at every vertex.
+    # matrix singular at every vertex, and at a pure AR pair's one solve.
     try:
         model = fit_arima(history, FitConfig(method="arima", order_grid=grid))
     except FitError:
         return
     assert np.all(np.isfinite(forecast(model, 5)))
+
+
+def test_fit_arima_refuses_a_pure_ar_fit_on_a_flat_history():
+    # Every lag row equals the ones column: the AR coefficient is not
+    # determined, so the candidate is refused rather than given a
+    # minimum-norm solution.
+    with pytest.raises(FitError):
+        fit_arima(np.full(60, 3.0), FitConfig(method="arima", order_grid=((1, 0, 0),)))

@@ -169,6 +169,28 @@ def test_dps_refuses_dataset_flags_without_family(tmp_path, capsys, flags):
     assert not (tmp_path / "out" / "dps_summary.json").exists()
 
 
+@pytest.mark.parametrize("flags, body", [(["--ring-branches", "3"], {}),
+                                         (["--ring-depth", "2"], {}),
+                                         ([], {"ring_branches": 3}),
+                                         ([], {"ring_depth": 2, "ring_branches": None})])
+def test_dps_refuses_one_ring_key_without_the_other(tmp_path, capsys, flags, body):
+    # Alone, either would be dropped without a word and no network block
+    # written.
+    manifest = write_manifest(tmp_path / "m.json", methods=["constant"],
+                              output_dir=str(tmp_path / "out"), **body)
+    assert run_cli("dps", "--manifest", str(manifest), *flags) == 2
+    assert "ring_branches and ring_depth" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dps_summary.json").exists()
+
+
+@pytest.mark.parametrize("body, flags", [({"workers": -3}, []), ({}, ["--workers", "-3"])])
+def test_evaluate_refuses_negative_workers(tmp_path, capsys, body, flags):
+    manifest = write_manifest(tmp_path / "m.json", output_dir=str(tmp_path / "out"), **body)
+    assert run_cli("evaluate", "--manifest", str(manifest), *flags) == 2
+    assert "workers must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_dps_has_no_seed_flag(tmp_path, capsys):
     # run_dps draws no random numbers; a seed flag would change only the
     # manifest digest.

@@ -7,8 +7,10 @@ exactly and every suppressed step lies strictly within ``delta_min``.
 The sensor catches only ``FitError`` from a refit (and ``DpsProtocolError``
 from the wire), so a fitter raising anything else fails the run.  On the
 same series, the sensor's and the gateway's windows agree bit for bit
-after every reading.  Runs are derandomized, so the suite tests the same
-series every time.
+after every reading.  The fitted methods also scale exactly: a fit of the
+series times 2**k picks the same orders and coefficients, and its mean and
+state are the unit fit's times 2**k.  Runs are derandomized, so the suite
+tests the same series every time.
 """
 
 from __future__ import annotations
@@ -107,3 +109,37 @@ def test_sensor_and_gateway_windows_agree_bit_for_bit(
     else:
         assert updates[0] == (history_len - 1, True)
         assert not any(piggybacked for _, piggybacked in updates[1:])
+
+
+def hexes(values):
+    return [v.hex() for v in values.tolist()]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(method=st.sampled_from(("exponential_smoothing", "arima")), shape=RUNS["shape"],
+       n=st.integers(min_history(FitConfig(method="arima")), 60),
+       k=st.integers(-1100, 1100), seed=RUNS["seed"])
+def test_fits_scale_exactly_by_powers_of_two(method, shape, n, k, seed):
+    config = FitConfig(method=method)
+    values = shaped(shape, n, np.random.default_rng(seed))
+    # Clamp k so that every nonzero value stays a normal float, with room
+    # below the largest for the state's differences.
+    exponents = np.frexp(values[values != 0.0])[1].tolist() or [0]
+    k = min(max(k, -1021 - min(exponents)), 1020 - max(exponents))
+    try:
+        unit = fit_model(values, config)
+    except FitError:
+        unit = None
+    try:
+        scaled = fit_model(np.ldexp(values, k), config)
+    except FitError:
+        scaled = None
+    assert (unit is None) == (scaled is None)
+    if unit is None:
+        return
+    # ARIMA's last parameter is the mean; the smoothing weights are all free.
+    free = len(unit.params) - (method == "arima")
+    assert scaled.orders == unit.orders
+    assert hexes(scaled.params[:free]) == hexes(unit.params[:free])
+    assert hexes(scaled.params[free:]) == hexes(np.ldexp(unit.params[free:], k))
+    assert hexes(scaled.state) == hexes(np.ldexp(unit.state, k))

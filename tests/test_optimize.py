@@ -74,27 +74,15 @@ def bowl3(x):
     return (u - 1.0) ** 2 + 3.0 * (v + 2.0) ** 2 + 0.5 * (w - 0.25) ** 2 + 0.4 * u * v
 
 
-def nan_ridge(x):
-    # The bowl's minimum at (2, -1) lies inside the NaN half-plane x0 > 1.5.
-    if x[0] > 1.5:
-        return math.nan
-    return (x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2
-
-
 # Golden results, bit for bit: x and fun as float.hex, and n_evals.  The
 # search must reproduce them exactly, so any change to the arithmetic, its
-# order, the tie-breaking or the NaN ordering shows up here.
+# order or the tie-breaking shows up here.
 NELDER_MEAD_PINS = [
     (rosenbrock, [-1.2, 1.0], 4000,
      ["0x1.00000002d8f40p+0", "0x1.000000045314dp+0"], "0x1.87d2269700080p-57", 249),
     (bowl3, [0.0, 0.0, 0.0], 2000,
      ["0x1.6b3e4539c6e55p+0", "-0x1.0c1bacf764991p+1", "0x1.0000003a6d3c2p-2"],
      "-0x1.f914c1bacf917p-1", 253),
-    # The start's second vertex is NaN: it sorts last until it is replaced.
-    (nan_ridge, [1.45, 0.0], 300,
-     ["0x1.7ffffffff1bf3p+0", "-0x1.ffa63e6af63d7p-1"], "0x1.00001f7865062p-2", 225),
-    # Stopped while a NaN vertex remains: the result is the first NaN vertex.
-    (nan_ridge, [1.45, 0.0], 4, ["0x1.85c28f5c28f5cp+0", "0x0.0p+0"], "nan", 7),
 ]
 
 
@@ -122,9 +110,7 @@ def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
     while n_evals < max_evals:
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
-        with np.errstate(invalid="ignore"):
-            spread = fvals[-1] - fvals[0]
-        if spread <= fatol and np.max(np.abs(simplex[1:] - simplex[0])) <= xatol:
+        if fvals[-1] - fvals[0] <= fatol and np.max(np.abs(simplex[1:] - simplex[0])) <= xatol:
             break
         centroid = simplex[:-1].mean(axis=0)
         reflected = centroid + (centroid - simplex[-1])
@@ -155,28 +141,23 @@ def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
     return simplex[best], float(fvals[best]), n_evals
 
 
-def same_bits(a, b):
-    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
-
-
 def test_nelder_mead_matches_array_oracle_bit_for_bit():
-    # Random quadratics in 1..4 dimensions: plain, with a NaN half-space,
-    # rounded (many ties), with a plateau of 0.0 and -0.0, and rugged (many
-    # shrink steps); some starts hold signed zeros.
+    # Random quadratics in 1..4 dimensions: plain (kinds 0 and 1), rounded
+    # (many ties), with a plateau of 0.0 and -0.0, and rugged (many shrink
+    # steps); some starts hold signed zeros.  No fn returns NaN, which the
+    # search does not accept.
     rng = np.random.default_rng(11)
     for case in range(200):
         dim = int(rng.integers(1, 5))
         centre = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
         a = rng.standard_normal((dim, dim))
         hess = a @ a.T + 0.01 * np.eye(dim)
-        cut = float(rng.standard_normal())
+        rng.standard_normal()  # unused: keeps the later draws of each case
         kind = case % 5
 
-        def fn(x, kind=kind, centre=centre, hess=hess, cut=cut):
+        def fn(x, kind=kind, centre=centre, hess=hess):
             d = x - centre
             v = float(d @ hess @ d)
-            if kind == 1 and x[0] > cut:
-                return math.nan
             if kind == 2:
                 return float(np.round(v, 1))
             if kind == 3 and v < 4.0:
@@ -192,7 +173,7 @@ def test_nelder_mead_matches_array_oracle_bit_for_bit():
         res = nelder_mead(fn, x0, max_evals=max_evals)
         x, fun, n_evals = nelder_mead_array_oracle(fn, x0, max_evals)
         assert [v.hex() for v in res.x.tolist()] == [v.hex() for v in x.tolist()], case
-        assert same_bits(res.fun, fun), case
+        assert float(res.fun).hex() == fun.hex(), case
         assert res.n_evals == n_evals, case
 
 
