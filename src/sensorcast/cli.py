@@ -196,6 +196,18 @@ def _resolve_series(entry: dict, manifest: RunManifest) -> tuple[DatasetDescript
     return descriptor, load_csv(full, descriptor)
 
 
+def _resolve_datasets(manifest: RunManifest) -> list[tuple[DatasetDescriptor, TimeSeries]]:
+    # Trace files, report rows and fairness baselines are keyed by the
+    # label, so a second entry with one label would overwrite the first.
+    resolved = [_resolve_series(entry, manifest) for entry in manifest.datasets]
+    labels = [descriptor.label for descriptor, _ in resolved]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"dataset entries need distinct (family, group) pairs, "
+                         f"but {', '.join(repeated)} is listed more than once")
+    return resolved
+
+
 def _scenario_task(item):
     scenario, series = item
     return run_scenario(scenario, series)
@@ -230,12 +242,12 @@ def cmd_evaluate(args) -> int:
         "workers": args.workers,
         "data_dir": args.data_dir,
     })
+    datasets = _resolve_datasets(manifest)
     os.makedirs(manifest.output_dir, exist_ok=True)
 
     tasks = []
     skipped = []
-    for entry in manifest.datasets:
-        descriptor, series = _resolve_series(entry, manifest)
+    for descriptor, series in datasets:
         for method_name in manifest.methods:
             config = FitConfig(method=MethodKind.coerce(method_name))
             for h in manifest.history_lengths:
@@ -305,6 +317,7 @@ def cmd_dps(args) -> int:
         "ring_branches": args.ring_branches,
         "ring_depth": args.ring_depth,
     })
+    datasets = _resolve_datasets(manifest)
     os.makedirs(manifest.output_dir, exist_ok=True)
     effective = manifest.effective_dict()
     digest = manifest_sha256(manifest.hashed_dict())
@@ -314,8 +327,7 @@ def cmd_dps(args) -> int:
         net = RingNetwork(branches=manifest.ring_branches, depth=manifest.ring_depth)
 
     summaries = []
-    for entry in manifest.datasets:
-        descriptor, series = _resolve_series(entry, manifest)
+    for descriptor, series in datasets:
         for method_name in manifest.methods:
             config = FitConfig(method=MethodKind.coerce(method_name))
             trace = run_dps(series, config, manifest.history_len,

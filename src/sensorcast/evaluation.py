@@ -77,7 +77,10 @@ def mape(actual, predicted) -> tuple[float, int]:
     skipped = int(len(actual) - np.count_nonzero(keep))
     if not np.any(keep):
         raise MapeUndefined(f"all {len(actual)} terms have zero denominators")
-    terms = np.abs(100.0 * (actual[keep] - predicted[keep]) / actual[keep])
+    # Scaling by 2**-8 is exact here, so the terms are 100 (a - p) / a bit
+    # for bit, but 100 (a - p) cannot overflow near the float limit.
+    a, p = actual[keep] / 256.0, predicted[keep] / 256.0
+    terms = np.abs(100.0 * (a - p) / a)
     return float(np.mean(terms)), skipped
 
 
@@ -169,9 +172,9 @@ class ScenarioResult:
             "n_splits": s.n_splits,
             "seed": s.seed,
             "delta_min": s.descriptor.threshold,
-            "mape_mean": self.mape_mean,
-            "mape_std": self.mape_std,
-            "ci95": self.ci95,
+            "mape_mean": _finite_or_none(self.mape_mean),
+            "mape_std": _finite_or_none(self.mape_std),
+            "ci95": _finite_or_none(self.ci95),
             "avoided_mean": self.avoided_mean,
             "saved_pct": self.saved_pct,
             "model_updates": self.model_updates_per_window,
@@ -179,11 +182,17 @@ class ScenarioResult:
             "skipped_terms": self.skipped_total,
             "per_split": {
                 "origins": [int(v) for v in self.origins],
-                "mape": [None if np.isnan(v) else float(v) for v in self.mape_values],
+                "mape": [_finite_or_none(float(v)) for v in self.mape_values],
                 "skipped": [int(v) for v in self.skipped_terms],
                 "avoided": [int(v) for v in self.avoided],
             },
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    # JSON has no NaN or Infinity: an undefined or overflowed MAPE is null
+    # (an empty cell in the CSV).
+    return value if np.isfinite(value) else None
 
 
 def count_avoided(method: MethodKind, history_last: float, window: np.ndarray,
@@ -346,8 +355,10 @@ def _atomic_write(path, text: str) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` atomically as indented JSON with sorted keys."""
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` atomically as strict JSON (a NaN or infinity is a
+    ValueError), indented, with sorted keys."""
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> str:

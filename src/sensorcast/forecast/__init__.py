@@ -5,7 +5,6 @@ from .arima import (
     choose_differencing,
     css_residuals,
     fit_arima,
-    hannan_rissanen_start,
 )
 from .models import (
     FULL_ORDER_GRID,
@@ -44,7 +43,6 @@ __all__ = [
     "forecast",
     "gaussian_neg2_loglik",
     "golden_section",
-    "hannan_rissanen_start",
     "min_history",
     "nelder_mead",
     "simple_errors",

@@ -3,17 +3,16 @@
 The fit pipeline: pick the differencing depth by a variance-ratio rule,
 then for every (p, q) pair in the grid estimate coefficients and keep the
 AICc winner.  Every pair gets its AR part and mean from one least-squares
-solve at a given theta: a pure-AR pair (q = 0) at theta = [], where the
-solve is the closed-form CSS optimum, and a pair with a moving-average part
-at each vertex of a simplex search that refines the MA coefficients from
-their Hannan-Rissanen two-stage estimates.  Flat lag rows (a constant
-stretch) make the solve singular and refuse the candidate.  A candidate is
-admissible when every root of its AR and MA polynomials has modulus above
-``ROOT_MARGIN`` (1.001).  For degree <= 2 that is the Box-Jenkins triangle
-after scaling by the margin: with a1 = m phi1, a2 = m^2 phi2 (AR) or
-a1 = -m theta1, a2 = -m^2 theta2 (MA), admit only when |a2| < 1,
-a1 + a2 < 1 and a2 - a1 < 1.  An inadmissible or refused candidate is
-dropped; a fit raises ``FitError`` only when none is left.
+solve at a given theta: a pure-AR pair (q = 0) once at theta = [], the
+closed-form CSS optimum, and a pair with a moving-average part at each
+vertex of a simplex search over theta that starts at theta = 0, the AR(p)
+fit.  Flat lag rows (a constant stretch) make the solve singular and
+refuse the candidate.  A candidate is admissible when every root of its AR
+and MA polynomials has modulus above ``ROOT_MARGIN`` (1.001): for degree
+<= 2, with a1 = m c1 and a2 = m^2 c2 for 1 - c1 z - c2 z^2 (c = phi, or
+-theta for MA), when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1 (the
+Box-Jenkins triangle scaled by the margin).  An inadmissible or refused
+candidate is dropped; a fit raises ``FitError`` only when none is left.
 
 The simplex searches the q <= 2 MA coefficients only, by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta
@@ -66,7 +65,6 @@ __all__ = [
     "forecast_arima",
     "choose_differencing",
     "css_residuals",
-    "hannan_rissanen_start",
     "min_history",
     "ROOT_MARGIN",
 ]
@@ -129,68 +127,14 @@ def css_residuals(z: np.ndarray, phi, theta, mu: float) -> np.ndarray:
     return all_pole([1.0, *theta], w)
 
 
-def _in_unit_triangle(a1: float, a2: float) -> bool:
-    # Both roots of 1 - a1 z - a2 z^2 lie outside the unit circle.  NaN fails
-    # every comparison, so a non-finite candidate is inadmissible.
-    return abs(a2) < 1.0 and a1 + a2 < 1.0 and a2 - a1 < 1.0
-
-
 _MARGIN_SQUARED = ROOT_MARGIN ** 2
 
 
-def _admissible(phi, theta) -> bool:
-    # Every root of the AR polynomial 1 - phi1 z - phi2 z^2 and of the MA
-    # polynomial 1 + theta1 z + theta2 z^2 lies beyond ROOT_MARGIN: the
-    # margin-scaled triangle of the module docstring.  The unpacking fails
-    # above degree 2, which FitConfig and hannan_rissanen_start reject.
-    phi1, phi2 = [float(v) for v in phi] + [0.0] * (2 - len(phi))
-    theta1, theta2 = [float(v) for v in theta] + [0.0] * (2 - len(theta))
-    return (_in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2)
-            and _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2))
-
-
-def hannan_rissanen_start(z: np.ndarray, p: int, q: int,
-                          with_mean: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-stage least-squares starting values for an ARMA(p, q) fit.
-
-    A long autoregression supplies residual proxies; the second stage
-    regresses on lagged values and lagged proxies.  Falls back to zero
-    coefficients (mean only) whenever the sample is too short or the
-    estimate lands outside the admissible region.  Orders must lie in
-    0..2, the range the admissibility test covers.
-    """
-    if not (0 <= p <= 2 and 0 <= q <= 2):
-        raise ValueError(f"orders out of range: p={p}, q={q} (each must lie in 0..2)")
-    z = np.asarray(z, dtype=np.float64)
-    n = len(z)
-    mu = float(np.mean(z)) if with_mean else 0.0
-    zt = z - mu
-    zeros = (np.zeros(p), np.zeros(q), mu)
-    if p == 0 and q == 0:
-        return zeros
-
-    m = min(max(2 * (p + q), 4), max(1, (n - 1) // 3))
-    r0 = max(p, m + q)
-    if n - r0 < p + q + 2 or n - m < m + 2:
-        return zeros
-    X_long = np.column_stack([zt[m - i:n - i] for i in range(1, m + 1)])
-    a, *_ = np.linalg.lstsq(X_long, zt[m:], rcond=None)
-    ehat = np.zeros(n)
-    ehat[m:] = zt[m:] - X_long @ a
-    cols = [zt[r0 - i:n - i] for i in range(1, p + 1)]
-    cols += [ehat[r0 - j:n - j] for j in range(1, q + 1)]
-    coef, *_ = np.linalg.lstsq(np.column_stack(cols), zt[r0:], rcond=None)
-    phi, theta = coef[:p], coef[p:]
-
-    if not np.all(np.isfinite(phi)) or not np.all(np.isfinite(theta)):
-        return zeros
-    # Shrink towards zero until the start is admissible.
-    for _ in range(20):
-        if _admissible(phi, theta):
-            return phi, theta, mu
-        phi = 0.85 * phi
-        theta = 0.85 * theta
-    return zeros
+def _beyond_margin(c1: float, c2: float) -> bool:
+    # Both roots of 1 - c1 z - c2 z^2 lie beyond ROOT_MARGIN (see the module
+    # docstring).  NaN fails every comparison, so it is never admissible.
+    a1, a2 = ROOT_MARGIN * c1, _MARGIN_SQUARED * c2
+    return abs(a2) < 1.0 and a1 + a2 < 1.0 and a2 - a1 < 1.0
 
 
 def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
@@ -288,7 +232,7 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
 
     def solve(theta: list[float]):
         theta1, theta2 = theta + theta_pad
-        if not _in_unit_triangle(-ROOT_MARGIN * theta1, -_MARGIN_SQUARED * theta2):
+        if not _beyond_margin(-theta1, -theta2):
             return None
         f = all_pole([1.0, *theta], rows) if q else rows
         gram = f.dot(f.T).tolist()
@@ -314,7 +258,7 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
             beta[i] = total / row[i]
         phi = beta[:p]
         phi1, phi2 = phi + [0.0] * (2 - p)
-        if not _in_unit_triangle(ROOT_MARGIN * phi1, _MARGIN_SQUARED * phi2):
+        if not _beyond_margin(phi1, phi2):
             return None
         mu = zbar + beta[p] / (1.0 - phi1 - phi2) if with_mean else 0.0
         return gram[k][k], phi, mu
@@ -327,12 +271,13 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     """Coefficients for one (p, q) pair, or None when inadmissible.
 
     Every pair is solved by ``_profiled_css``.  A pure AR pair takes one
-    solve at theta = [], the global least CSS sum, which a simplex could
-    only wander around.  Otherwise the simplex searches theta alone, from
-    its Hannan-Rissanen start, with phi and the mean solved at each vertex,
-    so the search has one or two dimensions, not p + q.  Flat lag rows are
-    refused either way.  p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces
-    bit for bit to the history mean.
+    solve at theta = [], the global least CSS sum.  Otherwise the simplex
+    searches theta alone, with phi and the mean solved at each vertex.  It
+    starts at theta = 0, where the filter is the identity and the solve is
+    the AR(p) fit, and returns the best vertex it evaluated, so the result
+    is never worse than that fit.  Flat lag rows are refused either way.
+    p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces bit for bit to the
+    history mean.
     """
     if p == q == 0:
         return np.zeros(0), np.zeros(0), float(np.mean(z)) if with_mean else 0.0
@@ -346,8 +291,7 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                 return 1e30 * (1.0 + sum(abs(v) for v in theta))
             return fit[0]
 
-        theta0 = hannan_rissanen_start(z, p, q, with_mean)[1]
-        theta = nelder_mead(sse, theta0, max_evals=config.max_evals).x
+        theta = nelder_mead(sse, [0.0] * q, max_evals=config.max_evals).x
     fit = solve(theta.tolist())
     if fit is None:
         return None

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from sensorcast.datasets import ball_series
 from sensorcast.forecast.arima import (
     ROOT_MARGIN,
-    _admissible,
+    _beyond_margin,
+    _fit_candidate,
     _profiled_css,
     choose_differencing,
     css_residuals,
     fit_arima,
-    hannan_rissanen_start,
 )
-from sensorcast.forecast.models import FitConfig, FitError, MethodKind
+from sensorcast.forecast.models import FitConfig, FitError, MethodKind, _unit_scaled
 from sensorcast.forecast.selection import forecast
+from sensorcast.series import quantize_to_resolution
 
 from conftest import make_ar1, yule_walker_ar1
 
@@ -99,44 +101,6 @@ def test_choose_differencing_deterministic_trend():
     line = 3.0 + 2.0 * t
     # First difference of a line is constant: variance 0, clearly paying.
     assert choose_differencing(line) == 1
-
-
-def test_hannan_rissanen_recovers_ar_coefficients():
-    x = make_ar1(0.6, 2000, seed=19)
-    phi, theta, mu = hannan_rissanen_start(x, 1, 0, with_mean=True)
-    assert phi[0] == pytest.approx(0.6, abs=0.08)
-    assert len(theta) == 0
-    assert mu == pytest.approx(np.mean(x))
-
-
-def test_hannan_rissanen_arma_start_is_admissible_and_close():
-    # Simulate ARMA(1,1): x_t = 0.7 x_{t-1} + e_t + 0.4 e_{t-1}.
-    rng = np.random.default_rng(23)
-    e = rng.standard_normal(3000)
-    x = lfilter([1.0, 0.4], [1.0, -0.7], e)
-    phi, theta, mu = hannan_rissanen_start(x, 1, 1, with_mean=True)
-    assert phi[0] == pytest.approx(0.7, abs=0.15)
-    assert theta[0] == pytest.approx(0.4, abs=0.15)
-    # Starts must satisfy the same admissibility margin as final fits.
-    assert abs(phi[0]) < 1.0 / ROOT_MARGIN
-    assert abs(theta[0]) < 1.0 / ROOT_MARGIN
-
-
-def test_hannan_rissanen_rejects_orders_above_two():
-    x = make_ar1(0.5, 200, seed=29)
-    with pytest.raises(ValueError):
-        hannan_rissanen_start(x, 3, 0, with_mean=True)
-    with pytest.raises(ValueError):
-        hannan_rissanen_start(x, 0, 3, with_mean=True)
-    with pytest.raises(ValueError):
-        hannan_rissanen_start(x, -1, 1, with_mean=True)
-
-
-def test_hannan_rissanen_short_sample_falls_back_to_zeros():
-    phi, theta, mu = hannan_rissanen_start(np.arange(5.0), 2, 2, with_mean=True)
-    np.testing.assert_array_equal(phi, 0.0)
-    np.testing.assert_array_equal(theta, 0.0)
-    assert mu == pytest.approx(2.0)
 
 
 def test_fit_arima_recovers_ar1_against_yule_walker():
@@ -295,6 +259,14 @@ def oracle_admissible(phi, theta):
             and min_root_modulus_oracle(theta, 1.0) > ROOT_MARGIN)
 
 
+def admissible(phi, theta):
+    # The AR polynomial 1 - phi1 z - phi2 z^2 and the MA polynomial
+    # 1 + theta1 z + theta2 z^2, each put to the margin predicate.
+    phi1, phi2 = [float(v) for v in phi] + [0.0] * (2 - len(phi))
+    theta1, theta2 = [float(v) for v in theta] + [0.0] * (2 - len(theta))
+    return _beyond_margin(phi1, phi2) and _beyond_margin(-theta1, -theta2)
+
+
 def test_admissible_matches_root_oracle_on_random_coefficients():
     rng = np.random.default_rng(67)
     checked = 0
@@ -308,7 +280,7 @@ def test_admissible_matches_root_oracle_on_random_coefficients():
         if any(abs(r / ROOT_MARGIN - 1.0) < 1e-12 for r in moduli if np.isfinite(r)):
             continue
         # oracle_admissible, on the moduli just computed.
-        assert _admissible(phi, theta) == all(r > ROOT_MARGIN for r in moduli), (phi, theta)
+        assert admissible(phi, theta) == all(r > ROOT_MARGIN for r in moduli), (phi, theta)
         checked += 1
     assert checked > 3900
 
@@ -333,19 +305,19 @@ def test_admissible_decides_roots_placed_at_the_margin(scale):
                   [r * np.exp(2.5j), r * np.exp(-2.5j)]):
         c = coefficients_from_roots(roots)
         assert oracle_admissible(c, []) is outside
-        assert _admissible(c, np.zeros(0)) is outside, roots
+        assert admissible(c, np.zeros(0)) is outside, roots
         # The MA side is 1 + theta1 z + theta2 z^2.
-        assert _admissible(np.zeros(0), -c) is outside, roots
+        assert admissible(np.zeros(0), -c) is outside, roots
 
 
 def test_admissible_rejects_non_finite_and_huge_coefficients():
     for bad in (np.nan, np.inf, -np.inf, 1e300, -1e300):
-        assert not _admissible(np.array([bad]), np.zeros(0))
-        assert not _admissible(np.array([0.1, bad]), np.zeros(0))
-        assert not _admissible(np.zeros(0), np.array([bad]))
-        assert not _admissible(np.zeros(0), np.array([bad, 0.1]))
-        assert not _admissible(np.array([bad, bad]), np.array([bad, bad]))
-    assert _admissible(np.zeros(0), np.zeros(0))
+        assert not admissible(np.array([bad]), np.zeros(0))
+        assert not admissible(np.array([0.1, bad]), np.zeros(0))
+        assert not admissible(np.zeros(0), np.array([bad]))
+        assert not admissible(np.zeros(0), np.array([bad, 0.1]))
+        assert not admissible(np.array([bad, bad]), np.array([bad, bad]))
+    assert admissible(np.zeros(0), np.zeros(0))
 
 
 def arma_history(seed, d, n=60):
@@ -362,16 +334,16 @@ def arma_history(seed, d, n=60):
 # mean solved at each vertex.
 FIT_ARIMA_PINS = [
     (1, 0, (2, 0, 2),
-     ["0x1.6966d5dc21757p+0", "-0x1.33a6cc5c54dbap-1", "-0x1.1c4c8563eaff8p-1",
-      "-0x1.c5ecdef343c88p-2", "-0x1.495cca70847f6p-2"],
-     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.6c69da409d420p-5",
-      "-0x1.62dc51ad3b216p-2"]),
+     ["0x1.6966cd57e6c5ap+0", "-0x1.33a6bc5514e13p-1", "-0x1.1c4c6390172f3p-1",
+      "-0x1.c5ed22899e890p-2", "-0x1.495cc839b5187p-2"],
+     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.6c69f8e030220p-5",
+      "-0x1.62dc8319fba65p-2"]),
     (0, 1, (1, 1, 1),
-     ["0x1.5777285135343p-1", "0x1.57e4eb3ed8f6fp-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb8d0p+1", "0x1.0fb9089d9c50dp+1", "0x1.3e781dad504a6p+5"]),
+     ["0x1.57772897338ccp-1", "0x1.57e4ea0000002p-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb8d0p+1", "0x1.0fb9089d90fe2p+1", "0x1.3e781dad504a6p+5"]),
     (0, 2, (1, 2, 1),
-     ["0x1.5c89e39b19e42p-1", "0x1.5283343837740p-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb800p+1", "0x1.0f67197a0bf77p+1", "0x1.23f3897c7ca65p+10",
+     ["0x1.5c89e3be0031bp-1", "0x1.528333999999ap-2", "0x0.0p+0"],
+     ["0x1.39d74bcdfb800p+1", "0x1.0f671979f8beap+1", "0x1.23f3897c7ca65p+10",
       "0x1.3e781dad504a0p+5"]),
 ]
 
@@ -384,6 +356,31 @@ def test_fit_arima_reproduces_pinned_fits(seed, d, orders, params, state):
     assert [v.hex() for v in model.state.tolist()] == state
 
 
+def test_ma_search_never_ends_above_its_ar_start():
+    # The simplex starts at theta = 0, where the solve is the AR(p) fit on
+    # the candidate's samples, and returns the best vertex it evaluated.
+    ball = quantize_to_resolution(ball_series(1), 1.9).values
+    histories = [ball[s:s + 50] for s in range(20, 2750, 100)]
+    histories += [np.cumsum(np.random.default_rng(seed).standard_normal(50))
+                  for seed in range(20, 30)]
+    pairs = sorted({(p, q) for p, _, q in ARIMA_CONFIG.order_grid if q})
+    checked = 0
+    for x in histories:
+        scaled, _ = _unit_scaled(x)
+        for d in (0, 1):
+            z = np.diff(scaled, n=d)
+            for p, q in pairs:
+                fitted = _fit_candidate(z, p, q, d == 0, ARIMA_CONFIG)
+                if fitted is None:
+                    continue
+                solve = _profiled_css(z, p, q, d == 0)
+                start = solve([0.0] * q)
+                if start is not None:
+                    assert solve(fitted[1].tolist())[0] <= start[0], (p, d, q)
+                    checked += 1
+    assert checked > 400
+
+
 def profiled_mean_cases():
     # (z, phi, theta): random admissible coefficients on ARMA data with a
     # mean, AR parts near the unit-root margin (a real root at 1.002 and a
@@ -393,7 +390,7 @@ def profiled_mean_cases():
     while len(cases) < 40:
         p, q = int(rng.integers(0, 3)), int(rng.integers(1, 3))
         phi, theta = rng.uniform(-1.5, 1.5, p), rng.uniform(-1.5, 1.5, q)
-        if not _admissible(phi, theta):
+        if not admissible(phi, theta):
             continue
         z = 3.0 + lfilter([1.0, 0.5], [1.0, -0.6], rng.standard_normal(50)) * 10.0 ** rng.uniform(-3, 3)
         cases.append((z, phi.tolist(), theta.tolist()))

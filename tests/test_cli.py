@@ -307,6 +307,64 @@ def test_evaluate_missing_dataset_exits_2(tmp_path, capsys):
     assert "intel-g1" in err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _zeros(n):
+    return np.zeros(n)
+
+
+def _near_float_limit(n):
+    # Alternating signs: a forecast from one sign misses the next reading
+    # by more than the largest float.
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.75e308, 1.5e308, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("values", [
+    _zeros,
+    # The closed-form fitters and count_avoided still overflow on this
+    # input (with a warning), and their rows read null.
+    pytest.param(_near_float_limit, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_evaluate_reports_are_strict_json(tmp_path, values):
+    with open(tmp_path / "series.csv", "w") as fh:
+        fh.write("timestamp,position\n")
+        for t, v in enumerate(values(120).tolist()):
+            fh.write(f"{float(t)!r},{v!r}\n")
+    manifest = write_manifest(
+        tmp_path / "m.json", datasets=[{"family": "ball", "group": 1, "path": "series.csv"}],
+        methods=["arima", "exponential_smoothing", "constant", "linear", "simple_mean"],
+        n_splits=5, data_dir=str(tmp_path), output_dir=str(tmp_path / "out"))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 0
+    out = tmp_path / "out"
+    for name in ("report.json", "manifest.json"):
+        json.loads((out / name).read_text(), parse_constant=_refuse_constant)
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for column in ("mape_mean", "mape_std", "ci95"):
+        assert all(r[column] == "" or np.isfinite(float(r[column])) for r in rows)
+    if values is _near_float_limit:
+        report = json.loads((out / "report.json").read_text())
+        constant = [r for r in report["rows"] if r["method"] == "constant"]
+        assert np.isfinite(constant[0]["mape_mean"])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "dps"])
+def test_dataset_entries_with_one_label_are_refused(tmp_path, capsys, command):
+    # Outputs and fairness baselines are keyed by the label, so the second
+    # entry would overwrite or shadow the first.
+    out = tmp_path / "out"
+    manifest = write_manifest(
+        tmp_path / "m.json", methods=["constant"], output_dir=str(out),
+        datasets=[{"family": "ball", "group": 1, "delta_min": 0.001},
+                  {"family": "ball", "group": 1, "delta_min": 5.0}])
+    assert run_cli(command, "--manifest", str(manifest)) == 2
+    assert "ball-g1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli("evaluate") == 1           # missing required --manifest
     assert run_cli("frobnicate") == 1         # unknown subcommand
