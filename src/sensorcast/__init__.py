@@ -9,7 +9,6 @@ with its CLI.
 __version__ = "0.1.0"
 
 from .series import (
-    Split,
     TimeSeries,
     extract_splits,
     gap_fill,
@@ -76,7 +75,7 @@ from .evaluation import (
 
 __all__ = [
     "__version__",
-    "TimeSeries", "Split", "interpolate_gaps",
+    "TimeSeries", "interpolate_gaps",
     "quantize_to_resolution", "extract_splits", "gap_fill",
     "MethodKind", "FitConfig", "FitError", "ForecastModel", "fit_model",
     "Measurement", "ModelUpdate", "SensorNode", "Gateway", "DpsTrace",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 import zlib
 from dataclasses import dataclass
@@ -228,11 +229,19 @@ def ball_series(group: int, *, with_noise: bool = True) -> TimeSeries:
 
 
 def _parse_columns(path, header: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """One float64 array per header column; blank rows are skipped."""
-    flat: list[float] = []
+    """One float64 array per header column.
+
+    After the header check, numpy's C reader (``np.loadtxt``) parses the
+    data rows.  Where it refuses them (a row of empty fields such as
+    ``, ,``, a quoted, ``#`` or otherwise unparsable field, a ragged row)
+    or finds another column count than the header's, the ``csv``-module
+    loop of :func:`_csv_table` reads them instead: only that loop skips
+    whitespace-only rows and names the line of a bad row in its
+    :class:`DataFormatError`.  Wherever the C reader returns, both give the
+    same bits.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
+        found = next(csv.reader(fh), None)
         if found is None:
             raise DataFormatError(f"{path}: empty file")
         found = tuple(h.strip().lower() for h in found)
@@ -240,20 +249,45 @@ def _parse_columns(path, header: tuple[str, ...]) -> dict[str, np.ndarray]:
             raise DataFormatError(
                 f"{path}: header {found} does not match expected {header}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                flat.extend(map(float, row))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{line_no}: {exc}") from None
+        rows = fh.read()
+    table = _fast_table(rows, len(header))
+    if table is None:
+        table = _csv_table(path, rows, len(header))
+    return dict(zip(header, table.T))
+
+
+def _fast_table(rows: str, n_columns: int) -> np.ndarray | None:
+    """The data rows as an n x ``n_columns`` table from ``np.loadtxt``, or
+    None where the ``csv``-module loop has to decide what they mean."""
+    if not rows.strip():
+        return None  # loadtxt would warn of empty input
+    try:
+        table = np.loadtxt(io.StringIO(rows), delimiter=",", comments=None, ndmin=2,
+                           dtype=np.float64)
+    except ValueError:
+        return None
+    return table if table.shape[1] == n_columns else None
+
+
+def _csv_table(path, rows: str, n_columns: int) -> np.ndarray:
+    """The data rows (the text after the header row) as an n x
+    ``n_columns`` table, read by the ``csv`` module with one ``float()``
+    per field; blank rows are skipped."""
+    flat: list[float] = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(rows, newline="")), start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != n_columns:
+            raise DataFormatError(
+                f"{path}:{line_no}: expected {n_columns} fields, got {len(row)}"
+            )
+        try:
+            flat.extend(map(float, row))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{line_no}: {exc}") from None
     if not flat:
         raise DataFormatError(f"{path}: no data rows")
-    return dict(zip(header, np.array(flat).reshape(-1, len(header)).T))
+    return np.array(flat).reshape(-1, n_columns)
 
 
 def _dedupe_sorted(ts: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

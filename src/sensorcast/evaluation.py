@@ -3,7 +3,8 @@
 A scenario fixes a dataset, a method, a history length H and a forecast
 window W.  Running it draws seeded rolling-origin splits, fits on each
 history, forecasts the window, and records accuracy (MAPE) plus how many
-of the W transmissions the threshold rule would have suppressed.  Rows
+of the W transmissions the threshold rule would have suppressed.  The S
+splits of a scenario are scored as one S x H and one S x W block.  Rows
 sharing a seed share split origins exactly, which is what makes the paired
 significance test and the fairness rule meaningful.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .datasets import DatasetDescriptor
 from .dps import suppressed
-from .forecast import METHOD_SPECS, FitConfig, MethodKind, fit_model, forecast
+from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, fit_model, forecast
 from .series import TimeSeries, extract_splits, quantize_to_resolution
 
 __all__ = [
@@ -57,31 +59,52 @@ class CalibrationError(ValueError):
     """Resolution calibration cannot produce a meaningful answer."""
 
 
-def mape(actual, predicted) -> tuple[float, int]:
+def mape(actual, predicted):
     """Mean absolute percentage error and the count of skipped terms.
 
     Terms whose actual value is within 1e-12 of zero cannot contribute a
-    percentage and are excluded; if that excludes everything the error is
-    undefined and :class:`MapeUndefined` is raised.
+    percentage and are excluded.  On two vectors the result is a float and
+    an int, and if every term is excluded the error is undefined and
+    :class:`MapeUndefined` is raised.  On two S x W blocks it is one error
+    per row, NaN for a row whose every term is excluded, and one skipped
+    count per row.
+
+    Every row is averaged as it would be on its own: rows with no excluded
+    term by one ``np.mean`` over the block (numpy sums each contiguous row
+    pairwise, exactly as it sums a vector), the others compressed one by
+    one, because zeros in place of the excluded terms would change the
+    pairwise grouping.  Excluded terms are never computed.
     """
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
-    if actual.shape != predicted.shape or actual.ndim != 1:
+    if actual.shape != predicted.shape or actual.ndim not in (1, 2):
         raise ValueError(
-            f"actual and predicted must be equal-length vectors, got "
+            f"actual and predicted must be equal-shape vectors or blocks, got "
             f"{actual.shape} and {predicted.shape}"
         )
-    if len(actual) == 0:
+    if actual.shape[-1] == 0:
         raise ValueError("mape needs at least one term")
-    keep = np.abs(actual) > _ZERO_DENOM
-    skipped = int(len(actual) - np.count_nonzero(keep))
-    if not np.any(keep):
+    rows, predicted_rows = np.atleast_2d(actual, predicted)
+    keep = np.abs(rows) > _ZERO_DENOM
+    kept = np.count_nonzero(keep, axis=1)
+    whole = kept == rows.shape[1]
+    values = np.full(len(rows), np.nan)
+    values[whole] = _mean_terms(rows[whole], predicted_rows[whole])
+    for i in np.flatnonzero(~whole & (kept > 0)):
+        values[i] = _mean_terms(rows[i, keep[i]], predicted_rows[i, keep[i]])
+    skipped = rows.shape[1] - kept
+    if actual.ndim == 2:
+        return values, skipped
+    if not kept[0]:
         raise MapeUndefined(f"all {len(actual)} terms have zero denominators")
+    return float(values[0]), int(skipped[0])
+
+
+def _mean_terms(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     # Scaling by 2**-8 is exact here, so the terms are 100 (a - p) / a bit
     # for bit, but 100 (a - p) cannot overflow near the float limit.
-    a, p = actual[keep] / 256.0, predicted[keep] / 256.0
-    terms = np.abs(100.0 * (a - p) / a)
-    return float(np.mean(terms)), skipped
+    a, p = actual / 256.0, predicted / 256.0
+    return np.mean(np.abs(100.0 * (a - p) / a), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -181,10 +204,10 @@ class ScenarioResult:
             "fairness": self.fairness,
             "skipped_terms": self.skipped_total,
             "per_split": {
-                "origins": [int(v) for v in self.origins],
-                "mape": [_finite_or_none(float(v)) for v in self.mape_values],
-                "skipped": [int(v) for v in self.skipped_terms],
-                "avoided": [int(v) for v in self.avoided],
+                "origins": self.origins.tolist(),
+                "mape": [_finite_or_none(v) for v in self.mape_values.tolist()],
+                "skipped": self.skipped_terms.tolist(),
+                "avoided": self.avoided.tolist(),
             },
         }
 
@@ -192,49 +215,71 @@ class ScenarioResult:
 def _finite_or_none(value: float) -> float | None:
     # JSON has no NaN or Infinity: an undefined or overflowed MAPE is null
     # (an empty cell in the CSV).
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
-def count_avoided(method: MethodKind, history_last: float, window: np.ndarray,
-                  predicted: np.ndarray, delta_min: float) -> int:
+def count_avoided(method: MethodKind, history_last, window: np.ndarray,
+                  predicted: np.ndarray, delta_min: float):
     """Window steps the threshold rule would have suppressed.
 
     The value-holding method re-anchors on every transmitted value, exactly
     as its protocol run does; every other method forecasts the whole window
-    from the fit, so suppression is a pointwise comparison.
+    from the fit, so suppression is a pointwise comparison.  On vectors the
+    result is an int.  On S x W blocks, with one ``history_last`` per row,
+    it is one count per row, and value-holding is one pass over the W
+    columns, each compared for all S rows at once.
     """
+    windows = np.atleast_2d(window)
     if METHOD_SPECS[method].holds:
-        base = history_last
-        avoided = 0
-        for value in window.tolist():
-            if suppressed(base, value, delta_min):
-                avoided += 1
-            else:
-                base = value
-        return avoided
-    return int(np.count_nonzero(suppressed(predicted, window, delta_min)))
+        avoided = _held_steps(np.atleast_1d(history_last), windows, delta_min)
+    else:
+        avoided = np.count_nonzero(
+            suppressed(np.atleast_2d(predicted), windows, delta_min), axis=1)
+    return avoided if np.ndim(window) == 2 else int(avoided[0])
+
+
+def _held_steps(history_last: np.ndarray, windows: np.ndarray, delta_min: float) -> np.ndarray:
+    # A row holds the history's last value until its first transmission,
+    # then the last transmitted reading.  An overflowing difference is inf,
+    # so that step transmits.  Against the history's value (a numpy float)
+    # the overflow warns; once re-anchored, two readings are compared as
+    # the protocol compares them, as Python floats, without a warning.
+    base = history_last.astype(np.float64)
+    fresh = np.ones(len(base), dtype=bool)
+    avoided = np.zeros(len(base), dtype=np.int64)
+    for column in windows.T:
+        held = np.empty(len(base), dtype=bool)
+        held[fresh] = suppressed(base[fresh], column[fresh], delta_min)
+        with np.errstate(over="ignore"):
+            held[~fresh] = suppressed(base[~fresh], column[~fresh], delta_min)
+        avoided += held
+        fresh &= held
+        base = np.where(held, base, column)
+    return avoided
+
+
+def _forecasts(histories: np.ndarray, config: FitConfig, n_steps: int) -> np.ndarray:
+    # The S x W forecast block: closed-form methods in one go, fitted ones
+    # one fit per history.
+    spec = METHOD_SPECS[config.method]
+    if spec.forecast_block is None:
+        return np.array([forecast(fit_model(history, config), n_steps)
+                         for history in histories])
+    if histories.shape[1] < spec.min_history(config):
+        raise FitError(f"{config.method.value} needs a history of at least "
+                       f"{spec.min_history(config)} values")
+    return spec.forecast_block(histories, n_steps)
 
 
 def run_scenario(scenario: Scenario, series: TimeSeries) -> ScenarioResult:
-    """Evaluate one grid cell over its seeded splits."""
+    """Evaluate one grid cell over its seeded splits, scored as one block."""
     s = scenario
     splits = extract_splits(series, s.history_len, s.window_len, s.n_splits, s.seed)
-    delta = s.descriptor.threshold
-    origins = np.array([sp.origin for sp in splits], dtype=np.int64)
-    mape_values = np.empty(len(splits))
-    skipped = np.zeros(len(splits), dtype=np.int64)
-    avoided = np.zeros(len(splits), dtype=np.int64)
-    for i, sp in enumerate(splits):
-        model = fit_model(sp.history, s.config)
-        predicted = forecast(model, s.window_len)
-        try:
-            mape_values[i], skipped[i] = mape(sp.window, predicted)
-        except MapeUndefined:
-            mape_values[i] = np.nan
-            skipped[i] = s.window_len
-        avoided[i] = count_avoided(s.config.method, sp.history[-1], sp.window,
-                                   predicted, delta)
-    return ScenarioResult(scenario=s, origins=origins, mape_values=mape_values,
+    predicted = _forecasts(splits.histories, s.config, s.window_len)
+    mape_values, skipped = mape(splits.windows, predicted)
+    avoided = count_avoided(s.config.method, splits.histories[:, -1], splits.windows,
+                            predicted, s.descriptor.threshold)
+    return ScenarioResult(scenario=s, origins=splits.origins, mape_values=mape_values,
                           skipped_terms=skipped, avoided=avoided)
 
 

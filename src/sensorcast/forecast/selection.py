@@ -4,7 +4,8 @@ A :class:`MethodSpec` holds what the rest of the package needs to know
 about a forecasting family: its wire code, how to fit it, how to forecast
 from a fitted model, its payload table (each order it can produce and the
 float counts that order ships), the shortest history it can be fitted on,
-and whether it is the value-holding baseline.
+whether it is the value-holding baseline, and, for the closed-form
+kinds, how to forecast a whole block of histories at once.
 Fitters are looked up by module-global name at call time, so a wrapper
 installed on ``fit_arima`` or ``fit_exponential_smoothing`` here sees
 every call.
@@ -37,7 +38,10 @@ class MethodSpec:
     (param count, state count) a model of those orders carries; a model
     update with any other orders is malformed.  ``holds`` marks
     value-holding: it predicts the last transmitted value, re-anchors on
-    every transmission and never ships a model.
+    every transmission and never ships a model.  ``forecast_block`` maps
+    an S x H block of histories to the S x W block of their forecasts,
+    bit for bit what ``fit`` and ``forecast`` give row by row; the fitted
+    kinds have none.
     """
 
     code: int
@@ -46,10 +50,11 @@ class MethodSpec:
     payloads: dict[Orders, tuple[int, int]]
     min_history: Callable[[FitConfig], int]
     holds: bool = False
+    forecast_block: Callable[[np.ndarray, int], np.ndarray] | None = None
 
 
-def _flat(value: float, n_steps: int) -> np.ndarray:
-    return np.full(n_steps, value)
+def _flat(value: float, shape: int | tuple[int, int]) -> np.ndarray:
+    return np.full(shape, value)
 
 
 def _line(level: float, slope: float, n_steps: int) -> np.ndarray:
@@ -67,15 +72,20 @@ METHOD_SPECS: dict[MethodKind, MethodSpec] = {
     MethodKind.CONSTANT: MethodSpec(
         code=0, fit=lambda history, config: fit_constant(history),
         forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
-        min_history=lambda config: 1, holds=True),
+        min_history=lambda config: 1, holds=True,
+        forecast_block=lambda histories, n: _flat(histories[:, -1:], (len(histories), n))),
     MethodKind.LINEAR: MethodSpec(
         code=1, fit=lambda history, config: fit_linear(history),
         forecast=lambda model, n: _line(*model.params, n), payloads={(0, 0, 0): (2, 0)},
-        min_history=lambda config: 2),
+        min_history=lambda config: 2,
+        forecast_block=lambda histories, n: _line(
+            histories[:, -1:], histories[:, -1:] - histories[:, -2:-1], n)),
     MethodKind.SIMPLE_MEAN: MethodSpec(
         code=2, fit=lambda history, config: fit_simple_mean(history),
         forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
-        min_history=lambda config: 1),
+        min_history=lambda config: 1,
+        forecast_block=lambda histories, n: _flat(np.mean(histories, axis=1, keepdims=True),
+                                                  (len(histories), n))),
     MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(
         code=3, fit=lambda history, config: fit_exponential_smoothing(history, config),
         forecast=_forecast_smoothing, payloads={(1, 0, 0): (1, 1), (2, 0, 0): (2, 2)},

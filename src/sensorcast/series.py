@@ -8,13 +8,13 @@ series can be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "TimeSeries",
-    "Split",
+    "Splits",
     "interpolate_gaps",
     "quantize_to_resolution",
     "extract_splits",
@@ -93,27 +93,21 @@ class TimeSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class Split:
-    """One rolling-origin evaluation split.
+class Splits:
+    """S rolling-origin evaluation splits as blocks.
 
-    ``history`` is the model-fitting segment, ``window`` the segment being
-    forecast; the window starts immediately after the history in the source
-    series and ``origin`` is the index of the first history sample.
+    Row ``i`` of ``histories`` (S x H) is the model-fitting segment that
+    starts at ``origins[i]``; row ``i`` of ``windows`` (S x W) is the
+    segment being forecast, which starts right after it in the source
+    series.  All three arrays are read-only, and ``len`` is S.
     """
 
-    history: np.ndarray
-    window: np.ndarray
-    origin: int = 0
+    origins: np.ndarray
+    histories: np.ndarray
+    windows: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "history", _as_readonly_f64(self.history, "history"))
-        object.__setattr__(self, "window", _as_readonly_f64(self.window, "window"))
-        if len(self.history) < 1:
-            raise ValueError("split history must be non-empty")
-        if len(self.window) < 1:
-            raise ValueError("split window must be non-empty")
-        if self.origin < 0:
-            raise ValueError(f"origin must be >= 0, got {self.origin}")
+    def __len__(self) -> int:
+        return len(self.origins)
 
 
 def interpolate_gaps(series: TimeSeries, expected_period: float) -> TimeSeries:
@@ -153,12 +147,14 @@ def quantize_to_resolution(series: TimeSeries, resolution: float) -> TimeSeries:
 
 
 def extract_splits(series: TimeSeries, history_len: int, window_len: int,
-                   n_splits: int, seed: int) -> list[Split]:
+                   n_splits: int, seed: int) -> Splits:
     """Draw ``n_splits`` rolling-origin splits with fixed segment lengths.
 
     Origins are uniform over every feasible start index, drawn without
     replacement while enough distinct origins exist and with replacement
-    otherwise.  The draw is fully determined by ``seed``.
+    otherwise.  The draw is fully determined by ``seed``.  The segments
+    come back as one S x H and one S x W block, each gathered by a single
+    fancy index into the series values, so every row is a contiguous copy.
     """
     if history_len < 1 or window_len < 1:
         raise ValueError("history_len and window_len must be >= 1")
@@ -173,15 +169,13 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
     n_origins = len(series) - need + 1
     rng = np.random.default_rng(seed)
     origins = rng.choice(n_origins, size=n_splits, replace=n_origins < n_splits)
-    out = []
-    for o in origins:
-        o = int(o)
-        out.append(Split(
-            history=series.values[o:o + history_len],
-            window=series.values[o + history_len:o + need],
-            origin=o,
-        ))
-    return out
+    starts = origins[:, np.newaxis]
+    blocks = (origins,
+              series.values[starts + np.arange(history_len)],
+              series.values[starts + np.arange(history_len, need)])
+    for block in blocks:
+        block.setflags(write=False)
+    return Splits(*blocks)
 
 
 def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> TimeSeries:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sensorcast import datasets
 from sensorcast.datasets import (
     BALL_GROUPS,
     BallParams,
@@ -317,3 +321,74 @@ def test_load_tolerates_blank_lines_and_header_case(tmp_path):
     )
     s = load_csv(path, descriptor_for("intel"))
     assert len(s) == 2
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e400", "4e-324", "-0", ".5", "5.",
+                     "1E5", "+3"]),
+)
+_PAD = st.sampled_from(["", " ", "\t"])
+_ROW = st.lists(st.tuples(_PAD, _NUMBER, _PAD).map("".join), min_size=3, max_size=3).map(",".join)
+# Rows only the csv-module loop reads, or refuses with a line number.
+_ODD_ROW = st.one_of(
+    st.sampled_from(["", "  ", "\t", ", ,", " , , ", "#1,2,3", '"1",2,3', "2_5,1,2", "1,2,3,",
+                     "1,2", "1,2,3,4", "1,2,3\r4,5,6"]),
+    st.lists(st.text(alphabet="0123456789.-e +\t\"#_", max_size=4), max_size=4).map(",".join),
+)
+
+
+def _outcome(read, *args):
+    # A DataFormatError, or the ValueError of a series the rows cannot make.
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _csv_columns(path, header):
+    # The csv-module reading of the whole file, header check included.
+    with open(path, encoding="utf-8", newline="") as fh:
+        next(fh)
+        rows = fh.read()
+    return dict(zip(header, datasets._csv_table(path, rows, len(header)).T))
+
+
+def _loaded(path, descriptor):
+    series = load_csv(path, descriptor)
+    return series.timestamps.tobytes(), series.values.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW, max_size=6),
+       odd=st.lists(st.tuples(st.integers(0, 6), _ODD_ROW), max_size=2),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans())
+def test_csv_fast_path_matches_the_csv_module_path(tmp_path_factory, rows, odd, newline,
+                                                   final_newline):
+    # GPS tracks keep raw timestamps, so load_csv does no gap filling here.
+    header = ("timestamp", "latitude", "longitude")
+    for at, row in odd:
+        rows.insert(at, row)
+    rows = newline.join(rows) + (newline if final_newline else "")
+    path = tmp_path_factory.mktemp("csv") / "track.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n" + rows)
+
+    slow = _outcome(datasets._csv_table, path, rows, len(header))
+    fast = datasets._fast_table(rows, len(header))
+    if fast is not None:
+        assert not isinstance(slow, str), slow
+        assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+
+    expected = _outcome(_csv_columns, path, header)
+    got = _outcome(datasets._parse_columns, path, header)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert [v.tobytes() for v in got.values()] == [v.tobytes() for v in expected.values()]
+
+    descriptor = descriptor_for("running_latitude")
+    with mock.patch.object(datasets, "_parse_columns", _csv_columns):
+        expected = _outcome(_loaded, path, descriptor) if not isinstance(expected, str) else expected
+    assert _outcome(_loaded, path, descriptor) == expected

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorcast.datasets import ball_series, descriptor_for
 from sensorcast.dps import run_dps
@@ -28,8 +30,8 @@ from sensorcast.evaluation import (
     mape,
     run_scenario,
 )
-from sensorcast.forecast import FitConfig, MethodKind, fit_model, forecast
-from sensorcast.series import TimeSeries
+from sensorcast.forecast import FitConfig, FitError, MethodKind, fit_model, forecast, min_history
+from sensorcast.series import TimeSeries, extract_splits
 
 
 def make_result(mape_values, avoided, *, method="linear", seed=0, window_len=10,
@@ -343,3 +345,72 @@ def test_emit_report_csv_and_json(tmp_path):
 def test_emit_report_requires_rows(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "a.json", tmp_path / "a.csv")
+
+
+def _split_oracle(scenario, series):
+    # One split at a time: fit, forecast, then the vector mape and
+    # count_avoided on the origin's slices.  The MAPE is also checked
+    # against its definition, compressed terms averaged by np.mean, since
+    # the vector mape is the one-row case of the block code.
+    s = scenario
+    splits = extract_splits(series, s.history_len, s.window_len, s.n_splits, s.seed)
+    rows = []
+    for origin in splits.origins.tolist():
+        history = series.values[origin:origin + s.history_len]
+        window = series.values[origin + s.history_len:origin + s.history_len + s.window_len]
+        predicted = forecast(fit_model(history, s.config), s.window_len)
+        keep = np.abs(window) > 1e-12
+        try:
+            value, skipped = mape(window, predicted)
+        except MapeUndefined:
+            value, skipped = float("nan"), s.window_len
+            assert not keep.any()
+        else:
+            a, p = window[keep] / 256.0, predicted[keep] / 256.0
+            assert value.hex() == float(np.mean(np.abs(100.0 * (a - p) / a))).hex()
+        avoided = count_avoided(s.config.method, history[-1], window, predicted,
+                                s.descriptor.threshold)
+        rows.append((origin, value.hex(), skipped, avoided))
+    return rows
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(method=st.sampled_from([m.value for m in MethodKind]),
+       exponent=st.sampled_from((-300, -150, -12, 0, 150, 300)),
+       zero_share=st.sampled_from((0.0, 0.2, 0.6)),
+       extra_history=st.integers(0, 12),
+       window_len=st.integers(1, 24),
+       n_splits=st.integers(1, 40),
+       spare_origins=st.integers(0, 30),
+       relative_delta=st.sampled_from((1e-3, 0.5, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_scenario_equals_a_per_split_oracle(method, exponent, zero_share, extra_history,
+                                                window_len, n_splits, spare_origins,
+                                                relative_delta, seed):
+    # Exact zeros make skipped terms; a zeroed stretch longer than a window
+    # makes all-zero windows (NaN rows); more splits than origins draws
+    # origins with replacement.
+    config = FitConfig(method=method)
+    history_len = min_history(config) + extra_history
+    if method in ("arima", "exponential_smoothing"):
+        n_splits = 1 + n_splits % 3
+    rng = np.random.default_rng(seed)
+    n = history_len + window_len + spare_origins
+    values = rng.standard_normal(n) * np.where(rng.random(n) < zero_share, 0.0, 1.0)
+    start = int(rng.integers(0, n))
+    values[start:start + window_len + int(rng.integers(0, 5))] = 0.0
+    scale = 10.0 ** exponent
+    series = TimeSeries.regular(values * scale)
+    scenario = Scenario(descriptor=descriptor_for("ball", delta_min=relative_delta * scale),
+                        config=config, history_len=history_len, window_len=window_len,
+                        n_splits=n_splits, seed=seed)
+    try:
+        expected = _split_oracle(scenario, series)
+    except FitError:
+        with pytest.raises(FitError):
+            run_scenario(scenario, series)
+        return
+    row = run_scenario(scenario, series)
+    got = list(zip(row.origins.tolist(), [v.hex() for v in row.mape_values.tolist()],
+                   row.skipped_terms.tolist(), row.avoided.tolist()))
+    assert got == expected

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sensorcast.series import (
-    Split,
     TimeSeries,
     extract_splits,
     gap_fill,
@@ -64,13 +63,17 @@ def test_with_values_and_slice(short_series):
         short_series.slice(0, 6)
 
 
-def test_split_validation():
-    s = Split(history=[1.0, 2.0], window=[3.0], origin=4)
-    assert s.origin == 4
+def test_split_blocks_are_readonly_copies():
+    values = np.arange(30.0)
+    s = TimeSeries.regular(values)
+    splits = extract_splits(s, history_len=4, window_len=3, n_splits=5, seed=1)
+    assert len(splits) == 5
+    assert splits.histories.shape == (5, 4) and splits.windows.shape == (5, 3)
+    for block in (splits.origins, splits.histories, splits.windows):
+        assert not block.flags.writeable
+        assert not np.shares_memory(block, s.values)
     with pytest.raises(ValueError):
-        Split(history=[], window=[1.0])
-    with pytest.raises(ValueError):
-        Split(history=[1.0], window=[2.0], origin=-1)
+        splits.histories[0, 0] = 99.0
 
 
 def test_interpolate_gaps_fills_missing_grid_points():
@@ -134,31 +137,29 @@ def test_extract_splits_shapes_and_determinism():
     a = extract_splits(s, history_len=10, window_len=5, n_splits=20, seed=42)
     b = extract_splits(s, history_len=10, window_len=5, n_splits=20, seed=42)
     assert len(a) == 20
-    for sa, sb in zip(a, b):
-        assert sa.origin == sb.origin
-        np.testing.assert_array_equal(sa.history, sb.history)
-        np.testing.assert_array_equal(sa.window, sb.window)
-    for sp in a:
-        assert 0 <= sp.origin <= 100 - 15
-        # Segments are literal slices of the source values.
-        np.testing.assert_array_equal(sp.history, np.arange(sp.origin, sp.origin + 10.0))
-        np.testing.assert_array_equal(
-            sp.window, np.arange(sp.origin + 10.0, sp.origin + 15.0))
+    np.testing.assert_array_equal(a.origins, b.origins)
+    np.testing.assert_array_equal(a.histories, b.histories)
+    np.testing.assert_array_equal(a.windows, b.windows)
+    assert a.histories.shape == (20, 10) and a.windows.shape == (20, 5)
+    for origin, history, window in zip(a.origins, a.histories, a.windows):
+        assert 0 <= origin <= 100 - 15
+        # Rows are literal slices of the source values.
+        np.testing.assert_array_equal(history, np.arange(origin, origin + 10.0))
+        np.testing.assert_array_equal(window, np.arange(origin + 10.0, origin + 15.0))
 
 
 def test_extract_splits_without_replacement_when_possible():
     s = TimeSeries.regular(np.arange(40.0))
     # 40 - 15 + 1 = 26 feasible origins for 26 requested splits.
     splits = extract_splits(s, 10, 5, 26, seed=0)
-    origins = [sp.origin for sp in splits]
-    assert len(set(origins)) == 26
+    assert len(set(splits.origins.tolist())) == 26
 
 
 def test_extract_splits_with_replacement_when_origins_scarce():
     s = TimeSeries.regular(np.arange(16.0))
     # Only 2 feasible origins; 10 draws must repeat.
     splits = extract_splits(s, 10, 5, 10, seed=0)
-    origins = {sp.origin for sp in splits}
+    origins = set(splits.origins.tolist())
     assert origins <= {0, 1}
     assert len(splits) == 10
 
