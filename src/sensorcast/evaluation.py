@@ -22,6 +22,7 @@ import numpy as np
 from .datasets import DatasetDescriptor
 from .dps import suppressed
 from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, fit_model, forecast
+from .forecast.models import _unit_scaled
 from .series import TimeSeries, extract_splits, quantize_to_resolution
 
 __all__ = [
@@ -103,8 +104,10 @@ def mape(actual, predicted):
 def _mean_terms(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     # Scaling by 2**-8 is exact here, so the terms are 100 (a - p) / a bit
     # for bit, but 100 (a - p) cannot overflow near the float limit.
+    # A term or row past the largest float is inf, so its MAPE reads null.
     a, p = actual / 256.0, predicted / 256.0
-    return np.mean(np.abs(100.0 * (a - p) / a), axis=-1)
+    with np.errstate(over="ignore"):
+        return np.mean(np.abs(100.0 * (a - p) / a), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -151,14 +154,17 @@ class ScenarioResult:
         defined = self.mape_values[~np.isnan(self.mape_values)]
         if len(defined) == 0:
             return float("nan")
-        return float(np.mean(defined))
+        return _unit_scaled_stat(np.mean, defined)
 
     @property
     def mape_std(self) -> float:
         defined = self.mape_values[~np.isnan(self.mape_values)]
         if len(defined) < 2:
             return 0.0
-        return float(np.std(defined, ddof=1))
+        if np.isinf(defined).any():
+            # An overflowed MAPE has no spread (NaN, so null in the report).
+            return float("nan")
+        return _unit_scaled_stat(lambda v: np.std(v, ddof=1), defined)
 
     @property
     def ci95(self) -> float:
@@ -212,6 +218,14 @@ class ScenarioResult:
         }
 
 
+def _unit_scaled_stat(stat, values: np.ndarray) -> float:
+    # stat(values) taken on the values scaled by the power of two that puts
+    # max|v| in [0.5, 1), then scaled back: no sum or square overflows, and
+    # for normal values the scaling is exact, so the result is stat's.
+    scaled, exponent = _unit_scaled(values)
+    return float(np.ldexp(stat(scaled), exponent))
+
+
 def _finite_or_none(value: float) -> float | None:
     # JSON has no NaN or Infinity: an undefined or overflowed MAPE is null
     # (an empty cell in the CSV).
@@ -230,30 +244,25 @@ def count_avoided(method: MethodKind, history_last, window: np.ndarray,
     columns, each compared for all S rows at once.
     """
     windows = np.atleast_2d(window)
-    if METHOD_SPECS[method].holds:
-        avoided = _held_steps(np.atleast_1d(history_last), windows, delta_min)
-    else:
-        avoided = np.count_nonzero(
-            suppressed(np.atleast_2d(predicted), windows, delta_min), axis=1)
+    # An overflowing difference is inf, so that step transmits, as it does
+    # in the protocol, which compares Python floats and never warns.
+    with np.errstate(over="ignore"):
+        if METHOD_SPECS[method].holds:
+            avoided = _held_steps(np.atleast_1d(history_last), windows, delta_min)
+        else:
+            avoided = np.count_nonzero(
+                suppressed(np.atleast_2d(predicted), windows, delta_min), axis=1)
     return avoided if np.ndim(window) == 2 else int(avoided[0])
 
 
 def _held_steps(history_last: np.ndarray, windows: np.ndarray, delta_min: float) -> np.ndarray:
     # A row holds the history's last value until its first transmission,
-    # then the last transmitted reading.  An overflowing difference is inf,
-    # so that step transmits.  Against the history's value (a numpy float)
-    # the overflow warns; once re-anchored, two readings are compared as
-    # the protocol compares them, as Python floats, without a warning.
+    # then the last transmitted reading.
     base = history_last.astype(np.float64)
-    fresh = np.ones(len(base), dtype=bool)
     avoided = np.zeros(len(base), dtype=np.int64)
     for column in windows.T:
-        held = np.empty(len(base), dtype=bool)
-        held[fresh] = suppressed(base[fresh], column[fresh], delta_min)
-        with np.errstate(over="ignore"):
-            held[~fresh] = suppressed(base[~fresh], column[~fresh], delta_min)
+        held = suppressed(base, column, delta_min)
         avoided += held
-        fresh &= held
         base = np.where(held, base, column)
     return avoided
 

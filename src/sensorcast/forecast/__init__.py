@@ -18,7 +18,7 @@ from .models import (
     fit_simple_mean,
     gaussian_neg2_loglik,
 )
-from .optimize import SimplexResult, golden_section, nelder_mead
+from .optimize import SimplexResult, nelder_mead
 from .selection import METHOD_SPECS, fit_model, forecast, min_history
 from .smoothing import fit_exponential_smoothing, simple_errors, trend_errors
 
@@ -42,7 +42,6 @@ __all__ = [
     "fit_simple_mean",
     "forecast",
     "gaussian_neg2_loglik",
-    "golden_section",
     "min_history",
     "nelder_mead",
     "simple_errors",

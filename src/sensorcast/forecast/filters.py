@@ -3,7 +3,7 @@
 Each fitter turns differences into one-step errors by inverting an MA
 polynomial, e = x / (1 + theta_1 B + theta_2 B^2), which is
 ``scipy.signal.lfilter([1.0], a, x)`` with a = [1, theta_1, theta_2].  A
-fit runs that filter hundreds (smoothing) to thousands (ARIMA) of times in
+fit runs that filter tens (smoothing) to thousands (ARIMA) of times in
 sequence over a few dozen samples, where lfilter's Python wrapper (array-API
 dispatch, ``atleast_1d``, ``asarray``, size checks) costs about twice its C
 kernel.  ``all_pole`` calls the kernel with exactly the arguments lfilter

@@ -107,14 +107,15 @@ class FitConfig:
 
     ``order_grid`` restricts the ARIMA search; ``es_variants`` restricts the
     smoothing family ("simple", "trend"); an explicit ``es_alpha_grid``
-    (non-empty, every weight finite and in [0, 1]; stored sorted, since
-    refinement brackets between grid neighbours) replaces the default
-    coarse grid of level weights (and its [0.01, 0.99] clamp), while the
-    trend weight always searches the default grid.
-    ``budget`` scales optimizer effort: the ARIMA simplex, which searches
-    at most 2 MA coefficients, is capped at ``budget**3`` objective
-    evaluations, refinement runs ``3 * budget``
-    bracket steps, and default smoothing grids densify with it.
+    (non-empty, every weight finite and in [0, 1]; stored sorted) replaces
+    the default coarse grid of level weights, and the level weight's search
+    box becomes [min, max] of that grid instead of [0.01, 0.99], so a single
+    weight fixes it; the trend weight always searches the default grid and
+    [0.01, 0.99].
+    ``budget`` scales optimizer effort: every search is capped at
+    ``max_evals = budget**3`` objective evaluations (the ARIMA simplex over
+    at most 2 MA coefficients, and the smoothing Gauss-Newton trials), and
+    default smoothing grids densify with it.
     """
 
     method: MethodKind = MethodKind.CONSTANT
@@ -153,10 +154,6 @@ class FitConfig:
     @property
     def max_evals(self) -> int:
         return max(1, self.budget) ** 3
-
-    @property
-    def refine_iters(self) -> int:
-        return max(1, 3 * self.budget)
 
 
 def aicc(neg2_loglik: float, k: int, n: int) -> float:
@@ -214,8 +211,9 @@ def fit_linear(history: np.ndarray) -> ForecastModel:
     history = np.asarray(history, dtype=np.float64)
     if len(history) < 2:
         raise FitError("linear model needs at least two observations")
-    slope = history[-1] - history[-2]
-    return ForecastModel(kind=MethodKind.LINEAR, params=[history[-1], slope],
+    # On Python floats an overflowing slope is inf, without a warning.
+    previous, last = history[-2:].tolist()
+    return ForecastModel(kind=MethodKind.LINEAR, params=[last, last - previous],
                          k=2, fit_n=len(history))
 
 
@@ -224,5 +222,17 @@ def fit_simple_mean(history: np.ndarray) -> ForecastModel:
     history = np.asarray(history, dtype=np.float64)
     if len(history) < 1:
         raise FitError("simple mean needs at least one observation")
-    return ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=[np.mean(history)],
+    return ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=_row_means(history),
                          k=1, fit_n=len(history))
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    # np.mean(rows, axis=-1, keepdims=True), taken on each row scaled by the
+    # power of two that puts its max|x| in [0.5, 1): no sum can overflow, and
+    # the scaling is exact unless a value falls into the subnormal range, so
+    # the mean is np.mean's bit for bit.  np.mean is this sum over the count;
+    # the ufuncs are called directly because np.mean's and np.max's wrappers
+    # cost more than their arithmetic on a short history.
+    _, exponent = np.frexp(np.maximum.reduce(np.abs(rows), axis=-1, keepdims=True))
+    total = np.add.reduce(np.ldexp(rows, -exponent), axis=-1, keepdims=True)
+    return np.ldexp(total / rows.shape[-1], exponent)

@@ -1,16 +1,18 @@
-"""Derivative-free minimizers used by the model fitters.
+"""Minimizers used by the model fitters.
 
-Both routines are deterministic: no randomness, no environment-dependent
-stopping rules.
+``nelder_mead`` is derivative-free; ``gauss_newton`` minimizes a sum of
+squares inside a box from the residuals' Jacobian.  Both are
+deterministic: no randomness, no environment-dependent stopping rules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimplexResult", "nelder_mead", "golden_section"]
+__all__ = ["SimplexResult", "gauss_newton", "nelder_mead"]
 
 
 @dataclass(frozen=True)
@@ -126,28 +128,99 @@ def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
     return SimplexResult(x=np.array(simplex[best]), fun=fvals[best], n_evals=n_evals)
 
 
-def golden_section(fn, lo: float, hi: float, *, iters: int = 30) -> float:
-    """Locate the minimizer of a unimodal ``fn`` on [lo, hi].
+# Marquardt's damping starts at _LAMBDA0 and follows the gain ratio rho,
+# the actual over the predicted fall of the sum of squares (Nielsen's rule:
+# Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
+# problems", 2004, sec. 3.2).  Its floor keeps a damped 2 x 2 determinant
+# positive: at least 2 * _LAMBDA_MIN * H00 * H11, far above the rounding of
+# the Gram.  A step that lowers the sum of squares by at most _FTOL of it
+# ends the search.
+_LAMBDA0 = 1e-3
+_LAMBDA_MIN = 1e-6
+_FTOL = 1e-10
 
-    Fixed iteration count keeps the bracket width at
-    ``0.618**iters * (hi - lo)``; 30 iterations shrink the interval by ~1e-6.
+
+def gauss_newton(residuals, stacked_jacobian, x0, lo, hi, *, max_trials: int) -> list[float]:
+    """Minimize ``|residuals(x)|**2`` over the box ``lo <= x <= hi`` from ``x0``.
+
+    Levenberg-Marquardt: each step solves (JᵀJ + λ diag(JᵀJ)) d = -Jᵀe on
+    the free coordinates and clips x + d to the box.  A coordinate at a
+    bound whose descent direction points out of the box is held there, as
+    is one with lo == hi or an all-zero Jacobian column.  A trial is kept
+    only if it lowers the sum of squares, so the search never ends above
+    its start.  ``max_trials`` caps the calls of ``residuals`` after the
+    one at ``x0``.
+
+    ``residuals(x)`` takes x as a list of Python floats and returns e as a
+    1-D array.  ``stacked_jacobian(x, e)`` returns the rows of Jᵀ followed
+    by e, a (k + 1) x n array, whose one Gram product gives JᵀJ and Jᵀe;
+    the at most 2 x 2 system is then solved on Python floats.  ``x0`` must
+    lie in the box.
     """
-    if not (lo <= hi):
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    if lo == hi or iters <= 0:
-        return lo
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
+    x = [float(v) for v in x0]
+    k = len(x)
+    if not 1 <= k <= 2:
+        raise ValueError("gauss_newton searches one or two coordinates")
+    e = residuals(x)
+    f = float(e @ e)
+    lam, nu = _LAMBDA0, 2.0
+    trials = 0
+    fresh = True
+    while trials < max_trials:
+        if fresh:
+            m = stacked_jacobian(x, e)
+            gram = (m @ m.T).tolist()
+            if not math.isfinite(sum(map(sum, gram))):
+                break
+            grad = [row[k] for row in gram]
+            free = [i for i in range(k)
+                    if lo[i] < hi[i] and gram[i][i] > 0.0
+                    and not (x[i] <= lo[i] and grad[i] > 0.0)
+                    and not (x[i] >= hi[i] and grad[i] < 0.0)]
+            if not free:
+                break
+        step = _damped_step(gram, grad, free, lam)
+        if step is None:
+            break
+        trial = list(x)
+        for i, d in zip(free, step):
+            trial[i] = min(max(x[i] + d, lo[i]), hi[i])
+        if trial == x:
+            break
+        trials += 1
+        e_trial = residuals(trial)
+        f_trial = float(e_trial @ e_trial)
+        fresh = f_trial < f
+        if fresh:
+            # The fall |e|^2 - |e + J d|^2 that the linear model predicts
+            # for the clipped step d.
+            d = [t - v for t, v in zip(trial, x)]
+            hd = [sum(h * dj for h, dj in zip(row, d)) for row in gram[:k]]
+            predicted = -sum((2.0 * g + h) * di for g, h, di in zip(grad, hd, d))
+            rho = (f - f_trial) / predicted if predicted > 0.0 else 0.0
+            converged = f - f_trial <= _FTOL * f
+            x, e, f = trial, e_trial, f_trial
+            if converged:
+                break
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _LAMBDA_MIN)
+            nu = 2.0
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return c if fc < fd else d
+            lam *= nu
+            nu *= 2.0
+    return x
+
+
+def _damped_step(gram, grad, free, lam):
+    # The damped normal equations restricted to the free coordinates, whose
+    # diagonal entries are positive; None if the 2 x 2 system is not
+    # positive definite in floating point (an overflowed Gram).
+    if len(free) == 1:
+        i, = free
+        return [-grad[i] / (gram[i][i] * (1.0 + lam))]
+    a = gram[0][0] * (1.0 + lam)
+    b = gram[0][1]
+    c = gram[1][1] * (1.0 + lam)
+    det = a * c - b * b
+    if not det > 0.0:
+        return None
+    return [(b * grad[1] - c * grad[0]) / det, (b * grad[0] - a * grad[1]) / det]

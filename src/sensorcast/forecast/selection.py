@@ -13,6 +13,7 @@ every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .arima import fit_arima, forecast_arima
 from .arima import min_history as _arima_min_history
-from .models import (FULL_ORDER_GRID, FitConfig, ForecastModel, MethodKind, fit_constant,
-                     fit_linear, fit_simple_mean)
+from .models import (FULL_ORDER_GRID, FitConfig, ForecastModel, MethodKind, _row_means,
+                     fit_constant, fit_linear, fit_simple_mean)
 from .smoothing import _MIN_HISTORY as _ES_MIN_HISTORY
 from .smoothing import fit_exponential_smoothing
 
@@ -58,7 +59,22 @@ def _flat(value: float, shape: int | tuple[int, int]) -> np.ndarray:
 
 
 def _line(level: float, slope: float, n_steps: int) -> np.ndarray:
-    return level + slope * np.arange(1, n_steps + 1, dtype=np.float64)
+    # A forecast past the largest float is inf, without a warning.  On a
+    # short window np.errstate costs more than the line, so it is entered
+    # only when the bound |level| + |slope| n, on Python floats, is not finite.
+    steps = np.arange(1, n_steps + 1, dtype=np.float64)
+    if math.isfinite(abs(float(level)) + abs(float(slope)) * n_steps):
+        return level + slope * steps
+    with np.errstate(over="ignore"):
+        return level + slope * steps
+
+
+def _line_block(histories: np.ndarray, n_steps: int) -> np.ndarray:
+    # fit_linear and _line for every row, in the same operations: an
+    # overflowing slope or forecast is inf.
+    last = histories[:, -1:]
+    with np.errstate(over="ignore"):
+        return last + (last - histories[:, -2:-1]) * np.arange(1, n_steps + 1, dtype=np.float64)
 
 
 def _forecast_smoothing(model: ForecastModel, n_steps: int) -> np.ndarray:
@@ -78,13 +94,12 @@ METHOD_SPECS: dict[MethodKind, MethodSpec] = {
         code=1, fit=lambda history, config: fit_linear(history),
         forecast=lambda model, n: _line(*model.params, n), payloads={(0, 0, 0): (2, 0)},
         min_history=lambda config: 2,
-        forecast_block=lambda histories, n: _line(
-            histories[:, -1:], histories[:, -1:] - histories[:, -2:-1], n)),
+        forecast_block=_line_block),
     MethodKind.SIMPLE_MEAN: MethodSpec(
         code=2, fit=lambda history, config: fit_simple_mean(history),
         forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
         min_history=lambda config: 1,
-        forecast_block=lambda histories, n: _flat(np.mean(histories, axis=1, keepdims=True),
+        forecast_block=lambda histories, n: _flat(_row_means(histories),
                                                   (len(histories), n))),
     MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(
         code=3, fit=lambda history, config: fit_exponential_smoothing(history, config),

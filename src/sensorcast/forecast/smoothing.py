@@ -6,11 +6,16 @@ variants compute their one-step errors as that MA filter over first or second
 differences and recover the final level and trend from the last errors.
 
 Smoothing weights are chosen by minimizing the in-sample sum of squared
-one-step-ahead errors over a coarse grid, then sharpening the best cell with
-golden-section steps.  Each variant takes its differences once; the trend
-grid runs as one recursion over all (alpha, beta) cells, bit for bit the
-per-cell filter, and each refinement step is one filter over them.  A fit
-runs about 240 such filters in sequence on a few dozen samples, so they go
+one-step-ahead errors: the best point of a coarse grid starts one bounded
+Gauss-Newton (Levenberg-Marquardt) search, ``optimize.gauss_newton``.  Each
+variant takes its differences once; the trend grid runs as one recursion
+over all (alpha, beta) cells, bit for bit the per-cell filter.  A search
+step costs two filters: e = theta(B)^-1 w, then theta(B)^-1 e, whose lags
+are the derivatives of e in theta, carried to the weights by the chain
+rule.  Alpha stays in [min, max] of its grid ([0.01, 0.99] by default) and
+beta in [0.01, 0.99]; the search never ends above its start, and its
+trials are capped at ``FitConfig.max_evals`` (budget**3).  A fit runs a
+few dozen filters in sequence on a few dozen samples, so they go
 straight to lfilter's C kernel through ``filters.all_pole``: lfilter's
 Python wrapper would cost twice the kernel.  The search runs on the history
 scaled by a power of two that puts max|x| in [0.5, 1): the scaling is
@@ -26,6 +31,8 @@ states charged as parameters) does not depend on the magnitude either.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .filters import all_pole
@@ -38,7 +45,7 @@ from .models import (
     _unit_scaled,
     aicc,
 )
-from .optimize import golden_section
+from .optimize import gauss_newton
 
 __all__ = ["fit_exponential_smoothing", "simple_errors", "trend_errors"]
 
@@ -108,48 +115,73 @@ def _best_cell(w: np.ndarray, alpha_grid: np.ndarray,
     return float(alphas[best]), float(betas[best])
 
 
-def _refine_1d(fn, grid: np.ndarray, iters: int) -> float:
-    if len(grid) == 1:
-        return float(grid[0])
-    best = int(np.argmin([fn(a) for a in grid]))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    return golden_section(fn, float(lo), float(hi), iters=iters)
-
-
+@functools.lru_cache(maxsize=None)
 def _default_grid(n_points: int) -> np.ndarray:
-    return np.linspace(_ALPHA_LO, _ALPHA_HI, n_points)
+    # Read-only, so that every fit can share one copy; the budget allows at
+    # most a dozen sizes, so the cache stays small.
+    grid = np.linspace(_ALPHA_LO, _ALPHA_HI, n_points)
+    grid.flags.writeable = False
+    return grid
+
+
+def _alpha_grid(config: FitConfig, n_points: int) -> np.ndarray:
+    if config.es_alpha_grid is not None:
+        return np.asarray(config.es_alpha_grid, dtype=np.float64)
+    return _default_grid(n_points)
 
 
 def _simple_weights(search: np.ndarray, config: FitConfig) -> list[float]:
-    grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
-            if config.es_alpha_grid is not None
-            else _default_grid(max(3, min(25, config.budget ** 2))))
+    grid = _alpha_grid(config, max(3, min(25, config.budget ** 2)))
     # simple_errors(search, a)[0], with the differences taken once.
     diffs = np.diff(search)
-    return [_refine_1d(lambda a: _sse(all_pole([1.0, a - 1.0], diffs)),
-                       grid, config.refine_iters)]
+    n = len(diffs)
+
+    def errors(x):
+        return all_pole([1.0, x[0] - 1.0], diffs)
+
+    def stacked_jacobian(x, e):
+        # theta = alpha - 1, and de/dtheta = -(theta(B)^-1 e) lagged once.
+        m = np.empty((2, n))
+        m[0, 0] = 0.0
+        np.negative(all_pole([1.0, x[0] - 1.0], e)[:-1], out=m[0, 1:])
+        m[1] = e
+        return m
+
+    alphas = grid.tolist()
+    start = alphas[int(np.argmin([_sse(errors([a])) for a in alphas]))]
+    return gauss_newton(errors, stacked_jacobian, [start], alphas[:1], alphas[-1:],
+                        max_trials=config.max_evals)
 
 
 def _trend_weights(search: np.ndarray, config: FitConfig) -> list[float]:
     n_points = max(3, min(13, config.budget + 3))
-    alpha_grid = (np.asarray(config.es_alpha_grid, dtype=np.float64)
-                  if config.es_alpha_grid is not None
-                  else _default_grid(n_points))
+    alpha_grid = _alpha_grid(config, n_points)
     beta_grid = _default_grid(n_points)
     # trend_errors(search, a, b)[0], with the differences taken once: the
     # leading zero is the error trend_errors fixes at the second step.
     diffs = np.concatenate(([0.0], np.diff(search, 2)))
+    n = len(diffs)
 
-    def sse(a, b):
-        return _sse(all_pole([1.0, a * (1.0 + b) - 2.0, 1.0 - a], diffs))
+    def errors(x):
+        alpha, beta = x
+        return all_pole([1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], diffs)
 
-    alpha, beta = _best_cell(diffs, alpha_grid, beta_grid)
-    # Coordinate-wise sharpening; two passes settle the interaction.
-    for _ in range(2):
-        alpha = _refine_1d(lambda a: sse(a, beta), alpha_grid, config.refine_iters)
-        beta = _refine_1d(lambda b: sse(alpha, b), beta_grid, config.refine_iters)
-    return [alpha, beta]
+    def stacked_jacobian(x, e):
+        # de/dtheta_j = -g lagged j times, with g = theta(B)^-1 e; the chain
+        # rule through theta_1 = alpha(1 + beta) - 2 and theta_2 = 1 - alpha.
+        alpha, beta = x
+        g = all_pole([1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], e)
+        m = np.zeros((3, n))
+        np.multiply(g[:-1], -(1.0 + beta), out=m[0, 1:])
+        m[0, 2:] += g[:-2]
+        np.multiply(g[:-1], -alpha, out=m[1, 1:])
+        m[2] = e
+        return m
+
+    start = _best_cell(diffs, alpha_grid, beta_grid)
+    return gauss_newton(errors, stacked_jacobian, start,
+                        [float(alpha_grid[0]), _ALPHA_LO], [float(alpha_grid[-1]), _ALPHA_HI],
+                        max_trials=config.max_evals)
 
 
 def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> ForecastModel:
@@ -174,12 +206,15 @@ def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> Forecas
         else:
             weights = _trend_weights(search, config)
             errors, *state = trend_errors(search, *weights)
+        # A state past the largest float is inf, which the wire refuses.
+        with np.errstate(over="ignore"):
+            state = np.ldexp(state, exponent)
         # k: the smoothing weights plus the fitted initial states.
         model = ForecastModel(
             kind=MethodKind.EXPONENTIAL_SMOOTHING,
             orders=(len(weights), 0, 0),
             params=weights,
-            state=np.ldexp(state, exponent),
+            state=state,
             k=len(weights) + len(state),
             fit_n=len(values),
             neg2_loglik=_scaled_neg2_loglik(errors, exponent),

@@ -322,12 +322,7 @@ def _near_float_limit(n):
     return rng.uniform(0.75e308, 1.5e308, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("values", [
-    _zeros,
-    # The closed-form fitters and count_avoided still overflow on this
-    # input (with a warning), and their rows read null.
-    pytest.param(_near_float_limit, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-])
+@pytest.mark.parametrize("values", [_zeros, _near_float_limit])
 def test_evaluate_reports_are_strict_json(tmp_path, values):
     with open(tmp_path / "series.csv", "w") as fh:
         fh.write("timestamp,position\n")

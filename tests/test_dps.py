@@ -400,7 +400,7 @@ def test_trace_jsonl_round_trip(tmp_path):
 RUN_DIGESTS = {
     "arima": "d8070066e2c02acf0854599e6587d344441b940a8d2489369653fdf007d64371",
     "exponential_smoothing":
-        "61b674367ec60172e80c89d58df0c79db808a05027884316123979a648631628",
+        "f7c4b3d335cae9911881df86f4bedd7bff177ce06d8dcd41c5c9671cdb9fff65",
 }
 
 

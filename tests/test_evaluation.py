@@ -173,6 +173,28 @@ def test_run_scenario_all_zero_windows_are_nan_not_crash():
     np.testing.assert_array_equal(row.avoided, 4)  # perfectly held
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_mape_reads_null_without_a_warning():
+    # Every history mean is about 2.5e299, and every window holds a reading
+    # of 2e-12 or 3e-12, against which the percentage error passes the
+    # largest float.
+    series = TimeSeries.regular(np.tile([2e-12, 1e300, 3e-12, 5.0], 10))
+    scenario = Scenario(descriptor=descriptor_for("ball", delta_min=0.1),
+                        config=FitConfig(method="simple_mean"),
+                        history_len=4, window_len=3, n_splits=8, seed=0)
+    row = run_scenario(scenario, series).to_json_dict()
+    assert row["per_split"]["mape"] == [None] * 8
+    assert row["mape_mean"] is None
+    assert row["mape_std"] is None
+    assert row["ci95"] is None
+
+
+def test_scenario_statistics_do_not_overflow_near_the_float_limit():
+    row = make_result([1e308, 1.5e308, 1.7e308], [0, 0, 0])
+    assert row.mape_mean == pytest.approx(np.mean([1.0, 1.5, 1.7]) * 1e308, rel=1e-15)
+    assert row.mape_std == pytest.approx(np.std([1.0, 1.5, 1.7], ddof=1) * 1e308, rel=1e-15)
+
+
 def test_scenario_result_statistics_oracle():
     row = make_result([np.nan, 10.0, 20.0], [2, 3, 4], window_len=10)
     assert row.mape_mean == pytest.approx(15.0)

@@ -7,21 +7,28 @@ exactly and every suppressed step lies strictly within ``delta_min``.
 The sensor catches only ``FitError`` from a refit (and ``DpsProtocolError``
 from the wire), so a fitter raising anything else fails the run.  On the
 same series, the sensor's and the gateway's windows agree bit for bit
-after every reading.  The fitted methods also scale exactly: a fit of the
-series times 2**k picks the same orders and coefficients, and its mean and
-state are the unit fit's times 2**k.  Runs are derandomized, so the suite
-tests the same series every time.
+after every reading.  ``run_scenario`` scores every method on series of
+any magnitude up to 1.5e308 without a RuntimeWarning, and its block scores
+are those of each split scored on its own.  The fitted methods also scale
+exactly: a fit of the series times 2**k picks the same orders and
+coefficients, and its mean and state are the unit fit's times 2**k.  Runs
+are derandomized, so the suite tests the same series every time.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensorcast.datasets import descriptor_for
 from sensorcast.dps import Gateway, Measurement, ModelUpdate, SensorNode, run_dps
-from sensorcast.forecast import FitConfig, FitError, fit_model, min_history
-from sensorcast.series import TimeSeries
+from sensorcast.evaluation import MapeUndefined, Scenario, count_avoided, mape, run_scenario
+from sensorcast.forecast import FitConfig, FitError, fit_model, forecast, min_history
+from sensorcast.series import TimeSeries, extract_splits
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
@@ -143,3 +150,46 @@ def test_fits_scale_exactly_by_powers_of_two(method, shape, n, k, seed):
     assert hexes(scaled.params[:free]) == hexes(unit.params[:free])
     assert hexes(scaled.params[free:]) == hexes(np.ldexp(unit.params[free:], k))
     assert hexes(scaled.state) == hexes(np.ldexp(unit.state, k))
+
+
+@PROPERTY
+@given(method=RUNS["method"],
+       shape=st.sampled_from(("walk", "constant", "step", "spikes", "quantized", "alternating")),
+       magnitude=st.sampled_from((1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300, 1.5e308)),
+       relative_delta=st.sampled_from((1e-3, 0.1, 1.0)),
+       extra_history=st.integers(0, 3), window_len=st.integers(1, 6),
+       n_splits=st.integers(1, 6), seed=RUNS["seed"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_scenario_scores_any_magnitude_without_warnings(
+        method, shape, magnitude, relative_delta, extra_history, window_len, n_splits, seed):
+    config = FitConfig(method=method)
+    history_len = min_history(config) + extra_history
+    n = history_len + window_len + 2 * n_splits
+    rng = np.random.default_rng(seed)
+    if shape == "alternating":
+        # Each reading has the other sign: forecasts miss by up to twice
+        # the magnitude, past the largest float near the limit.
+        values = rng.uniform(0.5, 1.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    else:
+        values = shaped(shape, n, rng)
+    peak = np.max(np.abs(values))
+    values = values / peak * magnitude if peak else values
+    delta = relative_delta * magnitude
+    scenario = Scenario(descriptor_for("ball", delta_min=delta), config, history_len,
+                        window_len, n_splits=n_splits, seed=seed)
+    try:
+        result = run_scenario(scenario, TimeSeries.regular(values))
+    except FitError:
+        return
+    json.dumps(result.to_json_dict(), allow_nan=False)
+
+    splits = extract_splits(TimeSeries.regular(values), history_len, window_len, n_splits, seed)
+    for i, (history, window) in enumerate(zip(splits.histories, splits.windows)):
+        predicted = forecast(fit_model(history, config), window_len)
+        try:
+            expected = mape(window, predicted)[0]
+        except MapeUndefined:
+            expected = float("nan")
+        assert result.mape_values[i].hex() == expected.hex(), i
+        assert result.avoided[i] == count_avoided(config.method, history[-1], window,
+                                                  predicted, delta), i

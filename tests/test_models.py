@@ -35,11 +35,9 @@ def test_fit_config_validation():
     cfg = FitConfig(method="arima", budget=3)
     assert cfg.method is MethodKind.ARIMA
     assert cfg.max_evals == 27
-    assert cfg.refine_iters == 9
-    # budget 0 still allows one evaluation and one refinement pass
+    # budget 0 still allows one evaluation
     zero = FitConfig(budget=0)
     assert zero.max_evals == 1
-    assert zero.refine_iters == 1
     with pytest.raises(ValueError):
         FitConfig(budget=11)
     with pytest.raises(ValueError):
@@ -109,6 +107,24 @@ def test_fit_simple_mean_repeats_history_mean():
     np.testing.assert_array_equal(forecast(m, 2), [3.0, 3.0])
     with pytest.raises(FitError):
         fit_simple_mean([])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_fits_run_near_the_float_limit():
+    history = np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308, 1.0e308])
+    linear = fit_linear(history[:4])
+    assert linear.params.tolist() == [-1.5e308, -np.inf]
+    assert forecast(linear, 2).tolist() == [-np.inf, -np.inf]
+    # A finite slope whose multiples pass the largest float.
+    rising = forecast(fit_linear([0.5e308, 1.0e308]), 3)
+    assert rising.tolist() == [1.5e308, np.inf, np.inf]
+    mean = fit_simple_mean(history)
+    assert mean.params.tolist() == [0.2e308]
+    assert forecast(mean, 2).tolist() == [0.2e308, 0.2e308]
+    # Bit for bit np.mean wherever that does not overflow.
+    walk = np.random.default_rng(3).standard_normal(37).cumsum()
+    for scale in (1.0, 1e-300, 1e300):
+        assert fit_simple_mean(walk * scale).params[0] == np.mean(walk * scale)
 
 
 def test_forecast_rejects_bad_horizon():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sensorcast.forecast.optimize import golden_section, nelder_mead
+from sensorcast.forecast.optimize import gauss_newton, nelder_mead
 
 
 def quadratic_bowl(x):
@@ -177,17 +177,76 @@ def test_nelder_mead_matches_array_oracle_bit_for_bit():
         assert res.n_evals == n_evals, case
 
 
-def test_golden_section_finds_parabola_minimum():
-    x = golden_section(lambda a: (a - 0.37) ** 2, 0.0, 1.0)
-    assert x == pytest.approx(0.37, abs=1e-5)
+def linear_problem(a, b):
+    # e = A x - b, whose Jacobian is A at every x.
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    calls = []
+
+    def residuals(x):
+        calls.append(list(x))
+        return a @ np.array(x) - b
+
+    def stacked_jacobian(x, e):
+        return np.vstack((a.T, e))
+
+    return residuals, stacked_jacobian, calls
 
 
-def test_golden_section_handles_edge_minima():
-    assert golden_section(lambda a: a, 0.0, 1.0) == pytest.approx(0.0, abs=1e-5)
-    assert golden_section(lambda a: -a, 0.0, 1.0) == pytest.approx(1.0, abs=1e-5)
+def test_gauss_newton_solves_linear_least_squares():
+    a = [[1.0, 2.0], [3.0, -1.0], [0.5, 0.5], [2.0, 1.0]]
+    b = [1.0, 2.0, -1.0, 0.5]
+    residuals, jacobian, _ = linear_problem(a, b)
+    x = gauss_newton(residuals, jacobian, [0.0, 0.0], [-10.0, -10.0], [10.0, 10.0],
+                     max_trials=100)
+    expected = np.linalg.lstsq(np.array(a), np.array(b), rcond=None)[0]
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-6)
 
 
-def test_golden_section_degenerate_bracket():
-    assert golden_section(lambda a: a * a, 2.0, 2.0) == 2.0
-    with pytest.raises(ValueError):
-        golden_section(lambda a: a, 1.0, 0.0)
+def test_gauss_newton_holds_a_bound_the_descent_points_past():
+    # The unconstrained minimum is (3, -1); the box stops x0 at 2, and x1
+    # must still reach its own minimum given x0 = 2.
+    residuals, jacobian, _ = linear_problem(np.eye(2), [3.0, -1.0])
+    x = gauss_newton(residuals, jacobian, [0.0, 0.0], [0.0, -5.0], [2.0, 5.0],
+                     max_trials=100)
+    assert x[0] == 2.0
+    assert x[1] == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_gauss_newton_keeps_a_fixed_coordinate():
+    residuals, jacobian, calls = linear_problem([[1.0, 1.0], [1.0, -1.0]], [4.0, 0.0])
+    x = gauss_newton(residuals, jacobian, [0.5, 0.0], [0.5, -5.0], [0.5, 5.0],
+                     max_trials=100)
+    assert x[0] == 0.5
+    assert all(c[0] == 0.5 for c in calls)
+    # Given x0 = 0.5: (x1 - 3.5)^2 + (0.5 - x1)^2 is least at x1 = 2.
+    assert x[1] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_gauss_newton_never_ends_above_its_start_and_obeys_the_cap():
+    # A model whose curvature the Jacobian misjudges: e = (x^3 - 1, x).
+    calls = []
+
+    def residuals(x):
+        calls.append(list(x))
+        return np.array([x[0] ** 3 - 1.0, x[0]])
+
+    def jacobian(x, e):
+        return np.array([[3.0 * x[0] ** 2, 1.0], e.tolist()])
+
+    start = residuals([0.9]) @ residuals([0.9])
+    for cap in (0, 1, 2, 5, 50):
+        calls.clear()
+        x = gauss_newton(residuals, jacobian, [0.9], [-2.0], [2.0], max_trials=cap)
+        # The call at x0, then at most cap trials.
+        assert len(calls) <= cap + 1
+        assert residuals(x) @ residuals(x) <= start
+        if cap == 0:
+            assert x == [0.9]
+
+
+def test_gauss_newton_stops_on_a_zero_jacobian():
+    residuals, jacobian, calls = linear_problem(np.zeros((3, 2)), [1.0, 2.0, 3.0])
+    x = gauss_newton(residuals, jacobian, [0.25, 0.5], [0.0, 0.0], [1.0, 1.0],
+                     max_trials=100)
+    assert x == [0.25, 0.5]
+    assert len(calls) == 1

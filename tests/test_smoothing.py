@@ -3,18 +3,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sensorcast.datasets import ball_series
 from sensorcast.forecast.models import FitConfig, FitError, MethodKind, gaussian_neg2_loglik
 from sensorcast.forecast.selection import forecast
 from sensorcast.forecast.smoothing import (
     _best_cell,
     _default_grid,
     _lane_sse,
+    _simple_weights,
     _sse,
+    _trend_weights,
     _unit_scaled,
     fit_exponential_smoothing,
     simple_errors,
     trend_errors,
 )
+from sensorcast.series import quantize_to_resolution
 
 ES_CONFIG = FitConfig(method="exponential_smoothing")
 
@@ -219,21 +223,21 @@ def pinned_inputs():
     }
 
 
-# Orders, params and state as float.hex, recorded when every grid cell and
-# refinement step still ran its own trend_errors/simple_errors call.
+# Orders, params and state as float.hex, recorded when one bounded
+# Gauss-Newton search from the grid's best point chose the weights.
 PINNED_FITS = {
-    "level_h50": ((1, 0, 0), ["0x1.68ddcf3dd8c9ep-5"],
-                  ["0x1.3f02da1cd4e40p+3"]),
-    "trend_h50": ((2, 0, 0), ["0x1.43772e8f36218p-2", "0x1.c0a1e4db0a2c5p-2"],
-                  ["0x1.39b9a2d048cccp+4", "0x1.53b1271bbdd5cp-2"]),
-    "walk_h5": ((1, 0, 0), ["0x1.47ae267b99339p-7"],
-                ["-0x1.08fe05decf883p-2"]),
-    "smooth_h500": ((2, 0, 0), ["0x1.f4f389b6a3a93p-1", "0x1.fae1471e0ebb8p-1"],
-                    ["0x1.77538c19b71a2p+11", "-0x1.9dce8a903eb72p-3"]),
-    "budget_zero": ((1, 0, 0), ["0x1.9b0d67ee1b772p-1"],
-                    ["-0x1.a1a627a6201f4p+1"]),
-    "alpha_one": ((2, 0, 0), ["0x1.0000000000000p+0", "0x1.17c3d5a4899a0p-4"],
-                  ["0x1.3db8f29d65e15p+4", "0x1.4ab76b01bb37cp-2"]),
+    "level_h50": ((1, 0, 0), ["0x1.68df49c09a8c4p-5"],
+                  ["0x1.3f02d9883a413p+3"]),
+    "trend_h50": ((2, 0, 0), ["0x1.387093e2c2ac6p-2", "0x1.e0b797fab9ddfp-2"],
+                  ["0x1.39ae249fe6426p+4", "0x1.556b1c272b734p-2"]),
+    "walk_h5": ((1, 0, 0), ["0x1.47ae147ae147bp-7"],
+                ["-0x1.08fe0636463edp-2"]),
+    "smooth_h500": ((2, 0, 0), ["0x1.f4f3847890f9dp-1", "0x1.fae147ae147aep-1"],
+                    ["0x1.77538c19938b9p+11", "-0x1.9dcebd7eea490p-3"]),
+    "budget_zero": ((1, 0, 0), ["0x1.90902cbd1ac7fp-1"],
+                    ["-0x1.a2926595027c4p+1"]),
+    "alpha_one": ((2, 0, 0), ["0x1.0000000000000p+0", "0x1.17c3ce98ed242p-4"],
+                  ["0x1.3db8f29d65e15p+4", "0x1.4ab76b3392cd0p-2"]),
 }
 
 
@@ -281,3 +285,95 @@ def test_lane_kernel_matches_single_filters():
             assert got.tolist() == expected
             assert _best_cell(w, alpha_grid, beta_grid) == \
                 best_cell_oracle(search, alpha_grid, beta_grid)
+
+
+def search_inputs():
+    # Unit-scaled H = 50 windows of the quantized ball traces, and walks of
+    # several lengths.
+    for group in (1, 2, 3):
+        values = quantize_to_resolution(ball_series(group), 1.9).values
+        for origin in range(0, len(values) - 50, 61):
+            yield _unit_scaled(values[origin:origin + 50])[0]
+    rng = np.random.default_rng(53)
+    for n in (4, 5, 12, 50, 200):
+        for _ in range(3):
+            yield _unit_scaled(rng.standard_normal(n).cumsum())[0]
+
+
+SEARCH_CONFIGS = [FitConfig(method="exponential_smoothing"),
+                  FitConfig(method="exponential_smoothing", budget=2),
+                  FitConfig(method="exponential_smoothing", es_alpha_grid=(0.2, 0.35, 0.5))]
+
+
+def search_errors(search, weights):
+    return (simple_errors if len(weights) == 1 else trend_errors)(search, *weights)[0]
+
+
+def grid_start(search, config, variant):
+    # The SSE of the best grid point, where the search starts.
+    if variant == "simple":
+        grid = (config.es_alpha_grid if config.es_alpha_grid is not None
+                else _default_grid(max(3, min(25, config.budget ** 2))))
+        return min(_sse(simple_errors(search, a)[0]) for a in grid)
+    n_points = max(3, min(13, config.budget + 3))
+    alpha_grid = (np.array(config.es_alpha_grid) if config.es_alpha_grid is not None
+                  else _default_grid(n_points))
+    w = np.concatenate(([0.0], np.diff(search, 2)))
+    return _sse(trend_errors(search, *_best_cell(w, alpha_grid, _default_grid(n_points)))[0])
+
+
+@pytest.mark.parametrize("variant", ["simple", "trend"])
+def test_smoothing_search_never_ends_above_its_grid_start(variant):
+    weights_of = _simple_weights if variant == "simple" else _trend_weights
+    for config in SEARCH_CONFIGS:
+        for search in search_inputs():
+            weights = weights_of(search, config)
+            assert _sse(search_errors(search, weights)) <= grid_start(search, config, variant)
+
+
+@pytest.mark.parametrize("variant", ["simple", "trend"])
+def test_smoothing_search_ends_at_a_kkt_point_of_its_box(variant):
+    # Inside the box; along a free weight the errors' gradient vanishes, and
+    # at a bound it points into the box, so descent would leave it.  The
+    # gradient is measured as the cosine between e and de/dw, by central
+    # differences, so that it does not depend on the series' scale.
+    weights_of = _simple_weights if variant == "simple" else _trend_weights
+    config = SEARCH_CONFIGS[0]
+    lo, hi = [0.01, 0.01], [0.99, 0.99]
+    for search in search_inputs():
+        weights = weights_of(search, config)
+        e = search_errors(search, weights)
+        for i, w in enumerate(weights):
+            assert lo[i] <= w <= hi[i]
+            up, down = list(weights), list(weights)
+            up[i] += 1e-6
+            down[i] -= 1e-6
+            de = (search_errors(search, up) - search_errors(search, down)) / 2e-6
+            cosine = (de @ e) / (np.linalg.norm(de) * np.linalg.norm(e))
+            if w == lo[i]:
+                assert cosine > -1e-4
+            elif w == hi[i]:
+                assert cosine < 1e-4
+            else:
+                assert abs(cosine) < 1e-4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["simple", "trend"])
+def test_flat_histories_fit_without_a_zero_pivot(variant):
+    # Every error and every Jacobian column is zero: the search must stop
+    # at its start, not divide by a zero pivot.
+    histories = [np.full(n, c) for n in (4, 5, 50) for c in (0.0, 1.0, -3e300, 1e-300)]
+    histories += [np.concatenate((np.zeros(30), [1.0])), np.concatenate(([1.0], np.zeros(30)))]
+    for config in (FitConfig(method="exponential_smoothing", es_variants=(variant,)),
+                   FitConfig(method="exponential_smoothing", es_variants=(variant,),
+                             es_alpha_grid=(0.0,)),
+                   FitConfig(method="exponential_smoothing", es_variants=(variant,), budget=0)):
+        for values in histories:
+            try:
+                model = fit_exponential_smoothing(values, config)
+            except FitError:
+                continue
+            assert np.isfinite(forecast(model, 3)).all()
+            if np.all(values == values[0]):
+                assert forecast(model, 3).tolist() == [values[0]] * 3
