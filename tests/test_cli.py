@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -278,6 +279,49 @@ def test_evaluate_parallel_matches_serial(tmp_path):
                    "--output-dir", str(tmp_path / "parallel")) == 0
     assert ((tmp_path / "serial" / "report.csv").read_bytes()
             == (tmp_path / "parallel" / "report.csv").read_bytes())
+
+
+def _sensorscope_fixture(path, n_epochs=3000):
+    # One station on the 30 s epoch grid: a seeded integer walk of 0.05
+    # degC steps (exact float ops only), 3% of epochs missing and 2%
+    # reported twice with a later, different reading.
+    rng = np.random.default_rng(18)
+    epochs = np.arange(n_epochs)
+    temps = 15.0 + 0.05 * np.cumsum(rng.integers(-2, 3, n_epochs))
+    keep = rng.random(n_epochs) >= 0.03
+    keep[[0, -1]] = True
+    epochs, temps = epochs[keep], temps[keep]
+    dup = rng.random(len(epochs)) < 0.02
+    epochs = np.concatenate([epochs, epochs[dup]])
+    temps = np.concatenate([temps, temps[dup] + 0.05])
+    order = np.argsort(epochs, kind="stable")
+    rows = [f"1,{e},{v!r}" for e, v in zip(epochs[order].tolist(), temps[order].tolist())]
+    path.write_text("station,epoch,temperature\n" + "\n".join(rows) + "\n")
+
+
+# sha256 of each evaluate output on the fixture above.  Any change to the
+# CSV reader, the grid fill, the scoring or the report writers that moves
+# one byte shows here.
+_EVALUATE_PINS = {
+    "report.json": "c1f82a56389014b03126d65c24741bff1594ea6582725ae9cc97b52ca37ee19b",
+    "report.csv": "97432cb24d1b3e8f7407a457e0f4c8af7ca046d6bee41098e629f742fffa70f5",
+    "manifest.json": "6f96257057a16c4b1675a351d1fea8ddd1f3ad5416efe2e08e9ba64cd90e364c",
+}
+
+
+def test_evaluate_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the manifest echo records both directories
+    (tmp_path / "data").mkdir()
+    _sensorscope_fixture(tmp_path / "data" / "station.csv")
+    write_manifest(tmp_path / "m.json", seed=5, n_splits=40,
+                   datasets=[{"family": "sensorscope", "group": 1, "path": "station.csv"}],
+                   methods=["constant", "linear", "simple_mean"],
+                   history_lengths=[20, 50], window_lengths=[10, 30])
+    assert run_cli("evaluate", "--manifest", "m.json", "--data-dir", "data",
+                   "--output-dir", "out", "--workers", "1") == 0
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+           for name in _EVALUATE_PINS}
+    assert got == _EVALUATE_PINS
 
 
 def test_evaluate_skips_infeasible_scenarios(tmp_path):
