@@ -29,6 +29,7 @@ import csv
 import enum
 import io
 import math
+import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -232,13 +233,13 @@ def _parse_columns(path, header: tuple[str, ...]) -> dict[str, np.ndarray]:
     """One float64 array per header column.
 
     After the header check, numpy's C reader (``np.loadtxt``) parses the
-    data rows.  Where it refuses them (a row of empty fields such as
-    ``, ,``, a quoted, ``#`` or otherwise unparsable field, a ragged row)
-    or finds another column count than the header's, the ``csv``-module
-    loop of :func:`_csv_table` reads them instead: only that loop skips
-    whitespace-only rows and names the line of a bad row in its
-    :class:`DataFormatError`.  Wherever the C reader returns, both give the
-    same bits.
+    data rows straight from the file.  Where it refuses them (a row of
+    empty fields such as ``, ,``, a quoted, ``#`` or otherwise unparsable
+    field, a ragged row, no rows at all) or finds another column count
+    than the header's, the ``csv``-module loop of :func:`_csv_table` reads
+    the rows instead: only that loop skips whitespace-only rows and names
+    the line of a bad row in its :class:`DataFormatError`.  Wherever the C
+    reader returns, both give the same bits.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         found = next(csv.reader(fh), None)
@@ -249,24 +250,25 @@ def _parse_columns(path, header: tuple[str, ...]) -> dict[str, np.ndarray]:
             raise DataFormatError(
                 f"{path}: header {found} does not match expected {header}"
             )
-        rows = fh.read()
-    table = _fast_table(rows, len(header))
-    if table is None:
-        table = _csv_table(path, rows, len(header))
+        table = _fast_table(path, len(header))
+        if table is None:
+            table = _csv_table(path, fh.read(), len(header))
     return dict(zip(header, table.T))
 
 
-def _fast_table(rows: str, n_columns: int) -> np.ndarray | None:
-    """The data rows as an n x ``n_columns`` table from ``np.loadtxt``, or
-    None where the ``csv``-module loop has to decide what they mean."""
-    if not rows.strip():
-        return None  # loadtxt would warn of empty input
+def _fast_table(path, n_columns: int) -> np.ndarray | None:
+    """The rows after the first line as an n x ``n_columns`` table from
+    ``np.loadtxt``, or None where the ``csv``-module loop has to decide
+    what they mean."""
     try:
-        table = np.loadtxt(io.StringIO(rows), delimiter=",", comments=None, ndmin=2,
-                           dtype=np.float64)
+        with warnings.catch_warnings():
+            # A header-only file is the csv loop's "no data rows".
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                               dtype=np.float64, encoding="utf-8")
     except ValueError:
         return None
-    return table if table.shape[1] == n_columns else None
+    return table if len(table) and table.shape[1] == n_columns else None
 
 
 def _csv_table(path, rows: str, n_columns: int) -> np.ndarray:

@@ -11,6 +11,7 @@ significance test and the fairness rule meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -405,14 +406,58 @@ def _atomic_write(path, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise OSError(f"writing {path}: {exc}") from exc
+
+
+# With an indent, json.dumps runs json's pure-Python encoder; without one,
+# its C encoder.  _indented lays out containers itself and hands leaves and
+# number lists to the C encoder.
+_COMPACT = json.JSONEncoder(allow_nan=False)
+# Exact types: a list holding a subclass (numpy.float64) is laid out item by
+# item, which writes the same bytes.
+_SCALARS = frozenset((int, float, bool, type(None)))
+
+
+def _json_key(key) -> str:
+    # json's conversion of a non-str key (json.encoder._make_iterencode).
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _COMPACT.encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _indented(value, pad: str) -> str:
+    """``value`` laid out as ``json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)`` lays it out when it starts at indent ``pad``."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(f"{_COMPACT.encode(_json_key(k))}: {_indented(v, inner)}"
+                                    for k, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _SCALARS:
+            # No number, boolean or null contains ", ", so in the compact
+            # dump it separates items and nothing else.
+            body = _COMPACT.encode(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_indented(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{pad}]"
+    return _COMPACT.encode(value)
 
 
 def write_json(path, payload) -> None:
     """Write ``payload`` atomically as strict JSON (a NaN or infinity is a
-    ValueError), indented, with sorted keys."""
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    ValueError, raised before any file is touched), indented, with sorted
+    keys: exactly ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, at the cost of json's C encoder."""
+    _atomic_write(path, _indented(payload, "") + "\n")
 
 
 def emit_report(rows, json_path, csv_path, *, manifest: dict | None = None) -> str:

@@ -185,16 +185,16 @@ def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> Ti
     standard deviation equal to the series resolution.
     """
     regular = interpolate_gaps(series, expected_period)
-    # A grid point counts as observed when an original timestamp lands on it.
+    # A grid point counts as observed when an original timestamp lands on
+    # it.  The tolerance is far below half a period, so only the grid point
+    # nearest to a timestamp can be the one it lands on.  Timestamps past
+    # the last grid point are tested against it, and miss it by more.
     tol = 1e-6 * expected_period
-    idx = np.searchsorted(series.timestamps, regular.timestamps)
-    idx_lo = np.clip(idx - 1, 0, len(series) - 1)
-    idx_hi = np.clip(idx, 0, len(series) - 1)
-    near = np.minimum(
-        np.abs(series.timestamps[idx_lo] - regular.timestamps),
-        np.abs(series.timestamps[idx_hi] - regular.timestamps),
-    )
-    filled = near > tol
+    ts, grid = series.timestamps, regular.timestamps
+    nearest = np.minimum(np.rint((ts - grid[0]) / expected_period).astype(np.intp),
+                         len(grid) - 1)
+    filled = np.ones(len(grid), dtype=bool)
+    filled[nearest[np.abs(ts - grid[nearest]) <= tol]] = False
     rng = np.random.default_rng(seed)
     noise = series.resolution * rng.standard_normal(len(regular))
     vals = regular.values.copy()

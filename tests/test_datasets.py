@@ -376,7 +376,7 @@ def test_csv_fast_path_matches_the_csv_module_path(tmp_path_factory, rows, odd, 
         fh.write(",".join(header) + "\n" + rows)
 
     slow = _outcome(datasets._csv_table, path, rows, len(header))
-    fast = datasets._fast_table(rows, len(header))
+    fast = datasets._fast_table(path, len(header))
     if fast is not None:
         assert not isinstance(slow, str), slow
         assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -29,6 +30,7 @@ from sensorcast.evaluation import (
     manifest_sha256,
     mape,
     run_scenario,
+    write_json,
 )
 from sensorcast.forecast import FitConfig, FitError, MethodKind, fit_model, forecast, min_history
 from sensorcast.series import TimeSeries, extract_splits
@@ -367,6 +369,64 @@ def test_emit_report_csv_and_json(tmp_path):
 def test_emit_report_requires_rows(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "a.json", tmp_path / "a.csv")
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError, match="report.json"):
+        write_json(target, {"rows": [1, 2]})
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
+    assert target.is_dir() and not os.listdir(target)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1.5e308, -1.5e308]))
+_SCALARS = st.one_of(st.integers(), st.integers(-2**70, 2**70), _FLOATS, st.booleans(),
+                     st.none())
+# Strings with the compact dump's ", " separator in them, and non-ASCII text.
+_STRINGS = st.one_of(st.text(max_size=6),
+                     st.lists(st.sampled_from([", ", ",", " ", "é", "\u4e2d", "\U0001f600",
+                                               '"', "\n", "1"]), max_size=5).map("".join))
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _STRINGS, st.lists(_SCALARS, max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=20)
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(payload=_JSON)
+def test_write_json_writes_json_dumps_bytes(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    write_json(path, payload)
+    assert path.read_bytes() == _dumps(payload).encode("utf-8")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(payload=_JSON, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       where=st.sampled_from(["value", "key", "numbers", "mixed", "nested"]),
+       at=st.integers(0, 6))
+def test_write_json_refuses_non_finite_floats_without_touching_a_file(
+        tmp_path_factory, payload, bad, where, at):
+    numbers = [1, 2.5, None, True]
+    numbers.insert(at % 5, bad)
+    payload = {"value": {"a": payload, "b": bad},
+               "key": {bad: payload},
+               "numbers": [payload, numbers],
+               "mixed": [payload, "x, y", bad],
+               "nested": {"a": [{"b": (payload, [numbers])}]}}[where]
+    with pytest.raises(ValueError):
+        _dumps(payload)
+    root = tmp_path_factory.mktemp("json")
+    with pytest.raises(ValueError):
+        write_json(root / "out.json", payload)
+    assert os.listdir(root) == []
 
 
 def _split_oracle(scenario, series):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sensorcast.series import (
     TimeSeries,
@@ -183,3 +185,56 @@ def test_gap_fill_noise_only_on_filled_points():
     np.testing.assert_array_equal(out.values[[0, 1, 3, 4]], [1.0, 2.0, 4.0, 5.0])
     assert out.values[2] != 3.0
     assert abs(out.values[2] - 3.0) < 10 * 0.25
+
+
+def _searchsorted_gap_fill(series, period, seed):
+    # The reference rule: a grid point is observed when the original
+    # timestamp on either side of it (by searchsorted) is within tol.
+    regular = interpolate_gaps(series, period)
+    ts, grid = series.timestamps, regular.timestamps
+    tol = 1e-6 * period
+    idx = np.searchsorted(ts, grid)
+    lo = np.clip(idx - 1, 0, len(ts) - 1)
+    hi = np.clip(idx, 0, len(ts) - 1)
+    filled = np.minimum(np.abs(ts[lo] - grid), np.abs(ts[hi] - grid)) > tol
+    noise = series.resolution * np.random.default_rng(seed).standard_normal(len(grid))
+    values = regular.values.copy()
+    values[filled] += noise[filled]
+    return filled, grid, values
+
+
+# Offsets from a grid point, in units of tol = 1e-6 period; None puts the
+# sample off the grid, at a drawn fraction of the period.
+_OFFSETS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, None]),
+                     st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(period=st.one_of(st.sampled_from([1.0, 30.0, 31.0, 0.25, 1e-3, 3600.0]),
+                        st.floats(1e-3, 1e4)),
+       t0=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+       samples=st.lists(st.tuples(st.integers(1, 4), _OFFSETS, st.floats(0.01, 0.99)),
+                        min_size=1, max_size=40),
+       zero_at=st.one_of(st.none(), st.integers(1, 40)),
+       seed=st.integers(0, 2**32 - 1))
+def test_gap_fill_matches_the_searchsorted_rule(period, t0, samples, zero_at, seed):
+    tol = 1e-6 * period
+    k = np.cumsum([0] + [step for step, _, _ in samples])
+    if zero_at is not None:
+        # Put one grid point at exactly 0.0, so that its sample's distance
+        # to it is the drawn offset without rounding: tol itself included.
+        t0 = -(period * float(k[min(zero_at, len(samples))]))
+    offsets = [0.0] + [tol * o if o is not None else period * frac
+                       for _, o, frac in samples]
+    ts = t0 + period * k.astype(np.float64) + np.array(offsets)
+    assume(np.all(np.diff(ts) > 0))
+    rng = np.random.default_rng(seed)
+    for values in (np.zeros(len(ts)), rng.uniform(-50.0, 50.0, len(ts))):
+        series = TimeSeries(ts, values, resolution=0.5)
+        filled, grid, expected = _searchsorted_gap_fill(series, period, seed)
+        out = gap_fill(series, period, seed=seed)
+        assert out.timestamps.tobytes() == grid.tobytes()
+        assert out.values.tobytes() == expected.tobytes()
+        if not values.any():
+            # On zero readings a grid point moves exactly where noise was added.
+            np.testing.assert_array_equal(out.values != 0.0, filled)
