@@ -430,8 +430,8 @@ def _json_key(key) -> str:
 
 
 def _indented(value, pad: str) -> str:
-    """``value`` laid out as ``json.dumps(indent=2, sort_keys=True,
-    allow_nan=False)`` lays it out when it starts at indent ``pad``."""
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, nested at indent ``pad``."""
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:

@@ -408,6 +408,20 @@ def test_write_json_writes_json_dumps_bytes(tmp_path_factory, payload):
     assert path.read_bytes() == _dumps(payload).encode("utf-8")
 
 
+@pytest.mark.parametrize("payload", [{2: [1], 10: 0}, {-1.5: 0, 2.5e-300: 1}, {True: 0, False: 1},
+                                     {None: "x"}, {(1,): 0}, {"a": 0, 1: 1}])
+def test_write_json_converts_keys_as_json_does(tmp_path, payload):
+    try:
+        expected = _dumps(payload).encode("utf-8")
+    except TypeError:
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "out.json", payload)
+        assert os.listdir(tmp_path) == []
+    else:
+        write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_bytes() == expected
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(payload=_JSON, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        where=st.sampled_from(["value", "key", "numbers", "mixed", "nested"]),
