@@ -324,6 +324,36 @@ def test_evaluate_output_bytes_are_pinned(tmp_path, monkeypatch):
     assert got == _EVALUATE_PINS
 
 
+# sha256 of the fixture CSVs and of one dps run's trace and summary.  Any
+# change to the generator, the fixture writer, the protocol or the trace
+# writer that moves one byte shows here.
+_GENERATE_PINS = {
+    "ball_group1.csv": "73a85d8517e774d3f556b50a28c3f2f9c2bd93d0435cc8fe06dbc4d36a3e22cc",
+    "ball_group2.csv": "04501b2e02720da20896c41da03728e6a6e6480f206c6fdf8bcbcd3fa2697d13",
+    "ball_group3.csv": "22e862f08cc26fc396f37e75bf4120c85842c927c9bd7c6e04d8fb0b66a44152",
+}
+_DPS_PINS = {
+    "dps_ball-g1_exponential_smoothing.jsonl":
+        "6541f2ce94a5cd3b444f0f591c8a0fb4290bf459553a219ce2d1e03fa74166a6",
+    "dps_summary.json": "89ba4ca17db4fc91ecc505aa974c1c71aaf13a48d8cfd78339c32f1ec53be859",
+}
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+def test_generate_and_dps_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the summary records the output directory
+    assert run_cli("generate", "--paper-defaults", "--output-dir", "fixtures") == 0
+    assert _digests(tmp_path / "fixtures") == _GENERATE_PINS
+    assert run_cli("dps", "--family", "ball", "--group", "1",
+                   "--method", "exponential_smoothing", "--history-len", "50",
+                   "--window-len", "20", "--delta", "2.0",
+                   "--ring-branches", "3", "--ring-depth", "2", "--output-dir", "out") == 0
+    assert _digests(tmp_path / "out") == _DPS_PINS
+
+
 def test_evaluate_skips_infeasible_scenarios(tmp_path):
     manifest = write_manifest(tmp_path / "m.json",
                               methods=["arima", "constant"],
