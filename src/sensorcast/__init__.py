@@ -12,7 +12,6 @@ from .series import (
     TimeSeries,
     extract_splits,
     gap_fill,
-    interpolate_gaps,
     quantize_to_resolution,
 )
 from .forecast import (
@@ -75,8 +74,7 @@ from .evaluation import (
 
 __all__ = [
     "__version__",
-    "TimeSeries", "interpolate_gaps",
-    "quantize_to_resolution", "extract_splits", "gap_fill",
+    "TimeSeries", "quantize_to_resolution", "extract_splits", "gap_fill",
     "MethodKind", "FitConfig", "FitError", "ForecastModel", "fit_model",
     "Measurement", "ModelUpdate", "SensorNode", "Gateway", "DpsTrace",
     "DpsProtocolError", "run_dps", "count_model_overhead", "encode_message",

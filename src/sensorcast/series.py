@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "TimeSeries",
     "Splits",
-    "interpolate_gaps",
     "quantize_to_resolution",
     "extract_splits",
     "gap_fill",
@@ -81,10 +80,6 @@ class TimeSeries:
         ts = t0 + period * np.arange(len(values), dtype=np.float64)
         return TimeSeries(ts, values, unit=unit, resolution=resolution)
 
-    def with_values(self, values) -> "TimeSeries":
-        """Same timestamps and metadata, new values."""
-        return replace(self, values=_as_readonly_f64(values, "values"))
-
     def slice(self, start: int, stop: int) -> "TimeSeries":
         """Contiguous sub-series by sample index."""
         if not (0 <= start < stop <= len(self)):
@@ -110,25 +105,6 @@ class Splits:
         return len(self.origins)
 
 
-def interpolate_gaps(series: TimeSeries, expected_period: float) -> TimeSeries:
-    """Resample onto the regular grid ``t0 + k * expected_period``.
-
-    Values at grid points are linear interpolations of the neighbouring
-    observed samples; grid points beyond the last observation are not
-    generated.  Needs at least two samples.
-    """
-    if expected_period <= 0:
-        raise ValueError(f"expected_period must be positive, got {expected_period}")
-    if len(series) < 2:
-        raise ValueError("interpolation needs at least two samples")
-    t0 = series.timestamps[0]
-    span = series.timestamps[-1] - t0
-    n_steps = int(np.floor(span / expected_period + 1e-9))
-    grid = t0 + expected_period * np.arange(n_steps + 1, dtype=np.float64)
-    vals = np.interp(grid, series.timestamps, series.values)
-    return TimeSeries(grid, vals, unit=series.unit, resolution=series.resolution)
-
-
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # np.round is banker's rounding; the quantizer needs ties away from zero.
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
@@ -143,7 +119,7 @@ def quantize_to_resolution(series: TimeSeries, resolution: float) -> TimeSeries:
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     q = _round_half_away(series.values / resolution) * resolution
-    return replace(series, values=_as_readonly_f64(q, "values"), resolution=resolution)
+    return replace(series, values=q, resolution=resolution)
 
 
 def extract_splits(series: TimeSeries, history_len: int, window_len: int,
@@ -179,24 +155,30 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
 
 
 def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> TimeSeries:
-    """Interpolate onto the regular grid, then perturb the filled samples.
+    """Resample onto the regular grid ``t0 + k * expected_period``, then
+    perturb the filled samples.
 
-    Only grid points that had no original observation receive noise, with
-    standard deviation equal to the series resolution.
+    Values at grid points are linear interpolations of the neighbouring
+    observed samples; grid points beyond the last observation are not
+    generated.  Only grid points that had no original observation receive
+    noise, with standard deviation equal to the series resolution.  Needs
+    at least two samples.
     """
-    regular = interpolate_gaps(series, expected_period)
+    if expected_period <= 0:
+        raise ValueError(f"expected_period must be positive, got {expected_period}")
+    if len(series) < 2:
+        raise ValueError("interpolation needs at least two samples")
+    ts = series.timestamps
+    n_steps = int(np.floor((ts[-1] - ts[0]) / expected_period + 1e-9))
+    grid = ts[0] + expected_period * np.arange(n_steps + 1, dtype=np.float64)
+    values = np.interp(grid, ts, series.values)
     # A grid point counts as observed when an original timestamp lands on
     # it.  The tolerance is far below half a period, so only the grid point
     # nearest to a timestamp can be the one it lands on.  Timestamps past
     # the last grid point are tested against it, and miss it by more.
-    tol = 1e-6 * expected_period
-    ts, grid = series.timestamps, regular.timestamps
-    nearest = np.minimum(np.rint((ts - grid[0]) / expected_period).astype(np.intp),
-                         len(grid) - 1)
+    nearest = np.minimum(np.rint((ts - grid[0]) / expected_period).astype(np.intp), n_steps)
     filled = np.ones(len(grid), dtype=bool)
-    filled[nearest[np.abs(ts - grid[nearest]) <= tol]] = False
-    rng = np.random.default_rng(seed)
-    noise = series.resolution * rng.standard_normal(len(regular))
-    vals = regular.values.copy()
-    vals[filled] += noise[filled]
-    return regular.with_values(vals)
+    filled[nearest[np.abs(ts - grid[nearest]) <= 1e-6 * expected_period]] = False
+    noise = series.resolution * np.random.default_rng(seed).standard_normal(len(grid))
+    values[filled] += noise[filled]
+    return TimeSeries(grid, values, unit=series.unit, resolution=series.resolution)

@@ -9,7 +9,6 @@ from sensorcast.series import (
     TimeSeries,
     extract_splits,
     gap_fill,
-    interpolate_gaps,
     quantize_to_resolution,
 )
 
@@ -51,11 +50,7 @@ def test_series_does_not_alias_caller_array():
     assert s.values[0] == 1.0
 
 
-def test_with_values_and_slice(short_series):
-    w = short_series.with_values([5.0, 5.0, 5.0, 5.0, 5.0])
-    np.testing.assert_array_equal(w.timestamps, short_series.timestamps)
-    np.testing.assert_array_equal(w.values, 5.0)
-
+def test_slice(short_series):
     mid = short_series.slice(1, 4)
     np.testing.assert_array_equal(mid.values, [2.0, 4.0, 8.0])
     np.testing.assert_array_equal(mid.timestamps, [1.0, 2.0, 3.0])
@@ -78,35 +73,47 @@ def test_split_blocks_are_readonly_copies():
         splits.histories[0, 0] = 99.0
 
 
-def test_interpolate_gaps_fills_missing_grid_points():
-    # One sample missing at t=60; linear fill between (30, 2) and (90, 4).
+def _noise(series, n, seed=0):
+    return series.resolution * np.random.default_rng(seed).standard_normal(n)
+
+
+def test_gap_fill_fills_missing_grid_points():
+    # One sample missing at t=60; linear fill between (30, 2) and (90, 4),
+    # plus the seeded noise drawn for grid point 2.
     s = TimeSeries(np.array([0.0, 30.0, 90.0]), np.array([1.0, 2.0, 4.0]))
-    out = interpolate_gaps(s, 30.0)
-    np.testing.assert_array_equal(out.timestamps, [0.0, 30.0, 60.0, 90.0])
-    np.testing.assert_allclose(out.values, [1.0, 2.0, 3.0, 4.0], rtol=0, atol=1e-12)
+    out = gap_fill(s, 30.0)
+    assert out.timestamps.tolist() == [0.0, 30.0, 60.0, 90.0]
+    assert out.values[[0, 1, 3]].tolist() == [1.0, 2.0, 4.0]
+    line = np.interp(60.0, s.timestamps, s.values)
+    assert abs(line - 3.0) <= 1e-12
+    assert out.values[2] == line + _noise(s, 4)[2]
 
 
-def test_interpolate_gaps_is_identity_on_regular_series():
+def test_gap_fill_is_identity_on_regular_series():
     s = TimeSeries.regular(np.arange(10.0) ** 2, period=30.0)
-    out = interpolate_gaps(s, 30.0)
-    np.testing.assert_array_equal(out.timestamps, s.timestamps)
-    np.testing.assert_array_equal(out.values, s.values)
+    out = gap_fill(s, 30.0)
+    assert out.timestamps.tobytes() == s.timestamps.tobytes()
+    assert out.values.tobytes() == s.values.tobytes()
 
 
-def test_interpolate_gaps_partial_period_tail_is_dropped():
-    # Span 70 with period 30 covers grid points 0, 30, 60 only.
+def test_gap_fill_partial_period_tail_is_dropped():
+    # Span 70 with period 30 covers grid points 0, 30, 60 only; the sample
+    # at 70 is off the grid, so the point at 60 is filled.
     s = TimeSeries(np.array([0.0, 30.0, 70.0]), np.array([0.0, 3.0, 7.0]))
-    out = interpolate_gaps(s, 30.0)
-    np.testing.assert_array_equal(out.timestamps, [0.0, 30.0, 60.0])
-    np.testing.assert_allclose(out.values, [0.0, 3.0, 6.0], rtol=0, atol=1e-12)
+    out = gap_fill(s, 30.0)
+    assert out.timestamps.tolist() == [0.0, 30.0, 60.0]
+    assert out.values[:2].tolist() == [0.0, 3.0]
+    line = np.interp(60.0, s.timestamps, s.values)
+    assert abs(line - 6.0) <= 1e-12
+    assert out.values[2] == line + _noise(s, 3)[2]
 
 
-def test_interpolate_gaps_rejects_degenerate_input(short_series):
-    with pytest.raises(ValueError):
-        interpolate_gaps(short_series, 0.0)
+def test_gap_fill_rejects_degenerate_input(short_series):
+    with pytest.raises(ValueError, match="expected_period must be positive"):
+        gap_fill(short_series, 0.0)
     one = TimeSeries(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        interpolate_gaps(one, 1.0)
+    with pytest.raises(ValueError, match="at least two samples"):
+        gap_fill(one, 1.0)
 
 
 def test_quantize_ties_round_away_from_zero():
@@ -190,15 +197,16 @@ def test_gap_fill_noise_only_on_filled_points():
 def _searchsorted_gap_fill(series, period, seed):
     # The reference rule: a grid point is observed when the original
     # timestamp on either side of it (by searchsorted) is within tol.
-    regular = interpolate_gaps(series, period)
-    ts, grid = series.timestamps, regular.timestamps
+    ts = series.timestamps
+    n_steps = int(np.floor((ts[-1] - ts[0]) / period + 1e-9))
+    grid = ts[0] + period * np.arange(n_steps + 1, dtype=np.float64)
     tol = 1e-6 * period
     idx = np.searchsorted(ts, grid)
     lo = np.clip(idx - 1, 0, len(ts) - 1)
     hi = np.clip(idx, 0, len(ts) - 1)
     filled = np.minimum(np.abs(ts[lo] - grid), np.abs(ts[hi] - grid)) > tol
-    noise = series.resolution * np.random.default_rng(seed).standard_normal(len(grid))
-    values = regular.values.copy()
+    noise = _noise(series, len(grid), seed)
+    values = np.interp(grid, ts, series.values)
     values[filled] += noise[filled]
     return filled, grid, values
 
