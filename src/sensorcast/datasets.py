@@ -133,6 +133,9 @@ class DatasetDescriptor:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.sensor_id is not None and _FAMILIES[self.family].sensor is None:
+            raise ValueError(f"sensor_id {self.sensor_id} given, but {self.family.value} "
+                             f"files have no sensor column")
 
     @property
     def threshold(self) -> float:

@@ -127,6 +127,36 @@ def test_null_dataset_value_reads_as_absent(tmp_path):
     assert [run["delta_min"] for run in runs] == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("command, entry, key", [
+    ("evaluate", {"sensor_id": 7, "expected_period": 5.0}, "sensor_id"),
+    ("evaluate", {"expected_period": 5.0}, "expected_period"),
+    ("evaluate", {"path": "ball_group1.csv", "sensor_id": 7}, "sensor_id"),
+    ("dps", {"sensor_id": 3}, "sensor_id"),
+    ("calibrate", {"sensor_id": 3}, "sensor_id"),
+])
+def test_dataset_keys_the_series_never_reads_are_refused(tmp_path, capsys, command, entry, key):
+    # A ball file has no sensor column, and the generated ball series is
+    # already on its grid: such a key would only reach the manifest digest.
+    assert run_cli("generate", "--paper-defaults", "--output-dir", str(tmp_path / "data")) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if command == "evaluate":
+        manifest = write_manifest(tmp_path / "m.json", methods=["constant"], n_splits=5,
+                                  datasets=[{"family": "ball", "group": 1, **entry}],
+                                  data_dir=str(tmp_path / "data"), output_dir=str(out))
+        argv = ["evaluate", "--manifest", str(manifest)]
+    elif command == "dps":
+        argv = ["dps", "--family", "ball", "--sensor-id", "3", "--method", "constant",
+                "--output-dir", str(out)]
+    else:
+        argv = ["calibrate", "--family", "ball", "--sensor-id", "3",
+                "--output", str(out / "cal.json")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
 BAD_POSITIVE = (float("nan"), float("inf"), 0.0, -1.0)
 
 
