@@ -25,10 +25,12 @@ descriptor, never from ambient randomness.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import io
 import math
+import os
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -342,9 +344,24 @@ def load_csv(path, descriptor: DatasetDescriptor) -> TimeSeries:
     return gap_fill(series, period, seed=seed)
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    into place: a write that fails leaves neither a partial file under
+    the final name nor the temporary one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OSError(f"writing {path}: {exc}") from exc
+
+
 def write_series_csv(path, series: TimeSeries) -> None:
-    """Write a series in the ball fixture schema (timestamp, position)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("timestamp,position\n")
-        for t, v in zip(series.timestamps, series.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    """Write a series atomically in the ball fixture schema (timestamp,
+    position)."""
+    rows = "".join(f"{t!r},{v!r}\n"
+                   for t, v in zip(series.timestamps.tolist(), series.values.tolist()))
+    _atomic_write(path, "timestamp,position\n" + rows)

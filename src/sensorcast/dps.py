@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import _atomic_write
 from .forecast import (METHOD_SPECS, FitConfig, FitError, ForecastModel, MethodKind,
                        fit_constant, fit_model, forecast)
 from .series import TimeSeries
@@ -363,7 +364,10 @@ class DpsTrace:
         }
 
     def to_jsonl(self, path, *, extra_header: dict | None = None) -> None:
-        """One JSON object per line: header, every message, then a summary."""
+        """One JSON object per line: header, every message, then a summary.
+
+        Written atomically as strict JSON: a NaN or infinity is a
+        ValueError, raised before any file is touched."""
         header = {
             "type": "header",
             "method": self.method.value,
@@ -374,22 +378,18 @@ class DpsTrace:
         }
         if extra_header:
             header.update(extra_header)
-        lines = [json.dumps(header, sort_keys=True)]
+        records = [header]
         for step, msg in self.messages:
             if isinstance(msg, Measurement):
-                lines.append(json.dumps({
-                    "type": "measurement", "step": step, "seq": msg.seq,
-                    "index": msg.index, "value": msg.value,
-                }, sort_keys=True))
+                records.append({"type": "measurement", "step": step, "seq": msg.seq,
+                                "index": msg.index, "value": msg.value})
             else:
-                lines.append(json.dumps({
-                    "type": "model_update", "step": step, "seq": msg.seq,
-                    "piggybacked": msg.piggybacked,
-                    "model": msg.model.to_json_dict(),
-                }, sort_keys=True))
-        lines.append(json.dumps({"type": "summary", **self.summary()}, sort_keys=True))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+                records.append({"type": "model_update", "step": step, "seq": msg.seq,
+                                "piggybacked": msg.piggybacked,
+                                "model": msg.model.to_json_dict()})
+        records.append({"type": "summary", **self.summary()})
+        _atomic_write(path, "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
+                                    for r in records))
 
 
 def run_dps(series: TimeSeries, config: FitConfig, history_len: int,

@@ -11,16 +11,14 @@ significance test and the fairness rule meaningful.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import DatasetDescriptor
+from .datasets import DatasetDescriptor, _atomic_write
 from .dps import suppressed
 from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, fit_model, forecast
 from .forecast.models import _unit_scaled
@@ -397,18 +395,6 @@ _CSV_COLUMNS = (
     "avoided_mean", "saved_pct", "model_updates", "fairness", "skipped_terms",
     "manifest_sha256",
 )
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise OSError(f"writing {path}: {exc}") from exc
 
 
 # With an indent, json.dumps runs json's pure-Python encoder; without one,

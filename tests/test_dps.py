@@ -362,6 +362,17 @@ def test_gateway_rejects_protocol_violations():
         gw.step([])
 
 
+def test_gateway_rejects_two_updates_or_a_foreign_object_in_one_step():
+    model = fit_linear(np.array([0.0, 1.0]))
+    bootstrap = Measurement(seq=0, index=0, value=1.0)
+    gw = Gateway(MethodKind.LINEAR, history_len=1, window_len=2)
+    with pytest.raises(DpsProtocolError, match="more than one model update"):
+        gw.step([bootstrap, ModelUpdate(seq=1, model=model), ModelUpdate(seq=2, model=model)])
+    with pytest.raises(DpsProtocolError, match="unknown message type bytes"):
+        gw.step([bootstrap, encode_message(bootstrap)])
+    assert gw.reconstructed == []
+
+
 def test_gateway_window_exhaustion_detected():
     gw = Gateway(MethodKind.LINEAR, history_len=1, window_len=2)
     model = fit_linear(np.array([0.0, 1.0]))
@@ -392,6 +403,14 @@ def test_trace_jsonl_round_trip(tmp_path):
     path2 = tmp_path / "trace2.jsonl"
     trace.to_jsonl(path2, extra_header={"run": "t1"})
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_trace_jsonl_refuses_non_finite_values_before_writing(tmp_path):
+    trace = run_dps(ball_series(1).slice(0, 30), FitConfig(method="constant"),
+                    history_len=10, window_len=10, delta_min=0.02)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        trace.to_jsonl(tmp_path / "trace.jsonl", extra_header={"run": float("nan")})
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of every message's wire bytes, in order, for a whole run on a

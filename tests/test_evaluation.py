@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorcast.datasets import ball_series, descriptor_for
+from sensorcast.datasets import ball_series, descriptor_for, write_series_csv
 from sensorcast.dps import run_dps
 from sensorcast.evaluation import (
     HISTORY_GRID,
@@ -371,11 +371,17 @@ def test_emit_report_requires_rows(tmp_path):
         emit_report([], tmp_path / "a.json", tmp_path / "a.csv")
 
 
-def test_failed_write_leaves_no_temp_file(tmp_path):
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"rows": [1, 2]}),
+    lambda path: write_series_csv(path, ball_series(1)),
+    lambda path: run_dps(ball_series(1).slice(0, 40), FitConfig(method="constant"),
+                         20, 10, 0.001).to_jsonl(path),
+], ids=["write_json", "write_series_csv", "to_jsonl"])
+def test_failed_write_leaves_no_temp_file(tmp_path, write):
     target = tmp_path / "report.json"
     target.mkdir()  # os.replace cannot put a file over a directory
     with pytest.raises(OSError, match="report.json"):
-        write_json(target, {"rows": [1, 2]})
+        write(target)
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
     assert target.is_dir() and not os.listdir(target)
 
