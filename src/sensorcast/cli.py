@@ -65,7 +65,6 @@ class _Parser(argparse.ArgumentParser):
 class RunManifest:
     """Effective run configuration after flag/file/default merging."""
 
-    config_path: str | None = None
     seed: int = 0
     n_splits: int = 200
     output_dir: str = "out"
@@ -83,7 +82,7 @@ class RunManifest:
     tool_version: str = __version__
 
     def effective_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config_path"}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["datasets"] = [dict(d) for d in self.datasets]
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
@@ -97,13 +96,13 @@ class RunManifest:
         return d
 
 
-# Keys a manifest file may set: every field but the two the tool fills in,
-# each with the JSON types its field accepts.
+# Keys a manifest file may set: every field but the tool version, each with
+# the JSON types its field accepts.
 _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)),
                "float | None": (int, float, type(None)), "str": (str,), "tuple": (list,),
                "DatasetFamily": (str,)}
 _MANIFEST_KEYS = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)
-                  if f.name not in ("config_path", "tool_version")}
+                  if f.name != "tool_version"}
 # The JSON type of each element of the list-valued keys, by its JSON name.
 _LIST_ELEMENTS = {"datasets": (dict, "object"), "methods": (str, "str"),
                   "history_lengths": (int, "int"), "window_lengths": (int, "int")}
@@ -153,7 +152,6 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
                                      f"{_type_names(_DATASET_KEYS[key])}, got "
                                      f"{json.dumps(value)} in {json.dumps(entry)}")
         values.update(raw)
-        values["config_path"] = path
     values.update({k: v for k, v in overrides.items() if v is not None})
     # Checked here, not only by the descriptor, which never sees it when
     # every dataset entry sets its own.

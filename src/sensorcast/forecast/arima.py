@@ -165,8 +165,6 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
     for idx, (p, q) in enumerate(pq_pairs):
         n_eff = len(z) - max(p, q)
         k = p + q + (1 if with_mean else 0) + 1
-        if n_eff <= k + 1:
-            continue
         fitted = _fit_candidate(z, p, q, with_mean, config)
         if fitted is None:
             continue

@@ -38,7 +38,6 @@ def test_manifest_merging_precedence(tmp_path):
     assert m.workers == 1
     assert m.n_splits == 10
     assert m.methods == ("constant", "linear")
-    assert m.config_path == str(path)
 
     defaults = load_manifest(None, {})
     assert defaults.seed == 0

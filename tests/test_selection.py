@@ -81,3 +81,22 @@ def test_min_history_is_the_fitters_own_minimum(config):
     assert fit_model(history[:n], config).fit_n == n
     with pytest.raises(FitError):
         fit_model(history[:n - 1], config)
+
+
+@pytest.mark.parametrize("order", [(p, d, q) for p in range(3) for d in range(3)
+                                   for q in range(3)], ids=lambda o: "".join(map(str, o)))
+def test_min_history_leaves_every_single_order_more_residuals_than_parameters(order):
+    # At its minimum a one-order grid's candidate keeps n - d - max(p, q)
+    # residuals, more than its k + 1 parameters, so its AICc is finite and
+    # fit_arima scores it.  The seed-5 history of the test above has no
+    # admissible AR(2) on its differenced first 12 points, so this history
+    # is drawn with seed 1.
+    history = make_ar1(0.5, 60, seed=1)
+    config = FitConfig(method="arima", order_grid=(order,))
+    n = min_history(config)
+    model = fit_model(history[:n], config)
+    p, d, q = order
+    assert model.orders == order
+    assert model.loglik_n == n - d - max(p, q) > model.k + 1
+    with pytest.raises(FitError):
+        fit_model(history[:n - 1], config)
