@@ -399,6 +399,35 @@ def test_evaluate_skips_infeasible_scenarios(tmp_path):
     assert len(rows) == 3
 
 
+def test_evaluate_records_a_series_too_short_for_h_plus_w(tmp_path):
+    manifest = write_manifest(tmp_path / "m.json", methods=["constant"],
+                              history_lengths=[20], window_lengths=[10, 2790],
+                              output_dir=str(tmp_path / "out"))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 0
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert echo["skipped_scenarios"] == [{
+        "dataset": "ball-g1", "method": "constant", "H": 20, "W": 2790,
+        "reason": "series length 2800 < H + W"}]
+
+
+def test_evaluate_with_no_runnable_scenario_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = write_manifest(tmp_path / "m.json", methods=["arima"], history_lengths=[5],
+                              output_dir=str(out))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    assert "manifest produced no runnable scenarios" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_evaluate_csv_family_without_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = write_manifest(tmp_path / "m.json", datasets=[{"family": "intel", "group": 1}],
+                              output_dir=str(out))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    assert "dataset intel-g1 needs a csv path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_missing_dataset_exits_2(tmp_path, capsys):
     manifest = write_manifest(
         tmp_path / "m.json",
