@@ -187,8 +187,8 @@ def _resolve_series(entry: dict, manifest: RunManifest) -> tuple[DatasetDescript
     if path is None:
         if family is DatasetFamily.BALL:
             if descriptor.expected_period is not None:
-                raise ValueError(f"dataset {descriptor.label}: expected_period applies to a "
-                                 f"csv path, and the generated ball series has none")
+                raise ValueError(f"dataset {descriptor.label}: expected_period applies only "
+                                 f"to a csv path, not to the generated ball series")
             return descriptor, ball_series(group)
         raise ValueError(f"dataset {descriptor.label} needs a csv path")
     full = os.path.join(manifest.data_dir, path)

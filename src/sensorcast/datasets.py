@@ -1,5 +1,5 @@
-"""Dataset descriptors, built-in thresholds, CSV ingestion, and the bouncing
-ball generator.
+"""Dataset descriptors, built-in thresholds, CSV ingestion, the bouncing
+ball generator, and the atomic writer every output file goes through.
 
 Every per-family ingestion fact (threshold, unit, cadence, CSV header, which
 columns hold time, value and sensor id, and whether time counts epochs or
