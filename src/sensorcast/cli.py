@@ -357,10 +357,10 @@ def cmd_dps(args) -> int:
                     "projected_savings": network_savings(net, totals["saved_fraction"]),
                 }
             summaries.append(summary)
-            print(f"{descriptor.label} {method_name}: saved "
-                  f"{totals['saved_fraction']:.2f}% "
-                  f"({post_measurements} measurements, "
-                  f"{totals['model_updates']} model updates)")
+            print(f"{descriptor.label} {method_name}: saved {totals['saved_fraction']:.2f}% "
+                  f"({post_measurements} measurements, {totals['model_updates']} model updates; "
+                  f"radio bytes {totals['measurement_bytes']} measurement + "
+                  f"{totals['update_bytes']} update)")
 
     summary_path = os.path.join(manifest.output_dir, "dps_summary.json")
     write_json(summary_path, {"manifest": effective, "manifest_sha256": digest,

@@ -81,21 +81,18 @@ def encode_message(msg: DpsMessage) -> bytes:
     """Wire encoding: 1-byte variant tag, little-endian fields.
 
     ModelUpdate: u32 seq, u8 kind, u8 packed orders (p in bits 4-5, d in
-    2-3, q in 0-1; bits 6-7 reserved, zero), u16 float count, then the
-    model's params followed by its state as float64.  Measurement:
-    u32 seq, u32 index, float64 value.
+    2-3, q in 0-1; bits 6-7 reserved, zero), then params and state as
+    float64, as many as kind and orders fix (``MethodSpec.payloads``):
+    15 to 55 bytes.  Measurement: u32 seq, u32 index, float64 value.
     """
     if isinstance(msg, Measurement):
         return struct.pack("<BIId", _TAG_MEASUREMENT, msg.seq, msg.index, msg.value)
     model = msg.model
     p, d, q = model.orders
     packed = (p << 4) | (d << 2) | q
-    floats = np.concatenate([model.params, model.state])
-    return struct.pack(
-        f"<BIBBH{len(floats)}d",
-        _TAG_MODEL_UPDATE, msg.seq, METHOD_SPECS[model.kind].code, packed,
-        len(floats), *floats,
-    )
+    floats = model.params.tolist() + model.state.tolist()
+    return struct.pack(f"<BIBB{len(floats)}d", _TAG_MODEL_UPDATE, msg.seq,
+                       METHOD_SPECS[model.kind].code, packed, *floats)
 
 
 def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
@@ -116,10 +113,10 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
         return Measurement(seq=seq, index=index, value=value)
     if tag != _TAG_MODEL_UPDATE:
         raise DpsProtocolError(f"unknown message tag 0x{tag:02x}")
-    head = struct.calcsize("<BIBBH")
+    head = struct.calcsize("<BIBB")
     if len(data) < head:
         raise DpsProtocolError(f"model update header truncated at {len(data)} bytes")
-    _, seq, kind_code, packed, count = struct.unpack("<BIBBH", data[:head])
+    _, seq, kind_code, packed = struct.unpack("<BIBB", data[:head])
     if kind_code not in _CODE_KINDS:
         raise DpsProtocolError(f"unknown model kind code {kind_code}")
     kind = _CODE_KINDS[kind_code]
@@ -129,16 +126,11 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     sizes = METHOD_SPECS[kind].payloads.get(orders)
     if sizes is None:
         raise DpsProtocolError(f"{kind.value} models have no orders {orders}")
-    n_params, n_state = sizes
-    if count != n_params + n_state:
-        raise DpsProtocolError(
-            f"{kind.value}{orders} update carries {count} floats, expected "
-            f"{n_params + n_state}"
-        )
+    n_params, count = sizes[0], sum(sizes)
     if len(data) != head + 8 * count:
-        raise DpsProtocolError(f"model update payload has {len(data) - head} bytes, "
-                               f"expected {8 * count}")
-    # At most eleven floats, and every refit decodes twice (sensor and
+        raise DpsProtocolError(f"{kind.value}{orders} update payload has "
+                               f"{len(data) - head} bytes, expected {8 * count}")
+    # At most six floats, and every refit decodes twice (sensor and
     # gateway): struct and math cost less here than numpy calls.
     floats = struct.unpack_from(f"<{count}d", data, head)
     if not all(map(math.isfinite, floats)):
@@ -355,10 +347,16 @@ class DpsTrace:
         return counts
 
     def summary(self) -> dict:
-        """The run's totals, as the JSONL trace and the dps summary report them."""
+        """The run's totals, wire bytes per message type included (piggybacked
+        updates too), as the JSONL trace and the dps summary report them."""
+        sizes = {Measurement: 0, ModelUpdate: 0}
+        for _, msg in self.messages:
+            sizes[type(msg)] += len(encode_message(msg))
         return {
             "measurements": self.measurement_count,
             "model_updates": count_model_overhead(self),
+            "measurement_bytes": sizes[Measurement],
+            "update_bytes": sizes[ModelUpdate],
             "fallback_steps": list(self.fallback_steps),
             "saved_fraction": self.saved_fraction,
         }

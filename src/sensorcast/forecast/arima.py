@@ -16,23 +16,21 @@ candidate is dropped; a fit raises ``FitError`` only when none is left.
 
 The simplex searches the q <= 2 MA coefficients only, by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta
-the CSS residuals are linear in the AR coefficients and in the constant,
-so each vertex gets its phi and mean from a least-squares solve, and the
-search has one or two dimensions, not p + q.  The objective runs dozens to
-a few hundred times per candidate, so it works on Python floats and as
-few numpy calls as it can: it tests the vertex's MA admissibility on its
-floats, filters the lag rows built once per candidate in one all-pole
-filter call, run on lfilter's C kernel through ``filters.all_pole`` (at a
-few dozen samples lfilter's Python wrapper costs twice the kernel), takes
-one Gram product and solves normal equations of at most 3 unknowns by hand.
-A vertex whose solved phi is inadmissible gets the same penalty as an
-inadmissible theta.
+the CSS residuals are linear in phi and the constant, so each vertex gets
+them from one least-squares solve on Python floats (``_profiled_css``); an
+inadmissible solved phi costs a vertex the penalty of an inadmissible theta.
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
 history average, while a differenced fit carrying a drift term would no
-longer reduce to value-holding when p = q = 0.  The parameter vector keeps
-the intercept slot (0.0) at d >= 1 so layouts never vary.
+longer reduce to value-holding when p = q = 0.
+
+A model ships only what its forecast reads.  Past step q the MA terms act
+on shocks at their mean, zero, so the fit runs the ARMA recursion for the
+first q steps once, and the forecast continues it as an AR recursion.
+``params`` is phi, then the mean at d = 0; ``state`` is the last (p - q)+
+differenced values, the q first differenced forecasts and the d anchors.
+phi, theta and the mean (0.0 at d >= 1) are ``ForecastModel.estimates``.
 
 Fits run on the history scaled by the power of two that puts max|x| in
 [0.5, 1).  The scaling is exact, so the chosen orders and coefficients do
@@ -154,16 +152,12 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
     # state and likelihood are scaled back.
     scaled, exponent = _unit_scaled(x)
     d = choose_differencing(scaled, [dd for _, dd, _ in grid])
-    pq_pairs: list[tuple[int, int]] = []
-    for p, dd, q in grid:
-        if dd == d and (p, q) not in pq_pairs:
-            pq_pairs.append((p, q))
+    pq_pairs = list(dict.fromkeys((p, q) for p, dd, q in grid if dd == d))
     z = np.diff(scaled, n=d)
     with_mean = d == 0
 
     best = None
     for idx, (p, q) in enumerate(pq_pairs):
-        n_eff = len(z) - max(p, q)
         k = p + q + (1 if with_mean else 0) + 1
         fitted = _fit_candidate(z, p, q, with_mean, config)
         if fitted is None:
@@ -171,7 +165,7 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
         phi, theta, mu = fitted
         resid = css_residuals(z, phi, theta, mu)
         # Ranked on the scaled residuals, so the choice is scale-free.
-        key = (aicc(gaussian_neg2_loglik(resid), k, n_eff), k, idx)
+        key = (aicc(gaussian_neg2_loglik(resid), k, len(resid)), k, idx)
         if best is None or key < best[0]:
             best = (key, p, q, phi, theta, mu, resid)
 
@@ -182,14 +176,18 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
         )
 
     (_, k, _), p, q, phi, theta, mu, resid = best
+    phi, theta = phi.tolist(), theta.tolist()
     anchors = [float(np.diff(scaled, n=i)[-1]) for i in range(d)]
-    state = np.concatenate([z[len(z) - p:], resid[len(resid) - q:] if q else [],
-                            anchors]) if (p or q or d) else np.zeros(0)
+    *tail, mu = np.ldexp([*z[len(z) - p:], *resid[len(resid) - q:], *anchors, mu],
+                         exponent).tolist()
+    lags, shocks, anchors = tail[:p], tail[p:p + q], tail[p + q:]
     return ForecastModel(
         kind=MethodKind.ARIMA,
         orders=(p, d, q),
-        params=np.concatenate([phi, theta, np.ldexp([mu], exponent)]),
-        state=np.ldexp(state, exponent),
+        params=phi + [mu] if with_mean else phi,
+        # The q first forecasts stand in for theta and the residuals.
+        state=lags[min(p, q):] + _differenced_forecasts(phi, theta, mu, lags, shocks, q) + anchors,
+        estimates=phi + theta + [mu],
         k=k,
         fit_n=len(x),
         neg2_loglik=_scaled_neg2_loglik(resid, exponent),
@@ -297,32 +295,30 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     return np.array(phi), theta, mu
 
 
-def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:
-    """Forecast ``n_steps`` values ahead from a fitted ARIMA model."""
-    # State layout: p most recent differenced values (oldest first), then q
-    # most recent residuals (oldest first), then the d integration anchors
-    # (last value of each differencing level, level 0 first).
-    p, d, q = model.orders
-    phi = model.params[:p]
-    theta = model.params[p:p + q]
-    mu = model.params[p + q]
-    z_hist = list(model.state[:p])
-    e_hist = list(model.state[p:p + q])
-    anchors = model.state[p + q:p + q + d]
-
-    out = np.empty(n_steps)
-    for step in range(n_steps):
+def _differenced_forecasts(phi, theta, mu: float, lags: list, shocks: list, n_steps: int) -> list:
+    # n_steps differenced forecasts after the last values and residuals
+    # (oldest first), future shocks at their mean; an overflow is inf.
+    lags, shocks = list(lags), list(shocks)
+    for _ in range(n_steps):
         acc = mu
-        for i in range(p):
-            acc += phi[i] * (z_hist[-1 - i] - mu)
-        for j in range(q):
-            acc += theta[j] * e_hist[-1 - j]
-        out[step] = acc
-        if p:
-            z_hist.append(acc)
-        if q:
-            e_hist.append(0.0)  # future shocks enter at their mean
+        for i, c in enumerate(phi):
+            acc += c * (lags[-1 - i] - mu)
+        for j, c in enumerate(theta):
+            acc += c * shocks[-1 - j]
+        lags.append(acc)
+        shocks.append(0.0)
+    return lags[len(lags) - n_steps:]
 
+
+def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:
+    """Forecast ``n_steps`` values ahead: the q shipped differenced
+    forecasts, the AR recursion after them, integrated by the anchors."""
+    p, d, q = model.orders
+    r = max(p, q)
+    w = model.state[:r].tolist()
+    mu = float(model.params[p]) if d == 0 else 0.0
+    ar = _differenced_forecasts(model.params[:p].tolist(), [], mu, w, [], max(n_steps - q, 0))
+    out = np.array((w[r - q:] + ar)[:n_steps])
     for level in range(d - 1, -1, -1):
-        out = anchors[level] + np.cumsum(out)
+        out = model.state[r + level] + np.cumsum(out)
     return out

@@ -61,30 +61,36 @@ def _frozen_f64(values) -> np.ndarray:
     return arr
 
 
+_NO_FLOATS = _frozen_f64(())  # every empty default: frozen, so never copied
+
+
 @dataclass(frozen=True, eq=False)
 class ForecastModel:
     """Everything needed to reproduce a fit's forecasts.
 
-    ``params`` holds the estimated coefficients, ``state`` the conditioning
-    values the forecast recursion starts from (model-dependent; empty for
-    methods whose params already pin the forecast).  ``k`` is the parameter
-    count charged by AICc and ``fit_n`` the history length used by the fit;
-    neither participates in forecasting.
+    ``params`` and ``state`` are exactly the floats the forecast reads and
+    a model update carries: coefficients, and the values the recursion
+    starts from.  The rest never goes over the wire: ``estimates`` holds
+    the fitted coefficients (ARIMA phi, theta and the mean; smoothing's
+    weights; empty for closed forms and decoded models), ``k`` the
+    parameter count charged by AICc, ``fit_n`` the history length fitted.
     """
 
     kind: MethodKind
     orders: tuple[int, int, int] = (0, 0, 0)
-    params: np.ndarray = field(default_factory=lambda: np.empty(0))
-    state: np.ndarray = field(default_factory=lambda: np.empty(0))
+    params: np.ndarray = field(default_factory=lambda: _NO_FLOATS)
+    state: np.ndarray = field(default_factory=lambda: _NO_FLOATS)
+    estimates: np.ndarray = field(default_factory=lambda: _NO_FLOATS)
     k: int = 0
     fit_n: int = 0
     neg2_loglik: float = float("nan")
     loglik_n: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _frozen_f64(self.params))
-        object.__setattr__(self, "state", _frozen_f64(self.state))
-        object.__setattr__(self, "orders", tuple(int(v) for v in self.orders))
+        for name in ("params", "state", "estimates"):
+            if getattr(self, name) is not _NO_FLOATS:
+                object.__setattr__(self, name, _frozen_f64(getattr(self, name)))
+        object.__setattr__(self, "orders", tuple(map(int, self.orders)))
         if len(self.orders) != 3:
             raise ValueError(f"orders must be a 3-tuple, got {self.orders}")
 
@@ -94,8 +100,7 @@ class ForecastModel:
         return {
             "kind": self.kind.value,
             "orders": list(self.orders),
-            "params": [float(v) for v in self.params],
-            "state": [float(v) for v in self.state],
+            **{name: getattr(self, name).tolist() for name in ("params", "state", "estimates")},
             "k": self.k,
             "fit_n": self.fit_n,
         }

@@ -161,53 +161,55 @@ def gauss_newton(residuals, stacked_jacobian, x0, lo, hi, *, max_trials: int) ->
     k = len(x)
     if not 1 <= k <= 2:
         raise ValueError("gauss_newton searches one or two coordinates")
-    e = residuals(x)
-    f = float(e @ e)
-    lam, nu = _LAMBDA0, 2.0
-    trials = 0
-    fresh = True
-    while trials < max_trials:
-        if fresh:
-            m = stacked_jacobian(x, e)
-            gram = (m @ m.T).tolist()
-            if not math.isfinite(sum(map(sum, gram))):
+    # A sum of squares or Gram entry past the largest float is inf, unwarned.
+    with np.errstate(over="ignore"):
+        e = residuals(x)
+        f = float(e @ e)
+        lam, nu = _LAMBDA0, 2.0
+        trials = 0
+        fresh = True
+        while trials < max_trials:
+            if fresh:
+                m = stacked_jacobian(x, e)
+                gram = (m @ m.T).tolist()
+                if not math.isfinite(sum(map(sum, gram))):
+                    break
+                grad = [row[k] for row in gram]
+                free = [i for i in range(k)
+                        if lo[i] < hi[i] and gram[i][i] > 0.0
+                        and not (x[i] <= lo[i] and grad[i] > 0.0)
+                        and not (x[i] >= hi[i] and grad[i] < 0.0)]
+                if not free:
+                    break
+            step = _damped_step(gram, grad, free, lam)
+            if step is None:
                 break
-            grad = [row[k] for row in gram]
-            free = [i for i in range(k)
-                    if lo[i] < hi[i] and gram[i][i] > 0.0
-                    and not (x[i] <= lo[i] and grad[i] > 0.0)
-                    and not (x[i] >= hi[i] and grad[i] < 0.0)]
-            if not free:
+            trial = list(x)
+            for i, d in zip(free, step):
+                trial[i] = min(max(x[i] + d, lo[i]), hi[i])
+            if trial == x:
                 break
-        step = _damped_step(gram, grad, free, lam)
-        if step is None:
-            break
-        trial = list(x)
-        for i, d in zip(free, step):
-            trial[i] = min(max(x[i] + d, lo[i]), hi[i])
-        if trial == x:
-            break
-        trials += 1
-        e_trial = residuals(trial)
-        f_trial = float(e_trial @ e_trial)
-        fresh = f_trial < f
-        if fresh:
-            # The fall |e|^2 - |e + J d|^2 that the linear model predicts
-            # for the clipped step d.
-            d = [t - v for t, v in zip(trial, x)]
-            hd = [sum(h * dj for h, dj in zip(row, d)) for row in gram[:k]]
-            predicted = -sum((2.0 * g + h) * di for g, h, di in zip(grad, hd, d))
-            rho = (f - f_trial) / predicted if predicted > 0.0 else 0.0
-            converged = f - f_trial <= _FTOL * f
-            x, e, f = trial, e_trial, f_trial
-            if converged:
-                break
-            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _LAMBDA_MIN)
-            nu = 2.0
-        else:
-            lam *= nu
-            nu *= 2.0
-    return x
+            trials += 1
+            e_trial = residuals(trial)
+            f_trial = float(e_trial @ e_trial)
+            fresh = f_trial < f
+            if fresh:
+                # The fall |e|^2 - |e + J d|^2 that the linear model predicts
+                # for the clipped step d.
+                d = [t - v for t, v in zip(trial, x)]
+                hd = [sum(h * dj for h, dj in zip(row, d)) for row in gram[:k]]
+                predicted = -sum((2.0 * g + h) * di for g, h, di in zip(grad, hd, d))
+                rho = (f - f_trial) / predicted if predicted > 0.0 else 0.0
+                converged = f - f_trial <= _FTOL * f
+                x, e, f = trial, e_trial, f_trial
+                if converged:
+                    break
+                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _LAMBDA_MIN)
+                nu = 2.0
+            else:
+                lam *= nu
+                nu *= 2.0
+        return x
 
 
 def _damped_step(gram, grad, free, lam):

@@ -36,8 +36,8 @@ class MethodSpec:
     """Everything that differs between forecasting families.
 
     ``payloads`` maps every (p, d, q) the fitter can produce to the
-    (param count, state count) a model of those orders carries; a model
-    update with any other orders is malformed.  ``holds`` marks
+    (param count, state count) of exactly the floats ``forecast`` reads;
+    an update of other orders or length is malformed.  ``holds`` marks
     value-holding: it predicts the last transmitted value, re-anchors on
     every transmission and never ships a model.  ``forecast_block`` maps
     an S x H block of histories to the S x W block of their forecasts,
@@ -103,14 +103,14 @@ METHOD_SPECS: dict[MethodKind, MethodSpec] = {
                                                   (len(histories), n))),
     MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(
         code=3, fit=lambda history, config: fit_exponential_smoothing(history, config),
-        forecast=_forecast_smoothing, payloads={(1, 0, 0): (1, 1), (2, 0, 0): (2, 2)},
+        forecast=_forecast_smoothing, payloads={(1, 0, 0): (0, 1), (2, 0, 0): (0, 2)},
         min_history=lambda config: _ES_MIN_HISTORY),
     MethodKind.ARIMA: MethodSpec(
         code=4, fit=lambda history, config: fit_arima(history, config),
         forecast=forecast_arima,
-        # Params phi, theta and the mean; state the p last values, the q
-        # last residuals and the d integration anchors.
-        payloads={(p, d, q): (p + q + 1, p + q + d) for p, d, q in FULL_ORDER_GRID},
+        # Params phi and, at d = 0, the mean; state the (p - q)+ last
+        # values, the q first forecasts and the d integration anchors.
+        payloads={(p, d, q): (p + (d == 0), max(p, q) + d) for p, d, q in FULL_ORDER_GRID},
         min_history=lambda config: _arima_min_history(config.order_grid)),
 }
 

@@ -14,19 +14,17 @@ step costs two filters: e = theta(B)^-1 w, then theta(B)^-1 e, whose lags
 are the derivatives of e in theta, carried to the weights by the chain
 rule.  Alpha stays in [min, max] of its grid ([0.01, 0.99] by default) and
 beta in [0.01, 0.99]; the search never ends above its start, and its
-trials are capped at ``FitConfig.max_evals`` (budget**3).  A fit runs a
-few dozen filters in sequence on a few dozen samples, so they go
-straight to lfilter's C kernel through ``filters.all_pole``: lfilter's
-Python wrapper would cost twice the kernel.  The search runs on the history
-scaled by a power of two that puts max|x| in [0.5, 1): the scaling is
-exact, so the chosen weights do not depend on the series' magnitude, and
-no sum of squares overflows or underflows at extreme ones.  Each variant
-search returns its weights only; one ``simple_errors`` or ``trend_errors``
-call on the scaled history then gives the errors and the final level and
-trend.  The state is scaled back by the same power of two, exactly, and
-the likelihood is that of the scaled errors plus the scale's exact log, so
-the variant choice (level-only vs level+trend, by AICc with the initial
-states charged as parameters) does not depend on the magnitude either.
+trials are capped at ``FitConfig.max_evals`` (budget**3).  Every filter
+is ``filters.all_pole``.  The search runs on the history scaled by a power
+of two that puts max|x| in [0.5, 1): the scaling is exact, so the chosen
+weights do not depend on the series' magnitude, and no sum of squares
+overflows or underflows at extreme ones.  One ``simple_errors`` or
+``trend_errors`` call on the scaled history then gives the errors and the
+final level and trend, the state, scaled back exactly.  A model ships that
+state alone; the weights are ``ForecastModel.estimates``.  The likelihood
+is that of the scaled errors plus the scale's exact log, so the variant
+choice (level-only vs level+trend, by AICc with the initial states
+charged as parameters) does not depend on the magnitude either.
 """
 
 from __future__ import annotations
@@ -213,8 +211,8 @@ def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> Forecas
         model = ForecastModel(
             kind=MethodKind.EXPONENTIAL_SMOOTHING,
             orders=(len(weights), 0, 0),
-            params=weights,
             state=state,
+            estimates=weights,
             k=len(weights) + len(state),
             fit_n=len(values),
             neg2_loglik=_scaled_neg2_loglik(errors, exponent),

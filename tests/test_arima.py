@@ -16,7 +16,8 @@ from sensorcast.forecast.arima import (
     css_residuals,
     fit_arima,
 )
-from sensorcast.forecast.models import FitConfig, FitError, MethodKind, _unit_scaled
+from sensorcast.forecast.models import (FULL_ORDER_GRID, FitConfig, FitError, MethodKind,
+                                        _unit_scaled)
 from sensorcast.forecast.selection import forecast
 from sensorcast.series import quantize_to_resolution
 
@@ -144,7 +145,7 @@ def test_fit_arima_010_reduces_to_value_holding():
     cfg = FitConfig(method="arima", order_grid=((0, 1, 0),))
     m = fit_arima(x, cfg)
     assert m.orders == (0, 1, 0)
-    assert m.params[-1] == 0.0  # no drift term at d >= 1
+    assert m.estimates[-1] == 0.0  # no drift term at d >= 1
     np.testing.assert_array_equal(forecast(m, 4), np.full(4, x[-1]))
 
 
@@ -158,7 +159,7 @@ def test_fit_arima_ma_component_improves_on_arma_data():
     # coefficient should land near the truth.
     assert m.orders[2] == 1 or m.orders[0] == 1
     if m.orders == (0, 0, 1):
-        assert m.params[0] == pytest.approx(0.6, abs=0.15)
+        assert m.estimates[0] == pytest.approx(0.6, abs=0.15)
 
 
 def test_fit_arima_estimates_are_admissible():
@@ -167,7 +168,7 @@ def test_fit_arima_estimates_are_admissible():
         x = np.cumsum(rng.standard_normal(150))
         m = fit_arima(x, ARIMA_CONFIG)
         p, d, q = m.orders
-        phi, theta = m.params[:p], m.params[p:p + q]
+        phi, theta = m.estimates[:p], m.estimates[p:p + q]
         if p:
             roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
             assert np.min(np.abs(roots)) > ROOT_MARGIN
@@ -181,9 +182,12 @@ def test_fit_arima_state_carries_forecast_context():
     cfg = FitConfig(method="arima", order_grid=((2, 0, 1),))
     m = fit_arima(x, cfg)
     p, d, q = m.orders
-    assert len(m.state) == p + q + d
-    # The AR lags in the state are the last differenced observations.
-    np.testing.assert_array_equal(m.state[:p], x[-p:])
+    assert (p, d, q) == (2, 0, 1)
+    assert len(m.state) == max(p, q) + d
+    # The state is the last p - q differenced observations, then the first
+    # q forecasts, which carry the MA part.
+    np.testing.assert_array_equal(m.state[:p - q], x[-(p - q):])
+    np.testing.assert_array_equal(m.state[p - q:], forecast(m, q))
 
 
 def test_fit_arima_short_history_raises():
@@ -198,6 +202,7 @@ def test_fit_arima_is_deterministic():
     assert a.orders == b.orders
     np.testing.assert_array_equal(a.params, b.params)
     np.testing.assert_array_equal(a.state, b.state)
+    np.testing.assert_array_equal(a.estimates, b.estimates)
 
 
 def test_fit_arima_one_step_forecast_tracks_ar_process():
@@ -238,9 +243,12 @@ def test_fit_arima_does_not_depend_on_the_scale(exponent):
     base = fit_arima(x, ARIMA_CONFIG)
     model = fit_arima(np.ldexp(x, exponent), ARIMA_CONFIG)
     assert base.orders == model.orders == (1, 0, 1)
-    assert [v.hex() for v in model.params[:2].tolist()] == \
-        [v.hex() for v in base.params[:2].tolist()]
-    np.testing.assert_array_equal(model.params[2:], np.ldexp(base.params[2:], exponent))
+    assert [v.hex() for v in model.estimates[:2].tolist()] == \
+        [v.hex() for v in base.estimates[:2].tolist()]
+    np.testing.assert_array_equal(model.estimates[2:], np.ldexp(base.estimates[2:], exponent))
+    assert [v.hex() for v in model.params[:1].tolist()] == \
+        [v.hex() for v in base.params[:1].tolist()]
+    np.testing.assert_array_equal(model.params[1:], np.ldexp(base.params[1:], exponent))
     np.testing.assert_array_equal(model.state, np.ldexp(base.state, exponent))
     assert model.neg2_loglik == pytest.approx(
         base.neg2_loglik + 2 * model.loglik_n * exponent * math.log(2.0), rel=1e-12)
@@ -331,29 +339,90 @@ def arma_history(seed, d, n=60):
 
 # Golden fits, bit for bit (float.hex): each winner has an MA part, so its
 # coefficients come from the simplex search over theta, with phi and the
-# mean solved at each vertex.
+# mean solved at each vertex.  The estimates are phi, theta and the mean;
+# a model ships phi and, at d = 0, the mean, then the (p - q)+ last values,
+# the q first forecasts and the d anchors.
 FIT_ARIMA_PINS = [
     (1, 0, (2, 0, 2),
      ["0x1.6966cd57e6c5ap+0", "-0x1.33a6bc5514e13p-1", "-0x1.1c4c6390172f3p-1",
       "-0x1.c5ed22899e890p-2", "-0x1.495cc839b5187p-2"],
-     ["-0x1.88b5c63f62b95p+0", "-0x1.91ead5e9d5ba0p+0", "0x1.6c69f8e030220p-5",
-      "-0x1.62dc8319fba65p-2"]),
+     ["0x1.6966cd57e6c5ap+0", "-0x1.33a6bc5514e13p-1", "-0x1.495cc839b5187p-2"],
+     ["-0x1.2ec972255997dp+0", "-0x1.446459f7a347ep-1"]),
     (0, 1, (1, 1, 1),
      ["0x1.57772897338ccp-1", "0x1.57e4ea0000002p-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb8d0p+1", "0x1.0fb9089d90fe2p+1", "0x1.3e781dad504a6p+5"]),
+     ["0x1.57772897338ccp-1"],
+     ["0x1.2dc9bea197c78p+1", "0x1.3e781dad504a6p+5"]),
     (0, 2, (1, 2, 1),
      ["0x1.5c89e3be0031bp-1", "0x1.528333999999ap-2", "0x0.0p+0"],
-     ["0x1.39d74bcdfb800p+1", "0x1.0f671979f8beap+1", "0x1.23f3897c7ca65p+10",
-      "0x1.3e781dad504a0p+5"]),
+     ["0x1.5c89e3be0031bp-1"],
+     ["0x1.2f5d294192060p+1", "0x1.23f3897c7ca65p+10", "0x1.3e781dad504a0p+5"]),
 ]
 
 
-@pytest.mark.parametrize("seed, d, orders, params, state", FIT_ARIMA_PINS)
-def test_fit_arima_reproduces_pinned_fits(seed, d, orders, params, state):
+@pytest.mark.parametrize("seed, d, orders, estimates, params, state", FIT_ARIMA_PINS)
+def test_fit_arima_reproduces_pinned_fits(seed, d, orders, estimates, params, state):
     model = fit_arima(arma_history(seed, d), ARIMA_CONFIG)
     assert model.orders == orders
+    assert [v.hex() for v in model.estimates.tolist()] == estimates
     assert [v.hex() for v in model.params.tolist()] == params
     assert [v.hex() for v in model.state.tolist()] == state
+
+
+def full_recursion_oracle(x, model, n_steps):
+    # The ARIMA forecast from phi, theta, the mean and the last q residuals:
+    # the ARMA recursion over every step, with future shocks at their mean,
+    # then integrated by the anchors.  The residuals and the last values
+    # come from the scaled history, as the fit takes them.
+    p, d, q = model.orders
+    phi, theta = model.estimates[:p], model.estimates[p:p + q]
+    mu = model.estimates[p + q]
+    scaled, exponent = _unit_scaled(x)
+    z = np.diff(scaled, n=d)
+    resid = css_residuals(z, phi, theta, np.ldexp(mu, -exponent))
+    z_hist = list(np.ldexp(z[len(z) - p:], exponent))
+    e_hist = list(np.ldexp(resid[len(resid) - q:], exponent))
+    anchors = np.ldexp([np.diff(scaled, n=i)[-1] for i in range(d)], exponent)
+    out = np.empty(n_steps)
+    for step in range(n_steps):
+        acc = mu
+        for i in range(p):
+            acc += phi[i] * (z_hist[-1 - i] - mu)
+        for j in range(q):
+            acc += theta[j] * e_hist[-1 - j]
+        out[step] = acc
+        z_hist.append(acc)
+        e_hist.append(0.0)
+    for level in range(d - 1, -1, -1):
+        out = anchors[level] + np.cumsum(out)
+    return out
+
+
+def oracle_histories():
+    rng = np.random.default_rng(79)
+    walks = [rng.standard_normal(60).cumsum() for _ in range(4)]
+    walks += [walk.cumsum() for walk in walks[:2]]
+    ball = quantize_to_resolution(ball_series(2).slice(0, 400), 0.5).values
+    return walks + [ball[start:start + 50] for start in range(0, 350, 70)]
+
+
+@pytest.mark.parametrize("order", FULL_ORDER_GRID, ids=str)
+def test_forecast_from_shipped_floats_is_the_full_recursion(order):
+    # A model ships the q first forecasts in place of theta and the
+    # residuals; from there on the AR recursion gives, bit for bit, what
+    # the whole ARMA recursion gives (a zero's sign aside: the MA terms
+    # add theta * 0.0 past step q).
+    config = FitConfig(method="arima", order_grid=(order,))
+    checked = 0
+    for x in oracle_histories():
+        try:
+            model = fit_arima(x, config)
+        except FitError:
+            continue
+        got = forecast(model, 25) + 0.0
+        want = full_recursion_oracle(x, model, 25) + 0.0
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        checked += 1
+    assert checked >= 6
 
 
 def test_ma_search_never_ends_above_its_ar_start():

@@ -363,8 +363,8 @@ _GENERATE_PINS = {
 }
 _DPS_PINS = {
     "dps_ball-g1_exponential_smoothing.jsonl":
-        "6541f2ce94a5cd3b444f0f591c8a0fb4290bf459553a219ce2d1e03fa74166a6",
-    "dps_summary.json": "89ba4ca17db4fc91ecc505aa974c1c71aaf13a48d8cfd78339c32f1ec53be859",
+        "a32248e83cb8456ec6dc2440518e8f62658c9ac03a5b360824d3970f7a21c70a",
+    "dps_summary.json": "75d86882aca1a47a0a652539a340eb6c2f4f8eb2eaa3929b04f00fa6b1f1a66c",
 }
 
 
@@ -514,6 +514,11 @@ def test_dps_trace_and_summary(tmp_path, capsys):
     assert run["delta_min"] == 2.0
     assert run["n_steps"] == 2800
     assert run["model_updates"] == 0
+    # Value-holding ships no model: every radio byte is a 17-byte measurement.
+    assert run["measurement_bytes"] == 17 * run["measurements"]
+    assert run["update_bytes"] == 0
+    assert (f"radio bytes {run['measurement_bytes']} measurement + 0 update"
+            in capsys.readouterr().out)
     assert run["network"]["total_transmissions"] == 110
     expected_savings = int(110 * run["saved_fraction"] / 100.0)
     assert run["network"]["projected_savings"] == expected_savings
@@ -524,6 +529,7 @@ def test_dps_trace_and_summary(tmp_path, capsys):
     tail = json.loads(trace_lines[-1])
     assert tail["type"] == "summary"
     assert tail["measurements"] == run["measurements"]
+    assert tail["measurement_bytes"] == run["measurement_bytes"]
 
 
 def test_dps_on_generated_csv_matches_generated_series(tmp_path):

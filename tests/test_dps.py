@@ -78,18 +78,24 @@ def test_measurement_wire_round_trip():
 
 
 def test_model_update_wire_round_trip_every_kind():
+    # Each update is a 7-byte header and the floats its forecast reads.
     models = [
-        fit_constant(np.array([1.0, 2.5])),
-        fit_linear(np.array([0.0, 0.125])),
-        ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=[3.5], k=1, fit_n=9),
-        ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(2, 0, 0),
-                      params=[0.3, 0.1], state=[5.0, -0.25], k=4, fit_n=20),
-        ForecastModel(kind=MethodKind.ARIMA, orders=(2, 1, 1),
-                      params=[0.4, -0.1, 0.2, 0.0],
-                      state=[1.5, 2.5, 0.5, 10.0], k=4, fit_n=60),
+        (fit_constant(np.array([1.0, 2.5])), 15),
+        (fit_linear(np.array([0.0, 0.125])), 23),
+        (ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=[3.5], k=1, fit_n=9), 15),
+        (ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(1, 0, 0),
+                       state=[5.0], estimates=[0.3], k=2, fit_n=20), 15),
+        (ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(2, 0, 0),
+                       state=[5.0, -0.25], estimates=[0.3, 0.1], k=4, fit_n=20), 23),
+        (ForecastModel(kind=MethodKind.ARIMA, orders=(2, 0, 2), params=[0.4, -0.1, 3.0],
+                       state=[2.5, 0.75], estimates=[0.4, -0.1, 0.2, 0.1, 3.0],
+                       k=6, fit_n=60), 47),
+        (ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 1), params=[0.4],
+                       state=[0.75, 10.0], estimates=[0.4, 0.2, 0.0], k=3, fit_n=60), 31),
     ]
-    for model in models:
+    for model, size in models:
         wire = encode_message(ModelUpdate(seq=42, model=model))
+        assert len(wire) == size
         back = decode_message(wire, piggybacked=True)
         assert isinstance(back, ModelUpdate)
         assert back.seq == 42
@@ -98,6 +104,8 @@ def test_model_update_wire_round_trip_every_kind():
         assert back.model.orders == model.orders
         np.testing.assert_array_equal(back.model.params, model.params)
         np.testing.assert_array_equal(back.model.state, model.state)
+        # The fit's record stays off the wire.
+        assert back.model.estimates.tolist() == []
         # Same model, same bytes: encoding is deterministic.
         assert encode_message(ModelUpdate(seq=42, model=model)) == wire
 
@@ -114,6 +122,8 @@ def test_decode_rejects_malformed_frames():
     update = encode_message(ModelUpdate(seq=1, model=fit_linear(np.array([1.0, 2.0]))))
     with pytest.raises(DpsProtocolError):
         decode_message(update[:-8])  # drops one float
+    with pytest.raises(DpsProtocolError, match="expected 16"):
+        decode_message(update + bytes(8))  # one float more than linear ships
     bad_kind = bytearray(update)
     bad_kind[5] = 200
     with pytest.raises(DpsProtocolError):
@@ -126,7 +136,7 @@ def test_decode_refuses_non_finite_floats():
             decode_message(encode_message(Measurement(seq=1, index=2, value=bad)))
     for model in (
         ForecastModel(kind=MethodKind.LINEAR, params=[np.nan, np.inf], k=2),
-        ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 0), params=[0.5, 0.0],
+        ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 0), params=[0.5],
                       state=[1.0, -np.inf], k=2),
     ):
         with pytest.raises(DpsProtocolError, match="non-finite"):
@@ -134,9 +144,9 @@ def test_decode_refuses_non_finite_floats():
 
 
 def update_frame(kind_code: int, packed_orders: int, n_floats: int) -> bytes:
-    """A model-update frame whose float count matches what it claims."""
-    return struct.pack(f"<BIBBH{n_floats}d", 0x01, 3, kind_code, packed_orders,
-                       n_floats, *[0.5] * n_floats)
+    """A model-update frame carrying ``n_floats`` floats."""
+    return struct.pack(f"<BIBB{n_floats}d", 0x01, 3, kind_code, packed_orders,
+                       *[0.5] * n_floats)
 
 
 @pytest.mark.parametrize("frame", [
@@ -417,9 +427,9 @@ def test_trace_jsonl_refuses_non_finite_values_before_writing(tmp_path):
 # quantized ball segment: the fits, the suppression decisions and the
 # encoding together, bit for bit.
 RUN_DIGESTS = {
-    "arima": "d8070066e2c02acf0854599e6587d344441b940a8d2489369653fdf007d64371",
+    "arima": "0285acff7147a722f41a639939abfe681fc50db8515a338630f1fdd1ed0dd58f",
     "exponential_smoothing":
-        "f7c4b3d335cae9911881df86f4bedd7bff177ce06d8dcd41c5c9671cdb9fff65",
+        "b28d51b9b6478cf8b179a31ab2c55b42391680663ced03fe9d5b288ff051721e",
 }
 
 
@@ -430,3 +440,31 @@ def test_run_dps_reproduces_pinned_wire_stream(method):
                     window_len=20, delta_min=1.9)
     wire = b"".join(encode_message(msg) for _, msg in trace.messages)
     assert hashlib.sha256(wire).hexdigest() == RUN_DIGESTS[method]
+
+
+def update_size(model):
+    # A 7-byte header (tag, seq, kind, orders) and the floats the forecast
+    # reads: ARIMA phi, the mean at d = 0, the max(p, q) values it starts
+    # from and the d anchors; smoothing its level and trend.
+    p, d, q = model.orders
+    n_floats = {MethodKind.LINEAR: 2, MethodKind.SIMPLE_MEAN: 1,
+                MethodKind.EXPONENTIAL_SMOOTHING: p,
+                MethodKind.ARIMA: p + (d == 0) + max(p, q) + d}[model.kind]
+    return 7 + 8 * n_floats
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_summary_counts_the_radio_bytes(method):
+    series = quantize_to_resolution(ball_series(1).slice(0, 250), 1.9)
+    trace = run_dps(series, FitConfig(method=method), history_len=50,
+                    window_len=20, delta_min=1.9)
+    measurements = [m for _, m in trace.messages if isinstance(m, Measurement)]
+    updates = [m for _, m in trace.messages if isinstance(m, ModelUpdate)]
+    summary = trace.summary()
+    # Every measurement is 17 bytes; every update, piggybacked or not,
+    # counts the bytes of its kind and orders.
+    assert summary["measurement_bytes"] == 17 * len(measurements)
+    assert summary["update_bytes"] == sum(update_size(m.model) for m in updates)
+    assert (method == "constant") == (summary["update_bytes"] == 0)
+    assert any(m.piggybacked for m in updates) == (method != "constant")
+

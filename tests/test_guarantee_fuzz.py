@@ -144,8 +144,9 @@ def test_fits_scale_exactly_by_powers_of_two(method, shape, n, k, seed):
     assert (unit is None) == (scaled is None)
     if unit is None:
         return
-    # ARIMA's last parameter is the mean; the smoothing weights are all free.
-    free = len(unit.params) - (method == "arima")
+    # ARIMA's params are phi, then the mean at d = 0 only; smoothing ships
+    # no params, only its state.
+    free = unit.orders[0] if method == "arima" else 0
     assert scaled.orders == unit.orders
     assert hexes(scaled.params[:free]) == hexes(unit.params[:free])
     assert hexes(scaled.params[free:]) == hexes(np.ldexp(unit.params[free:], k))

@@ -56,10 +56,11 @@ def test_fit_config_validation():
 
 def test_forecast_model_round_trips_through_json():
     m = ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 1),
-                      params=[0.5, -0.2, 0.0], state=[1.0, 0.1, 3.0],
+                      params=[0.5], state=[1.2, 3.0], estimates=[0.5, -0.2, 0.0],
                       k=3, fit_n=50, neg2_loglik=12.5, loglik_n=48)
     d = m.to_json_dict()
-    assert sorted(d) == ["fit_n", "k", "kind", "orders", "params", "state"]
+    assert sorted(d) == ["estimates", "fit_n", "k", "kind", "orders", "params", "state"]
+    assert d["estimates"] == [0.5, -0.2, 0.0]
     # Diagnostics are fitter-local and must not leak into the wire dict.
     assert "neg2_loglik" not in d
 
@@ -139,10 +140,9 @@ def test_forecast_shorter_horizon_is_prefix_of_longer():
         fit_linear([0.0, 1.5]),
         fit_simple_mean([4.0, 8.0]),
         ForecastModel(kind=MethodKind.ARIMA, orders=(2, 1, 1),
-                      params=[0.4, -0.3, 0.25, 0.0],
-                      state=[0.5, -0.2, 0.1, 10.0], k=4, fit_n=40),
+                      params=[0.4, -0.3], state=[0.5, -0.2, 10.0], k=4, fit_n=40),
         ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(2, 0, 0),
-                      params=[0.3, 0.1], state=[5.0, 0.5], k=4, fit_n=40),
+                      state=[5.0, 0.5], k=4, fit_n=40),
     ]
     for m in histories:
         long = forecast(m, 12)
@@ -167,9 +167,10 @@ def test_arima_forecast_pure_ar_recursion_by_hand():
 
 
 def test_arima_forecast_ma_shocks_die_after_q_steps():
-    # MA(1): first step uses the last residual, afterwards mean only.
+    # MA(1): the first step is the shipped forecast, which carries the last
+    # residual (theta 0.7, residual 1.5); afterwards mean only.
     m = ForecastModel(kind=MethodKind.ARIMA, orders=(0, 0, 1),
-                      params=[0.7, 2.0], state=[1.5], k=3, fit_n=30)
+                      params=[2.0], state=[2.0 + 0.7 * 1.5], k=3, fit_n=30)
     got = forecast(m, 4)
     np.testing.assert_allclose(got, [2.0 + 0.7 * 1.5, 2.0, 2.0, 2.0],
                                rtol=0, atol=1e-15)
@@ -178,23 +179,23 @@ def test_arima_forecast_ma_shocks_die_after_q_steps():
 def test_arima_forecast_integration_anchors():
     # (0,1,0) with no params: differenced forecast is 0, so the anchor repeats.
     rw = ForecastModel(kind=MethodKind.ARIMA, orders=(0, 1, 0),
-                       params=[0.0], state=[7.25], k=1, fit_n=20)
+                       state=[7.25], k=1, fit_n=20)
     np.testing.assert_array_equal(forecast(rw, 3), [7.25, 7.25, 7.25])
 
     # (0,2,0): double integration turns zero curvature into a straight line.
     # Anchors: last value 10, last first-difference 2.
     lin = ForecastModel(kind=MethodKind.ARIMA, orders=(0, 2, 0),
-                        params=[0.0], state=[10.0, 2.0], k=1, fit_n=20)
+                        state=[10.0, 2.0], k=1, fit_n=20)
     np.testing.assert_array_equal(forecast(lin, 3), [12.0, 14.0, 16.0])
 
 
 def test_exponential_smoothing_forecast_shapes():
     simple = ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(1, 0, 0),
-                           params=[0.4], state=[3.25], k=2, fit_n=20)
+                           state=[3.25], k=2, fit_n=20)
     np.testing.assert_array_equal(forecast(simple, 3), [3.25, 3.25, 3.25])
 
     trend = ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(2, 0, 0),
-                          params=[0.4, 0.2], state=[3.0, -0.5], k=4, fit_n=20)
+                          state=[3.0, -0.5], k=4, fit_n=20)
     np.testing.assert_array_equal(forecast(trend, 3), [2.5, 2.0, 1.5])
 
 

@@ -252,10 +252,11 @@ def test_gauss_newton_stops_on_a_zero_jacobian():
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
 def test_gauss_newton_returns_its_start_on_a_non_finite_gram(entry):
     # The Gram product of a Jacobian with a NaN or an infinity in it is not
-    # finite: no step can be solved from it.
+    # finite, nor is one whose entries' squares pass the largest float (with
+    # no overflow warning): no step can be solved from it.
     residuals, jacobian, calls = linear_problem([[entry, 1.0], [1.0, 2.0]], [1.0, 2.0])
     x = gauss_newton(residuals, jacobian, [0.25, 0.5], [0.0, 0.0], [1.0, 1.0],
                      max_trials=100)

@@ -105,7 +105,7 @@ def test_level_only_variant_wins_on_flat_noise():
     assert m.orders == (1, 0, 0)
     assert m.k == 2
     # Small weight: the fitted level averages across the noise.
-    assert m.params[0] < 0.5
+    assert m.estimates[0] < 0.5
     assert forecast(m, 1)[0] == pytest.approx(10.0, abs=0.5)
 
 
@@ -115,7 +115,7 @@ def test_forced_alpha_one_reduces_to_last_value():
     cfg = FitConfig(method="exponential_smoothing",
                     es_variants=("simple",), es_alpha_grid=(1.0,))
     m = fit_exponential_smoothing(values, cfg)
-    assert m.params[0] == 1.0
+    assert m.estimates[0] == 1.0
     assert m.state[0] == values[-1]
     np.testing.assert_array_equal(forecast(m, 5), np.full(5, values[-1]))
 
@@ -125,7 +125,7 @@ def test_explicit_grid_is_respected_exactly():
     cfg = FitConfig(method="exponential_smoothing",
                     es_variants=("simple",), es_alpha_grid=(0.3,))
     m = fit_exponential_smoothing(values, cfg)
-    assert m.params[0] == 0.3
+    assert m.estimates[0] == 0.3
 
 
 @pytest.mark.parametrize("variant", ["simple", "trend"])
@@ -137,7 +137,7 @@ def test_unsorted_alpha_grid_fits_as_sorted(variant):
             method="exponential_smoothing", es_variants=(variant,), es_alpha_grid=grid))
 
     got, want = fit((0.9, 0.1, 0.5)), fit((0.1, 0.5, 0.9))
-    assert got.params.tolist() == want.params.tolist()
+    assert got.estimates.tolist() == want.estimates.tolist()
     assert got.state.tolist() == want.state.tolist()
 
 
@@ -158,7 +158,7 @@ def test_fit_is_deterministic():
     values = rng.standard_normal(50).cumsum()
     a = fit_exponential_smoothing(values, ES_CONFIG)
     b = fit_exponential_smoothing(values, ES_CONFIG)
-    np.testing.assert_array_equal(a.params, b.params)
+    np.testing.assert_array_equal(a.estimates, b.estimates)
     np.testing.assert_array_equal(a.state, b.state)
     assert a.orders == b.orders
 
@@ -190,8 +190,8 @@ def test_weights_do_not_depend_on_the_scale(variant):
     for scale in (2.0 ** 600, 2.0 ** -600):
         with np.errstate(over="ignore"):
             scaled = fit_exponential_smoothing(values * scale, config)
-        assert [v.hex() for v in scaled.params.tolist()] == \
-            [v.hex() for v in unit.params.tolist()], scale
+        assert [v.hex() for v in scaled.estimates.tolist()] == \
+            [v.hex() for v in unit.estimates.tolist()], scale
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -204,7 +204,7 @@ def test_variant_choice_does_not_depend_on_the_scale():
         m = fit_exponential_smoothing(values * scale, ES_CONFIG)
         assert m.orders == (2, 0, 0), scale
         # -2 log L of the history itself, not of its scaled copy.
-        expected = (gaussian_neg2_loglik(trend_errors(values, *m.params)[0])
+        expected = (gaussian_neg2_loglik(trend_errors(values, *m.estimates)[0])
                     + 2.0 * (len(values) - 1) * np.log(scale))
         assert m.neg2_loglik == pytest.approx(expected, rel=1e-12), scale
 
@@ -223,8 +223,9 @@ def pinned_inputs():
     }
 
 
-# Orders, params and state as float.hex, recorded when one bounded
-# Gauss-Newton search from the grid's best point chose the weights.
+# Orders, weights (the estimates) and state as float.hex, recorded when one
+# bounded Gauss-Newton search from the grid's best point chose the weights.
+# A model ships its state alone.
 PINNED_FITS = {
     "level_h50": ((1, 0, 0), ["0x1.68df49c09a8c4p-5"],
                   ["0x1.3f02d9883a413p+3"]),
@@ -246,9 +247,10 @@ def test_fit_exponential_smoothing_reproduces_pinned_fits(name):
     values, overrides = pinned_inputs()[name]
     m = fit_exponential_smoothing(
         values, FitConfig(method="exponential_smoothing", **overrides))
-    orders, params, state = PINNED_FITS[name]
+    orders, estimates, state = PINNED_FITS[name]
     assert m.orders == orders
-    assert [v.hex() for v in m.params.tolist()] == params
+    assert [v.hex() for v in m.estimates.tolist()] == estimates
+    assert m.params.tolist() == []
     assert [v.hex() for v in m.state.tolist()] == state
 
 
