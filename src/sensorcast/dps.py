@@ -40,6 +40,7 @@ __all__ = [
     "count_model_overhead",
     "encode_message",
     "decode_message",
+    "ship",
     "suppressed",
 ]
 
@@ -146,6 +147,20 @@ def _wire_round_trip(model: ForecastModel) -> ForecastModel:
     return decoded.model
 
 
+def ship(history: np.ndarray, config: FitConfig) -> tuple[ForecastModel, ForecastModel, bool]:
+    """The refit rule: the model an update on ``history`` carries, its wire
+    round trip (the model both ends forecast from), and whether the fit
+    fell back.  With no fit, or one the wire refuses because a parameter
+    or state is not finite (a linear slope between +-1e308 overflows), the
+    update carries the value-holding model instead."""
+    try:
+        model = fit_model(history, config)
+        return model, _wire_round_trip(model), False
+    except (FitError, DpsProtocolError):
+        model = fit_constant(history)
+        return model, _wire_round_trip(model), True
+
+
 class _Window:
     """One endpoint's current prediction and its position in it.
 
@@ -217,16 +232,8 @@ class SensorNode:
         return seq
 
     def _refit(self, *, piggybacked: bool) -> ModelUpdate:
-        history = np.array(self._buffer)
-        try:
-            model = fit_model(history, self.config)
-            shipped = _wire_round_trip(model)
-        except (FitError, DpsProtocolError):
-            # No fit, or one the wire refuses because a parameter or state
-            # is not finite (a linear slope between +-1e308 overflows):
-            # hold the last value instead.
-            model = fit_constant(history)
-            shipped = _wire_round_trip(model)
+        model, shipped, fell_back = ship(np.array(self._buffer), self.config)
+        if fell_back:
             self.fallback_steps.append(self._t - 1)
         update = ModelUpdate(seq=self._next_seq(), model=model, piggybacked=piggybacked)
         self._window.install(forecast(shipped, self.window_len))

@@ -1,9 +1,10 @@
 """Scenario evaluation harness.
 
 A scenario fixes a dataset, a method, a history length H and a forecast
-window W.  Running it draws seeded rolling-origin splits, fits on each
-history, forecasts the window, and records accuracy (MAPE) plus how many
-of the W transmissions the threshold rule would have suppressed.  The S
+window W.  Running it draws seeded rolling-origin splits, refits on each
+history as the sensor does (``dps.ship``, fallback included), forecasts
+the window from the model it ships, and records accuracy (MAPE) plus how
+many of the W transmissions the protocol would have suppressed.  The S
 splits of a scenario are scored as one S x H and one S x W block.  Rows
 sharing a seed share split origins exactly, which is what makes the paired
 significance test and the fairness rule meaningful.
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import DatasetDescriptor, _atomic_write
-from .dps import suppressed
-from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, fit_model, forecast
+from .dps import ship, suppressed
+from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, forecast
 from .forecast.models import _unit_scaled
 from .series import TimeSeries, extract_splits, quantize_to_resolution
 
@@ -237,10 +238,11 @@ def count_avoided(method: MethodKind, history_last, window: np.ndarray,
 
     The value-holding method re-anchors on every transmitted value, exactly
     as its protocol run does; every other method forecasts the whole window
-    from the fit, so suppression is a pointwise comparison.  On vectors the
-    result is an int.  On S x W blocks, with one ``history_last`` per row,
-    it is one count per row, and value-holding is one pass over the W
-    columns, each compared for all S rows at once.
+    from the model its refit ships, so suppression is a pointwise
+    comparison with ``predicted``.  On vectors the result is an int.  On
+    S x W blocks, with one ``history_last`` per row, it is one count per
+    row, and value-holding is one pass over the W columns, each compared
+    for all S rows at once.
     """
     windows = np.atleast_2d(window)
     # An overflowing difference is inf, so that step transmits, as it does
@@ -267,16 +269,22 @@ def _held_steps(history_last: np.ndarray, windows: np.ndarray, delta_min: float)
 
 
 def _forecasts(histories: np.ndarray, config: FitConfig, n_steps: int) -> np.ndarray:
-    # The S x W forecast block: closed-form methods in one go, fitted ones
-    # one fit per history.
+    """The S x W forecasts of the models the refits on the histories ship
+    (``dps.ship``), so flat at the last value where a fit fails or the wire
+    refuses it; a FitError below the method's minimum history.  The closed
+    forms are fitted as one block, and the wire's rule is one test on it."""
     spec = METHOD_SPECS[config.method]
-    if spec.forecast_block is None:
-        return np.array([forecast(fit_model(history, config), n_steps)
-                         for history in histories])
-    if histories.shape[1] < spec.min_history(config):
-        raise FitError(f"{config.method.value} needs a history of at least "
-                       f"{spec.min_history(config)} values")
-    return spec.forecast_block(histories, n_steps)
+    need = spec.min_history(config)
+    if histories.shape[1] < need:
+        raise FitError(f"{config.method.value} needs a history of at least {need} values")
+    if spec.fit_block is None:
+        return np.array([forecast(ship(history, config)[1], n_steps) for history in histories])
+    params = spec.fit_block(histories)
+    predicted = spec.forecast_block(params, n_steps)
+    # Only the refused rows are rewritten: np.where would copy the block.
+    refused = ~np.isfinite(params).all(axis=1)
+    predicted[refused] = histories[refused, -1:]
+    return predicted
 
 
 def run_scenario(scenario: Scenario, series: TimeSeries) -> ScenarioResult:

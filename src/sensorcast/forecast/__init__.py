@@ -13,13 +13,10 @@ from .models import (
     ForecastModel,
     MethodKind,
     aicc,
-    fit_constant,
-    fit_linear,
-    fit_simple_mean,
     gaussian_neg2_loglik,
 )
 from .optimize import SimplexResult, nelder_mead
-from .selection import METHOD_SPECS, fit_model, forecast, min_history
+from .selection import METHOD_SPECS, fit_constant, fit_model, forecast, min_history
 from .smoothing import fit_exponential_smoothing, simple_errors, trend_errors
 
 __all__ = [
@@ -37,9 +34,7 @@ __all__ = [
     "fit_arima",
     "fit_constant",
     "fit_exponential_smoothing",
-    "fit_linear",
     "fit_model",
-    "fit_simple_mean",
     "forecast",
     "gaussian_neg2_loglik",
     "min_history",

@@ -1,10 +1,10 @@
-"""Fitted-model container and the cheap fitters.
+"""Fitted-model container and the types every fitter shares.
 
 Every forecasting method produces a :class:`ForecastModel`; forecasting
 (``selection.forecast``) is a pure function of the model, so the sensor
 and the gateway compute identical values from identical model bytes.  The
-heavier fitters live in ``smoothing`` and ``arima``; this module owns the
-shared types plus the methods whose fit is a couple of array reads.
+fitters live in ``smoothing`` and ``arima``, and the closed forms in
+``selection``'s method table.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ __all__ = [
     "ForecastModel",
     "FitConfig",
     "FitError",
-    "fit_constant",
-    "fit_linear",
-    "fit_simple_mean",
     "aicc",
     "gaussian_neg2_loglik",
     "FULL_ORDER_GRID",
@@ -200,44 +197,3 @@ def _scaled_neg2_loglik(residuals: np.ndarray, exponent: int) -> float:
     # underflow.
     n = len(residuals)
     return gaussian_neg2_loglik(residuals) + 2.0 * n * exponent * np.log(2.0)
-
-
-def fit_constant(history: np.ndarray) -> ForecastModel:
-    """Repeat the last observed value.  O(1): touches one array element."""
-    history = np.asarray(history, dtype=np.float64)
-    if len(history) < 1:
-        raise FitError("constant model needs at least one observation")
-    return ForecastModel(kind=MethodKind.CONSTANT, params=[history[-1]],
-                         k=1, fit_n=len(history))
-
-
-def fit_linear(history: np.ndarray) -> ForecastModel:
-    """Extend the line through the last two observations.  O(1)."""
-    history = np.asarray(history, dtype=np.float64)
-    if len(history) < 2:
-        raise FitError("linear model needs at least two observations")
-    # On Python floats an overflowing slope is inf, without a warning.
-    previous, last = history[-2:].tolist()
-    return ForecastModel(kind=MethodKind.LINEAR, params=[last, last - previous],
-                         k=2, fit_n=len(history))
-
-
-def fit_simple_mean(history: np.ndarray) -> ForecastModel:
-    """Repeat the history mean.  Single pass over the history."""
-    history = np.asarray(history, dtype=np.float64)
-    if len(history) < 1:
-        raise FitError("simple mean needs at least one observation")
-    return ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=_row_means(history),
-                         k=1, fit_n=len(history))
-
-
-def _row_means(rows: np.ndarray) -> np.ndarray:
-    # np.mean(rows, axis=-1, keepdims=True), taken on each row scaled by the
-    # power of two that puts its max|x| in [0.5, 1): no sum can overflow, and
-    # the scaling is exact unless a value falls into the subnormal range, so
-    # the mean is np.mean's bit for bit.  np.mean is this sum over the count;
-    # the ufuncs are called directly because np.mean's and np.max's wrappers
-    # cost more than their arithmetic on a short history.
-    _, exponent = np.frexp(np.maximum.reduce(np.abs(rows), axis=-1, keepdims=True))
-    total = np.add.reduce(np.ldexp(rows, -exponent), axis=-1, keepdims=True)
-    return np.ldexp(total / rows.shape[-1], exponent)

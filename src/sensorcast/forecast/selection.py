@@ -5,7 +5,7 @@ about a forecasting family: its wire code, how to fit it, how to forecast
 from a fitted model, its payload table (each order it can produce and the
 float counts that order ships), the shortest history it can be fitted on,
 whether it is the value-holding baseline, and, for the closed-form
-kinds, how to forecast a whole block of histories at once.
+kinds, how to fit and forecast a whole block of histories at once.
 Fitters are looked up by module-global name at call time, so a wrapper
 installed on ``fit_arima`` or ``fit_exponential_smoothing`` here sees
 every call.
@@ -13,6 +13,7 @@ every call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,12 +22,12 @@ import numpy as np
 
 from .arima import fit_arima, forecast_arima
 from .arima import min_history as _arima_min_history
-from .models import (FULL_ORDER_GRID, FitConfig, ForecastModel, MethodKind, _row_means,
-                     fit_constant, fit_linear, fit_simple_mean)
+from .models import FULL_ORDER_GRID, FitConfig, FitError, ForecastModel, MethodKind
 from .smoothing import _MIN_HISTORY as _ES_MIN_HISTORY
 from .smoothing import fit_exponential_smoothing
 
-__all__ = ["MethodSpec", "METHOD_SPECS", "fit_model", "forecast", "min_history"]
+__all__ = ["MethodSpec", "METHOD_SPECS", "fit_constant", "fit_model", "forecast",
+           "min_history"]
 
 Orders = tuple[int, int, int]
 
@@ -39,10 +40,12 @@ class MethodSpec:
     (param count, state count) of exactly the floats ``forecast`` reads;
     an update of other orders or length is malformed.  ``holds`` marks
     value-holding: it predicts the last transmitted value, re-anchors on
-    every transmission and never ships a model.  ``forecast_block`` maps
-    an S x H block of histories to the S x W block of their forecasts,
-    bit for bit what ``fit`` and ``forecast`` give row by row; the fitted
-    kinds have none.
+    every transmission and never ships a model.  A closed form is stated
+    once, on blocks: ``fit_block`` maps an S x H block of histories to the
+    S x P block of their params, and ``forecast_block`` maps S x P params
+    to the S x W block of their forecasts.  Its ``fit`` and ``forecast``
+    are the one-row case, so a block gives bit for bit what they give row
+    by row; the fitted kinds have neither block.
     """
 
     code: int
@@ -51,59 +54,84 @@ class MethodSpec:
     payloads: dict[Orders, tuple[int, int]]
     min_history: Callable[[FitConfig], int]
     holds: bool = False
+    fit_block: Callable[[np.ndarray], np.ndarray] | None = None
     forecast_block: Callable[[np.ndarray, int], np.ndarray] | None = None
 
 
-def _flat(value: float, shape: int | tuple[int, int]) -> np.ndarray:
-    return np.full(shape, value)
+def _closed_form(kind: MethodKind, code: int, n_params: int, fit_block, forecast_block,
+                 holds: bool = False) -> MethodSpec:
+    # The blocks index the last axis only, so one history and one model's
+    # params are their one-row case.  A fit needs a value per param.
+    def fit(history, config):
+        history = np.asarray(history, dtype=np.float64)
+        if len(history) < n_params:
+            raise FitError(f"{kind.value} model needs at least {n_params} observations")
+        return ForecastModel(kind, params=fit_block(history), k=n_params, fit_n=len(history))
+
+    return MethodSpec(code, fit, lambda model, n: forecast_block(model.params, n),
+                      payloads={(0, 0, 0): (n_params, 0)}, min_history=lambda config: n_params,
+                      holds=holds, fit_block=fit_block, forecast_block=forecast_block)
 
 
-def _line(level: float, slope: float, n_steps: int) -> np.ndarray:
-    # A forecast past the largest float is inf, without a warning.  On a
-    # short window np.errstate costs more than the line, so it is entered
-    # only when the bound |level| + |slope| n, on Python floats, is not finite.
+def _last_and_slope(histories: np.ndarray) -> np.ndarray:
+    # [last, last - previous]: an overflowing slope is inf, without a
+    # warning.  One history is fitted on Python floats, which never warn,
+    # because np.errstate costs more than the fit.
+    if histories.ndim == 1:
+        (previous, last), overflow = histories[-2:].tolist(), contextlib.nullcontext()
+    else:
+        previous, last = histories[:, -2], histories[:, -1]
+        overflow = np.errstate(over="ignore")
+    with overflow:
+        return np.array((last, last - previous)).T
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    # np.mean(rows, axis=-1, keepdims=True), taken on each row scaled by the
+    # power of two that puts its max|x| in [0.5, 1): no sum can overflow, and
+    # the scaling is exact unless a value falls into the subnormal range, so
+    # the mean is np.mean's bit for bit.  np.mean is this sum over the count;
+    # the ufuncs are called directly because np.mean's and np.max's wrappers
+    # cost more than their arithmetic on a short history.
+    _, exponent = np.frexp(np.maximum.reduce(np.abs(rows), axis=-1, keepdims=True))
+    total = np.add.reduce(np.ldexp(rows, -exponent), axis=-1, keepdims=True)
+    return np.ldexp(total / rows.shape[-1], exponent)
+
+
+def _flat(params: np.ndarray, n_steps: int) -> np.ndarray:
+    # The first param repeated: a vector from one model, a block from S x P.
+    # np.full is cheapest with a scalar, so one model passes its float.
+    level = params[0] if params.ndim == 1 else params[:, :1]
+    return np.full(params.shape[:-1] + (n_steps,), level)
+
+
+def _line(params: np.ndarray, n_steps: int) -> np.ndarray:
+    # level + k slope for k = 1..n_steps from [level, slope]: a vector from
+    # one model, a block from S x 2.  Past the largest float it is inf,
+    # without a warning.  On a short window np.errstate costs more than the
+    # line, so one model enters it only when the bound |level| + |slope| n,
+    # on Python floats, is not finite.
     steps = np.arange(1, n_steps + 1, dtype=np.float64)
-    if math.isfinite(abs(float(level)) + abs(float(slope)) * n_steps):
-        return level + slope * steps
+    if params.ndim == 1:
+        level, slope = params.tolist()
+        if math.isfinite(abs(level) + abs(slope) * n_steps):
+            return level + slope * steps
+    else:
+        level, slope = params[:, :1], params[:, 1:]
     with np.errstate(over="ignore"):
         return level + slope * steps
-
-
-def _line_block(histories: np.ndarray, n_steps: int) -> np.ndarray:
-    # fit_linear and _line for every row, in the same operations: an
-    # overflowing slope or forecast is inf.
-    last = histories[:, -1:]
-    with np.errstate(over="ignore"):
-        return last + (last - histories[:, -2:-1]) * np.arange(1, n_steps + 1, dtype=np.float64)
-
-
-def _forecast_smoothing(model: ForecastModel, n_steps: int) -> np.ndarray:
-    # State is [level] for the simple variant, [level, trend] with trend.
-    if model.orders[0] == 1:
-        return _flat(model.state[0], n_steps)
-    return _line(*model.state, n_steps)
 
 
 METHOD_SPECS: dict[MethodKind, MethodSpec] = {
-    MethodKind.CONSTANT: MethodSpec(
-        code=0, fit=lambda history, config: fit_constant(history),
-        forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
-        min_history=lambda config: 1, holds=True,
-        forecast_block=lambda histories, n: _flat(histories[:, -1:], (len(histories), n))),
-    MethodKind.LINEAR: MethodSpec(
-        code=1, fit=lambda history, config: fit_linear(history),
-        forecast=lambda model, n: _line(*model.params, n), payloads={(0, 0, 0): (2, 0)},
-        min_history=lambda config: 2,
-        forecast_block=_line_block),
-    MethodKind.SIMPLE_MEAN: MethodSpec(
-        code=2, fit=lambda history, config: fit_simple_mean(history),
-        forecast=lambda model, n: _flat(model.params[0], n), payloads={(0, 0, 0): (1, 0)},
-        min_history=lambda config: 1,
-        forecast_block=lambda histories, n: _flat(_row_means(histories),
-                                                  (len(histories), n))),
+    MethodKind.CONSTANT: _closed_form(MethodKind.CONSTANT, 0, 1,
+                                      lambda histories: histories[..., -1:], _flat, holds=True),
+    MethodKind.LINEAR: _closed_form(MethodKind.LINEAR, 1, 2, _last_and_slope, _line),
+    MethodKind.SIMPLE_MEAN: _closed_form(MethodKind.SIMPLE_MEAN, 2, 1, _row_means, _flat),
     MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(
         code=3, fit=lambda history, config: fit_exponential_smoothing(history, config),
-        forecast=_forecast_smoothing, payloads={(1, 0, 0): (0, 1), (2, 0, 0): (0, 2)},
+        # State is [level] for the simple variant, [level, trend] with trend.
+        forecast=lambda model, n: (_flat if model.orders[0] == 1 else _line)(model.state, n),
+        payloads={(1, 0, 0): (0, 1), (2, 0, 0): (0, 2)},
         min_history=lambda config: _ES_MIN_HISTORY),
     MethodKind.ARIMA: MethodSpec(
         code=4, fit=lambda history, config: fit_arima(history, config),
@@ -118,6 +146,11 @@ METHOD_SPECS: dict[MethodKind, MethodSpec] = {
 def min_history(config: FitConfig) -> int:
     """Shortest history the configured method can be fitted on."""
     return METHOD_SPECS[config.method].min_history(config)
+
+
+def fit_constant(history: np.ndarray) -> ForecastModel:
+    """The value-holding model: repeat the last observed value."""
+    return METHOD_SPECS[MethodKind.CONSTANT].fit(history, None)
 
 
 def fit_model(history: np.ndarray, config: FitConfig) -> ForecastModel:

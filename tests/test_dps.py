@@ -25,12 +25,13 @@ from sensorcast.forecast import (
     ForecastModel,
     MethodKind,
     fit_constant,
-    fit_linear,
+    fit_model,
     forecast,
 )
 from sensorcast.series import TimeSeries, quantize_to_resolution
 
 ALL_METHODS = ("constant", "linear", "simple_mean", "exponential_smoothing", "arima")
+LINEAR = FitConfig(method="linear")
 
 
 def replay_stream(trace):
@@ -81,7 +82,7 @@ def test_model_update_wire_round_trip_every_kind():
     # Each update is a 7-byte header and the floats its forecast reads.
     models = [
         (fit_constant(np.array([1.0, 2.5])), 15),
-        (fit_linear(np.array([0.0, 0.125])), 23),
+        (fit_model(np.array([0.0, 0.125]), LINEAR), 23),
         (ForecastModel(kind=MethodKind.SIMPLE_MEAN, params=[3.5], k=1, fit_n=9), 15),
         (ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(1, 0, 0),
                        state=[5.0], estimates=[0.3], k=2, fit_n=20), 15),
@@ -119,7 +120,7 @@ def test_decode_rejects_malformed_frames():
     with pytest.raises(DpsProtocolError):
         decode_message(good[:-1])
 
-    update = encode_message(ModelUpdate(seq=1, model=fit_linear(np.array([1.0, 2.0]))))
+    update = encode_message(ModelUpdate(seq=1, model=fit_model(np.array([1.0, 2.0]), LINEAR)))
     with pytest.raises(DpsProtocolError):
         decode_message(update[:-8])  # drops one float
     with pytest.raises(DpsProtocolError, match="expected 16"):
@@ -373,7 +374,7 @@ def test_gateway_rejects_protocol_violations():
 
 
 def test_gateway_rejects_two_updates_or_a_foreign_object_in_one_step():
-    model = fit_linear(np.array([0.0, 1.0]))
+    model = fit_model(np.array([0.0, 1.0]), LINEAR)
     bootstrap = Measurement(seq=0, index=0, value=1.0)
     gw = Gateway(MethodKind.LINEAR, history_len=1, window_len=2)
     with pytest.raises(DpsProtocolError, match="more than one model update"):
@@ -385,7 +386,7 @@ def test_gateway_rejects_two_updates_or_a_foreign_object_in_one_step():
 
 def test_gateway_window_exhaustion_detected():
     gw = Gateway(MethodKind.LINEAR, history_len=1, window_len=2)
-    model = fit_linear(np.array([0.0, 1.0]))
+    model = fit_model(np.array([0.0, 1.0]), LINEAR)
     gw.step([Measurement(seq=0, index=0, value=1.0),
              ModelUpdate(seq=1, model=model)])
     gw.step([])

@@ -3,9 +3,9 @@
 ``decode_message`` is the gateway's only contact with radio bytes.  For
 random bytes, random model-update headers, and valid frames truncated or
 with bits flipped, it may raise only ``DpsProtocolError``; every frame it
-accepts re-encodes to the same bytes, and every model it accepts can be
-forecast from.  Runs are derandomized, so the suite tests the same frames
-every time.
+accepts re-encodes to the same bytes and carries only finite floats, and
+every model it accepts can be forecast from.  Runs are derandomized, so
+the suite tests the same frames every time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sensorcast.dps import (DpsProtocolError, Measurement, ModelUpdate, decode_message,
@@ -44,13 +44,21 @@ valid_frames = st.one_of(measurements, model_updates()).map(encode_message)
 
 @st.composite
 def update_headers(draw):
-    # A well-formed update header over any kind code, any order byte and
-    # any 8-byte floats, with the float count the payload really has.
-    n_floats = draw(st.integers(0, 12))
-    payload = draw(st.binary(min_size=8 * n_floats, max_size=8 * n_floats))
-    head = struct.pack("<BIBBH", 0x01, draw(u32), draw(st.integers(0, 6)),
-                       draw(st.integers(0, 255)), n_floats)
-    return head + payload
+    # A well-formed update header, then 8-byte floats, finite or not.  Most
+    # headers carry a kind and orders some fitter produces and as many
+    # floats as those orders ship, so they reach the decoder's float check;
+    # the rest have any kind code, order byte and float count.
+    if draw(st.integers(0, 3)):
+        spec = METHOD_SPECS[draw(st.sampled_from(list(METHOD_SPECS)))]
+        p, d, q = orders = draw(st.sampled_from(sorted(spec.payloads)))
+        code, packed, n_floats = spec.code, (p << 4) | (d << 2) | q, sum(spec.payloads[orders])
+    else:
+        code, packed = draw(st.integers(0, 6)), draw(st.integers(0, 255))
+        n_floats = draw(st.integers(0, 8))
+    floats = st.one_of(st.floats().map(lambda x: struct.pack("<d", x)),
+                       st.binary(min_size=8, max_size=8))
+    payload = b"".join(draw(st.lists(floats, min_size=n_floats, max_size=n_floats)))
+    return struct.pack("<BIBB", 0x01, draw(u32), code, packed) + payload
 
 
 @st.composite
@@ -64,13 +72,18 @@ def damaged_frames(draw):
 
 
 def check_frame(frame: bytes) -> bool:
-    """Decode; True when accepted.  Anything but DpsProtocolError escapes."""
+    """Decode; True when accepted.  Anything but DpsProtocolError escapes,
+    and an accepted frame must re-encode to its own bytes, carry only
+    finite floats and forecast."""
     try:
         msg = decode_message(frame)
     except DpsProtocolError:
         return False
     assert encode_message(msg) == frame
-    if isinstance(msg, ModelUpdate):
+    if isinstance(msg, Measurement):
+        assert np.isfinite(msg.value)
+    else:
+        assert np.isfinite(msg.model.params).all() and np.isfinite(msg.model.state).all()
         # Finite floats can still overflow to inf in the recursion; an
         # inf forecast misses every reading, so that is not an error.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -96,7 +109,7 @@ def test_random_bytes_raise_only_protocol_errors(frame):
 @FUZZ
 @given(update_headers())
 def test_update_headers_raise_only_protocol_errors(frame):
-    check_frame(frame)
+    event("accepted" if check_frame(frame) else "refused")
 
 
 @FUZZ

@@ -7,11 +7,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensorcast.datasets import ball_series, descriptor_for, write_series_csv
-from sensorcast.dps import run_dps
+from sensorcast.dps import run_dps, ship
 from sensorcast.evaluation import (
     HISTORY_GRID,
     WINDOW_GRID,
@@ -32,8 +32,10 @@ from sensorcast.evaluation import (
     run_scenario,
     write_json,
 )
-from sensorcast.forecast import FitConfig, FitError, MethodKind, fit_model, forecast, min_history
+from sensorcast.forecast import FitConfig, FitError, MethodKind, forecast, min_history
 from sensorcast.series import TimeSeries, extract_splits
+
+from conftest import MAGNITUDES, SHAPES, shaped
 
 
 def make_result(mape_values, avoided, *, method="linear", seed=0, window_len=10,
@@ -108,24 +110,56 @@ def test_count_avoided_pointwise_for_model_methods():
                          np.array([1.0]), 0.5) == 0
 
 
-def test_count_avoided_agrees_with_protocol_run():
-    # The evaluation shortcut and a real run must count identical
-    # suppressions over one window.
-    series = ball_series(1).slice(50, 130)
-    H, W = 60, 20
-    for method in ("constant", "linear", "simple_mean",
-                   "exponential_smoothing", "arima"):
-        config = FitConfig(method=method)
-        trace = run_dps(series, config, H, W, delta_min=0.4)
-        history = series.values[:H]
-        window = series.values[H:H + W]
-        if method == "constant":
-            predicted = np.empty(0)
-        else:
-            predicted = forecast(fit_model(history, config), W)
-        avoided = count_avoided(config.method, history[-1], window,
-                                predicted, 0.4)
-        assert W - avoided == trace.post_bootstrap_measurements, method
+@st.composite
+def protocol_windows(draw):
+    # A method, its history length, and one history plus one window of any
+    # shape, scaled to any peak from 1e-300 to 1.5e308, with the threshold.
+    method = draw(st.sampled_from([m.value for m in MethodKind]))
+    history_len = min_history(FitConfig(method=method)) + draw(st.integers(0, 3))
+    n = history_len + draw(st.integers(1, 8))
+    magnitude = draw(st.sampled_from(MAGNITUDES))
+    values = shaped(draw(st.sampled_from(SHAPES)), n,
+                    np.random.default_rng(draw(st.integers(0, 2**32 - 1))), magnitude)
+    relative_delta = draw(st.sampled_from((1e-3, 0.1, 1.0)))
+    return method, history_len, values.tolist(), relative_delta * magnitude
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=protocol_windows())
+# The linear fit's slope overflows, and the wire refuses it: the sensor
+# holds 1.5e308 and suppresses all six readings.
+@example(case=("linear", 4, [0.0, 0.0, -1.5e308, 1.5e308] + [1.5e308] * 6, 1.0))
+def test_count_avoided_agrees_with_protocol_run(case):
+    # Evaluate counts as suppressed exactly the window steps a protocol run
+    # does not transmit.
+    method, history_len, values, delta = case
+    series = TimeSeries.regular(values)
+    window_len = len(values) - history_len
+    scenario = Scenario(descriptor=descriptor_for("ball", delta_min=delta),
+                        config=FitConfig(method=method), history_len=history_len,
+                        window_len=window_len, n_splits=1)
+    row = run_scenario(scenario, series)
+    trace = run_dps(series, scenario.config, history_len, window_len, delta)
+    assert window_len - row.avoided[0] == trace.post_bootstrap_measurements
+
+
+def test_run_scenario_scores_a_failed_fit_as_the_fallback():
+    # No AR(1) fit of a doubling series is admissible.  Below the minimum
+    # history evaluate refuses the scenario; above it each split is scored
+    # as the sensor's fallback, a forecast flat at the last value, which
+    # misses the next four readings by 50, 75, 87.5 and 93.75%.
+    config = FitConfig(method="arima", order_grid=((1, 0, 0),))
+    series = TimeSeries.regular(2.0 ** np.arange(20))
+
+    def scenario(history_len):
+        return Scenario(descriptor=descriptor_for("ball", delta_min=1.0), config=config,
+                        history_len=history_len, window_len=4, n_splits=3, seed=1)
+
+    with pytest.raises(FitError):
+        run_scenario(scenario(min_history(config) - 1), series)
+    row = run_scenario(scenario(12), series)
+    assert row.mape_values.tolist() == [76.5625] * 3
+    assert row.avoided.tolist() == [0] * 3
 
 
 def test_run_scenario_shapes_and_determinism():
@@ -450,7 +484,7 @@ def test_write_json_refuses_non_finite_floats_without_touching_a_file(
 
 
 def _split_oracle(scenario, series):
-    # One split at a time: fit, forecast, then the vector mape and
+    # One split at a time: ship a refit, forecast, then the vector mape and
     # count_avoided on the origin's slices.  The MAPE is also checked
     # against its definition, compressed terms averaged by np.mean, since
     # the vector mape is the one-row case of the block code.
@@ -460,7 +494,7 @@ def _split_oracle(scenario, series):
     for origin in splits.origins.tolist():
         history = series.values[origin:origin + s.history_len]
         window = series.values[origin + s.history_len:origin + s.history_len + s.window_len]
-        predicted = forecast(fit_model(history, s.config), s.window_len)
+        predicted = forecast(ship(history, s.config)[1], s.window_len)
         keep = np.abs(window) > 1e-12
         try:
             value, skipped = mape(window, predicted)
@@ -486,6 +520,10 @@ def _split_oracle(scenario, series):
        spare_origins=st.integers(0, 30),
        relative_delta=st.sampled_from((1e-3, 0.5, 2.0)),
        seed=st.integers(0, 2**32 - 1))
+# Values up to 1.66e308: the second split's linear slope overflows, so the
+# refit falls back.
+@example(method="linear", exponent=308, zero_share=0.0, extra_history=0, window_len=2,
+         n_splits=3, spare_origins=2, relative_delta=0.5, seed=4)
 def test_run_scenario_equals_a_per_split_oracle(method, exponent, zero_share, extra_history,
                                                 window_len, n_splits, spare_origins,
                                                 relative_delta, seed):
@@ -506,12 +544,7 @@ def test_run_scenario_equals_a_per_split_oracle(method, exponent, zero_share, ex
     scenario = Scenario(descriptor=descriptor_for("ball", delta_min=relative_delta * scale),
                         config=config, history_len=history_len, window_len=window_len,
                         n_splits=n_splits, seed=seed)
-    try:
-        expected = _split_oracle(scenario, series)
-    except FitError:
-        with pytest.raises(FitError):
-            run_scenario(scenario, series)
-        return
+    expected = _split_oracle(scenario, series)
     row = run_scenario(scenario, series)
     got = list(zip(row.origins.tolist(), [v.hex() for v in row.mape_values.tolist()],
                    row.skipped_terms.tolist(), row.avoided.tolist()))

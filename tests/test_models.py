@@ -10,12 +10,12 @@ from sensorcast.forecast.models import (
     ForecastModel,
     MethodKind,
     aicc,
-    fit_constant,
-    fit_linear,
-    fit_simple_mean,
     gaussian_neg2_loglik,
 )
-from sensorcast.forecast.selection import forecast
+from sensorcast.forecast.selection import fit_constant, fit_model, forecast
+
+LINEAR = FitConfig(method="linear")
+SIMPLE_MEAN = FitConfig(method="simple_mean")
 
 
 def test_method_kind_coerce():
@@ -95,37 +95,37 @@ def test_fit_constant_repeats_last_value():
 
 
 def test_fit_linear_extends_last_two_points():
-    m = fit_linear([1.0, 3.0, 5.0, 6.0])
+    m = fit_model([1.0, 3.0, 5.0, 6.0], LINEAR)
     np.testing.assert_array_equal(forecast(m, 3), [7.0, 8.0, 9.0])
-    down = fit_linear([10.0, 8.0])
+    down = fit_model([10.0, 8.0], LINEAR)
     np.testing.assert_array_equal(forecast(down, 2), [6.0, 4.0])
     with pytest.raises(FitError):
-        fit_linear([1.0])
+        fit_model([1.0], LINEAR)
 
 
 def test_fit_simple_mean_repeats_history_mean():
-    m = fit_simple_mean([1.0, 2.0, 3.0, 6.0])
+    m = fit_model([1.0, 2.0, 3.0, 6.0], SIMPLE_MEAN)
     np.testing.assert_array_equal(forecast(m, 2), [3.0, 3.0])
     with pytest.raises(FitError):
-        fit_simple_mean([])
+        fit_model([], SIMPLE_MEAN)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_fits_run_near_the_float_limit():
     history = np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308, 1.0e308])
-    linear = fit_linear(history[:4])
+    linear = fit_model(history[:4], LINEAR)
     assert linear.params.tolist() == [-1.5e308, -np.inf]
     assert forecast(linear, 2).tolist() == [-np.inf, -np.inf]
     # A finite slope whose multiples pass the largest float.
-    rising = forecast(fit_linear([0.5e308, 1.0e308]), 3)
+    rising = forecast(fit_model([0.5e308, 1.0e308], LINEAR), 3)
     assert rising.tolist() == [1.5e308, np.inf, np.inf]
-    mean = fit_simple_mean(history)
+    mean = fit_model(history, SIMPLE_MEAN)
     assert mean.params.tolist() == [0.2e308]
     assert forecast(mean, 2).tolist() == [0.2e308, 0.2e308]
     # Bit for bit np.mean wherever that does not overflow.
     walk = np.random.default_rng(3).standard_normal(37).cumsum()
     for scale in (1.0, 1e-300, 1e300):
-        assert fit_simple_mean(walk * scale).params[0] == np.mean(walk * scale)
+        assert fit_model(walk * scale, SIMPLE_MEAN).params[0] == np.mean(walk * scale)
 
 
 def test_forecast_rejects_bad_horizon():
@@ -137,8 +137,8 @@ def test_forecast_rejects_bad_horizon():
 def test_forecast_shorter_horizon_is_prefix_of_longer():
     histories = [
         fit_constant([2.0, 3.0]),
-        fit_linear([0.0, 1.5]),
-        fit_simple_mean([4.0, 8.0]),
+        fit_model([0.0, 1.5], LINEAR),
+        fit_model([4.0, 8.0], SIMPLE_MEAN),
         ForecastModel(kind=MethodKind.ARIMA, orders=(2, 1, 1),
                       params=[0.4, -0.3], state=[0.5, -0.2, 10.0], k=4, fit_n=40),
         ForecastModel(kind=MethodKind.EXPONENTIAL_SMOOTHING, orders=(2, 0, 0),
