@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -366,6 +367,37 @@ def test_fit_arima_reproduces_pinned_fits(seed, d, orders, estimates, params, st
     assert [v.hex() for v in model.estimates.tolist()] == estimates
     assert [v.hex() for v in model.params.tolist()] == params
     assert [v.hex() for v in model.state.tolist()] == state
+
+
+def pinned_grid_histories():
+    # Quantized ball windows at the bench's history lengths, and seeded
+    # walks integrated 0, 1 and 2 times at the same lengths.
+    ball = quantize_to_resolution(ball_series(1), 1.9).values
+    histories = [ball[s:s + h] for h in (20, 50, 200) for s in range(30, 2400, 400)]
+    rng = np.random.default_rng(83)
+    for d in range(3):
+        for n in (20, 50, 200):
+            z = rng.standard_normal(n)
+            for _ in range(d):
+                z = np.cumsum(z)
+            histories.append(z)
+    return histories
+
+
+def test_fit_arima_full_grid_fits_are_pinned():
+    # Every winner of the default grid, bit for bit: its orders, estimates,
+    # params, state and likelihood.  The histories choose each d, so the
+    # solve meets every regressor count p + [d = 0] from 0 to 3.
+    digest = hashlib.sha256()
+    depths = set()
+    for x in pinned_grid_histories():
+        model = fit_arima(x, ARIMA_CONFIG)
+        depths.add(model.orders[1])
+        floats = [*model.estimates.tolist(), *model.params.tolist(),
+                  *model.state.tolist(), model.neg2_loglik]
+        digest.update(repr((model.orders, [v.hex() for v in floats])).encode())
+    assert depths == {0, 1, 2}
+    assert digest.hexdigest() == "6848cdf01cc387a4708e3211967c524524ec5f959bae5664937c80c88ac89aa9"
 
 
 def full_recursion_oracle(x, model, n_steps):
