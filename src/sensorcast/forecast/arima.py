@@ -17,8 +17,9 @@ candidate is dropped; a fit raises ``FitError`` only when none is left.
 The simplex searches the q <= 2 MA coefficients only, by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta
 the CSS residuals are linear in phi and the constant, so each vertex gets
-them from one least-squares solve on Python floats (``_profiled_css``); an
-inadmissible solved phi costs a vertex the penalty of an inadmissible theta.
+them from one least-squares solve, straight-line float code per count of
+unknowns (``_profiled_css``); an inadmissible solved phi costs a vertex the
+penalty of an inadmissible theta.
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
@@ -87,8 +88,9 @@ def choose_differencing(values: np.ndarray, allowed_d=(0, 1, 2)) -> int:
     """Smallest allowed d whose next difference stops paying for itself.
 
     Differencing continues while it drops the variance below
-    ``_DIFF_RATIO`` times the current level; if every allowed depth keeps
-    paying, the largest allowed depth is returned.
+    ``_DIFF_RATIO`` times the current level, and stops at a depth whose
+    next difference is too short (under 2 values) to assess; if every
+    allowed depth keeps paying, the largest allowed depth is returned.
     """
     values = np.asarray(values, dtype=np.float64)
     allowed = sorted(set(int(d) for d in allowed_d))
@@ -96,7 +98,7 @@ def choose_differencing(values: np.ndarray, allowed_d=(0, 1, 2)) -> int:
         raise ValueError("allowed_d must not be empty")
     for d in allowed:
         if len(values) - (d + 1) < 2:
-            break
+            return d
         v_here = float(np.var(np.diff(values, n=d)))
         v_next = float(np.var(np.diff(values, n=d + 1)))
         if v_next >= _DIFF_RATIO * v_here:
@@ -133,6 +135,50 @@ def _beyond_margin(c1: float, c2: float) -> bool:
     # docstring).  NaN fails every comparison, so it is never admissible.
     a1, a2 = ROOT_MARGIN * c1, _MARGIN_SQUARED * c2
     return abs(a2) < 1.0 and a1 + a2 < 1.0 and a2 - a1 < 1.0
+
+
+# Elimination for k = 1..3, as the loop in tests' ``profiled_solve_oracle``: (sse, beta) or None.
+def _eliminate1(g):
+    (a00, a01), (_, a11) = g
+    if not a00 > 1e-12 * a00:
+        return None
+    b0 = a01 / a00
+    return a11 - b0 * a01, [b0]
+
+
+def _eliminate2(g):
+    (a00, a01, a02), (_, a11, a12), (*_, a22) = g
+    if not a00 > 1e-12 * a00:
+        return None
+    f1, f2 = a01 / a00, a02 / a00
+    c11 = a11 - f1 * a01
+    if not c11 > 1e-12 * a11:
+        return None
+    c12 = a12 - f1 * a02
+    b1 = c12 / c11
+    return a22 - f2 * a02 - b1 * c12, [(a02 - a01 * b1) / a00, b1]
+
+
+def _eliminate3(g):
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (*_, a33) = g
+    if not a00 > 1e-12 * a00:
+        return None
+    f1, f2, f3 = a01 / a00, a02 / a00, a03 / a00
+    c11 = a11 - f1 * a01
+    if not c11 > 1e-12 * a11:
+        return None
+    c12, c13 = a12 - f1 * a02, a13 - f1 * a03
+    h2, h3 = c12 / c11, c13 / c11
+    c22 = a22 - f2 * a02 - h2 * c12
+    if not c22 > 1e-12 * a22:
+        return None
+    c23 = a23 - f2 * a03 - h2 * c13
+    b2 = c23 / c22
+    b1 = (c13 - c12 * b2) / c11
+    return a33 - f3 * a03 - h3 * c13 - b2 * c23, [(a03 - a01 * b1 - a02 * b2) / a00, b1, b2]
+
+
+_ELIMINATE = (lambda g: (g[0][0], []), _eliminate1, _eliminate2, _eliminate3)
 
 
 def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
@@ -210,9 +256,10 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
     c = (mu - zbar) phi(1): e = F_0 - sum_i phi_i F_i - c F_c, where F_0, F_i
     and F_c are z - zbar, its lag i and ones, each filtered by theta(B)^-1
     (Golub & Pereyra's variable projection).  So a vertex costs one filter
-    call over those rows, one Gram product, and the normal equations of at
-    most 3 unknowns solved by symmetric elimination (Cholesky without the
-    square roots) on Python floats, no numpy call.  A pivot at most 1e-12
+    call over those rows, one Gram product, and the normal equations of its
+    k = p + [with mean] <= 3 unknowns solved by symmetric elimination
+    (Cholesky without the square roots), written out per k on Python floats
+    in the elimination loop's order of operations.  A pivot at most 1e-12
     of its diagonal means the filtered regressors are collinear, as over a
     flat quantized stretch, and refuses the vertex.
     """
@@ -223,7 +270,7 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
     # and, last, z_t - zbar itself.
     rows = np.stack([zc[start - i:n - i] for i in range(1, p + 1)]
                     + ([np.ones(n - start)] if with_mean else []) + [zc[start:]])
-    k = len(rows) - 1
+    eliminate = _ELIMINATE[len(rows) - 1]
     theta_pad = [0.0] * (2 - q)
 
     def solve(theta: list[float]):
@@ -231,33 +278,16 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
         if not _beyond_margin(-theta1, -theta2):
             return None
         f = all_pole([1.0, *theta], rows) if q else rows
-        gram = f.dot(f.T).tolist()
-        diagonal = [gram[j][j] for j in range(k)]
-        # Eliminate the regressors in order on the upper triangle; what is
-        # left of the target's diagonal is the least sum of squares.
-        for j in range(k):
-            row = gram[j]
-            pivot = row[j]
-            if not pivot > 1e-12 * diagonal[j]:
-                return None
-            for i in range(j + 1, k + 1):
-                factor = row[i] / pivot
-                below = gram[i]
-                for m in range(i, k + 1):
-                    below[m] -= factor * row[m]
-        beta = [0.0] * k
-        for i in range(k - 1, -1, -1):
-            row = gram[i]
-            total = row[k]
-            for m in range(i + 1, k):
-                total -= row[m] * beta[m]
-            beta[i] = total / row[i]
+        fit = eliminate(f.dot(f.T).tolist())
+        if fit is None:
+            return None
+        sse, beta = fit
         phi = beta[:p]
         phi1, phi2 = phi + [0.0] * (2 - p)
         if not _beyond_margin(phi1, phi2):
             return None
         mu = zbar + beta[p] / (1.0 - phi1 - phi2) if with_mean else 0.0
-        return gram[k][k], phi, mu
+        return sse, phi, mu
 
     return solve
 

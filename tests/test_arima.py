@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from sensorcast.datasets import ball_series
@@ -17,12 +19,13 @@ from sensorcast.forecast.arima import (
     css_residuals,
     fit_arima,
 )
+from sensorcast.forecast.filters import all_pole
 from sensorcast.forecast.models import (FULL_ORDER_GRID, FitConfig, FitError, MethodKind,
                                         _unit_scaled)
 from sensorcast.forecast.selection import forecast
 from sensorcast.series import quantize_to_resolution
 
-from conftest import make_ar1, yule_walker_ar1
+from conftest import SHAPES, make_ar1, shaped, yule_walker_ar1
 
 ARIMA_CONFIG = FitConfig(method="arima")
 
@@ -96,6 +99,14 @@ def test_choose_differencing_respects_allowed_set():
     assert choose_differencing(walk, allowed_d=(0, 1)) == 1
     with pytest.raises(ValueError):
         choose_differencing(walk, allowed_d=())
+
+
+@pytest.mark.parametrize("values, d", [([5.0], 0), ([1.0, 2.0], 0),
+                                       (np.arange(3.0), 1), (np.arange(4.0), 1)])
+def test_choose_differencing_stops_where_the_next_difference_is_too_short(values, d):
+    # The next difference would leave fewer than 2 values: the depth
+    # reached stands, and a longer line gets the same answer.
+    assert choose_differencing(values) == d
 
 
 def test_choose_differencing_deterministic_trend():
@@ -397,7 +408,8 @@ def test_fit_arima_full_grid_fits_are_pinned():
                   *model.state.tolist(), model.neg2_loglik]
         digest.update(repr((model.orders, [v.hex() for v in floats])).encode())
     assert depths == {0, 1, 2}
-    assert digest.hexdigest() == "6848cdf01cc387a4708e3211967c524524ec5f959bae5664937c80c88ac89aa9"
+    assert digest.hexdigest() == (
+        "6848cdf01cc387a4708e3211967c524524ec5f959bae5664937c80c88ac89aa9")
 
 
 def full_recursion_oracle(x, model, n_steps):
@@ -542,6 +554,66 @@ def test_unmeaned_theta_objective_is_the_least_css_sum_at_zero():
     sse, phi, mu = _profiled_css(z, 2, 1, False)([0.5])
     assert mu == 0.0
     assert_least_css(z, phi, [0.5], 0.0, sse, with_mean=False)
+
+
+def profiled_solve_oracle(z, p, q, with_mean, theta):
+    # ``_profiled_css(z, p, q, with_mean)(theta)`` with the symmetric
+    # elimination as a loop over the Gram matrix's upper triangle.
+    n, start = len(z), max(p, q)
+    zbar = float(np.mean(z)) if with_mean else 0.0
+    zc = z - zbar
+    rows = np.stack([zc[start - i:n - i] for i in range(1, p + 1)]
+                    + ([np.ones(n - start)] if with_mean else []) + [zc[start:]])
+    k = len(rows) - 1
+    theta1, theta2 = theta + [0.0] * (2 - q)
+    if not _beyond_margin(-theta1, -theta2):
+        return None
+    f = all_pole([1.0, *theta], rows) if q else rows
+    gram = f.dot(f.T).tolist()
+    diagonal = [gram[j][j] for j in range(k)]
+    for j in range(k):
+        row = gram[j]
+        pivot = row[j]
+        if not pivot > 1e-12 * diagonal[j]:
+            return None
+        for i in range(j + 1, k + 1):
+            factor = row[i] / pivot
+            below = gram[i]
+            for m in range(i, k + 1):
+                below[m] -= factor * row[m]
+    beta = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        row = gram[i]
+        total = row[k]
+        for m in range(i + 1, k):
+            total -= row[m] * beta[m]
+        beta[i] = total / row[i]
+    phi = beta[:p]
+    phi1, phi2 = phi + [0.0] * (2 - p)
+    if not _beyond_margin(phi1, phi2):
+        return None
+    mu = zbar + beta[p] / (1.0 - phi1 - phi2) if with_mean else 0.0
+    return gram[k][k], phi, mu
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(shape=st.sampled_from(SHAPES), n=st.integers(12, 200), seed=st.integers(0, 2**32 - 1),
+       orders=st.sampled_from([(p, q) for p in range(3) for q in range(3) if p or q]),
+       with_mean=st.booleans(), theta=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2))
+def test_profiled_solve_is_the_elimination_loop_bit_for_bit(shape, n, seed, orders, with_mean,
+                                                             theta):
+    # Theta is drawn inside and outside the MA triangle; either both sides
+    # refuse, or the sum of squares, phi and the mean agree to the bit.
+    p, q = orders
+    z = shaped(shape, n, np.random.default_rng(seed))
+    got = _profiled_css(z, p, q, with_mean)(theta[:q])
+    want = profiled_solve_oracle(z, p, q, with_mean, theta[:q])
+    if want is None:
+        assert got is None
+        return
+    sse, phi, mu = want
+    assert got is not None
+    assert [v.hex() for v in [got[0], *got[1], got[2]]] == [v.hex() for v in [sse, *phi, mu]]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
