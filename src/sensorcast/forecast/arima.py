@@ -5,21 +5,24 @@ then for every (p, q) pair in the grid estimate coefficients and keep the
 AICc winner.  Every pair gets its AR part and mean from one least-squares
 solve at a given theta: a pure-AR pair (q = 0) once at theta = [], the
 closed-form CSS optimum, and a pair with a moving-average part at each
-vertex of a simplex search over theta that starts at theta = 0, the AR(p)
-fit.  Flat lag rows (a constant stretch) make the solve singular and
-refuse the candidate.  A candidate is admissible when every root of its AR
+trial of a search over theta that starts at theta = 0, the AR(p) fit.
+Flat lag rows (a constant stretch) make the solve singular and refuse the
+candidate.  A candidate is admissible when every root of its AR
 and MA polynomials has modulus above ``ROOT_MARGIN`` (1.001): for degree
 <= 2, with a1 = m c1 and a2 = m^2 c2 for 1 - c1 z - c2 z^2 (c = phi, or
 -theta for MA), when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1 (the
 Box-Jenkins triangle scaled by the margin).  An inadmissible or refused
 candidate is dropped; a fit raises ``FitError`` only when none is left.
 
-The simplex searches the q <= 2 MA coefficients only, by variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta
-the CSS residuals are linear in phi and the constant, so each vertex gets
-them from one least-squares solve, straight-line float code per count of
-unknowns (``_profiled_css``); an inadmissible solved phi costs a vertex the
-penalty of an inadmissible theta.
+The search covers the q <= 2 MA coefficients only, by variable projection
+(Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta the CSS
+residuals are linear in phi and the constant, so each trial gets them from
+one least-squares solve, straight-line float code per count of unknowns
+(``_profile``).  At q = 1 a simplex searches theta, and an inadmissible
+solved phi costs a vertex the penalty of an inadmissible theta.  At q = 2
+``optimize.gauss_newton`` searches the MA polynomial's partial
+autocorrelations, a box that maps onto the margin-scaled triangle, with
+Kaufman's Jacobian; a trial with an inadmissible phi is refused.
 
 The intercept is parameterized as the process mean and estimated only at
 d = 0: an undifferenced fit forecasting a flat mean reduces exactly to the
@@ -57,7 +60,7 @@ from .models import (
     aicc,
     gaussian_neg2_loglik,
 )
-from .optimize import nelder_mead
+from .optimize import gauss_newton, nelder_mead
 
 __all__ = [
     "fit_arima",
@@ -255,61 +258,111 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
     For fixed theta the residuals are linear in phi and in the constant
     c = (mu - zbar) phi(1): e = F_0 - sum_i phi_i F_i - c F_c, where F_0, F_i
     and F_c are z - zbar, its lag i and ones, each filtered by theta(B)^-1
-    (Golub & Pereyra's variable projection).  So a vertex costs one filter
-    call over those rows, one Gram product, and the normal equations of its
-    k = p + [with mean] <= 3 unknowns solved by symmetric elimination
-    (Cholesky without the square roots), written out per k on Python floats
-    in the elimination loop's order of operations.  A pivot at most 1e-12
-    of its diagonal means the filtered regressors are collinear, as over a
-    flat quantized stretch, and refuses the vertex.
+    (Golub & Pereyra's variable projection).  So a solve costs one filter
+    call over those rows and ``_profile``'s solve of the filtered rows.
     """
-    n, start = len(z), max(p, q)
-    zbar = float(np.mean(z)) if with_mean else 0.0
-    zc = z - zbar
-    # For t = start .. n-1: the lags 1..p of z_t - zbar, ones (with a mean)
-    # and, last, z_t - zbar itself.
-    rows = np.stack([zc[start - i:n - i] for i in range(1, p + 1)]
-                    + ([np.ones(n - start)] if with_mean else []) + [zc[start:]])
-    eliminate = _ELIMINATE[len(rows) - 1]
+    rows, solve_rows = _profile(z, p, q, with_mean)
     theta_pad = [0.0] * (2 - q)
 
     def solve(theta: list[float]):
         theta1, theta2 = theta + theta_pad
         if not _beyond_margin(-theta1, -theta2):
             return None
-        f = all_pole([1.0, *theta], rows) if q else rows
+        fit = solve_rows(all_pole([1.0, *theta], rows) if q else rows)
+        return None if fit is None else fit[:3]
+
+    return solve
+
+
+def _profile(z: np.ndarray, p: int, q: int, with_mean: bool):
+    """The regressor rows of a (p, q) pair, and the least squares on them.
+
+    ``rows`` holds, for t = max(p, q) .. n-1, the lags 1..p of z_t - zbar,
+    ones (with a mean) and, last, z_t - zbar itself.  ``solve_rows(f)``
+    takes those rows filtered by some theta(B)^-1 and returns ``(sse, phi,
+    mu, beta)``, beta being phi and then c, or None when the filtered
+    regressors are collinear or phi is inadmissible.  It needs one Gram
+    product, and the normal equations of its k = p + [with mean] <= 3
+    unknowns solved by symmetric elimination (Cholesky without the square
+    roots), written out per k on Python floats in the elimination loop's
+    order of operations.  A pivot at most 1e-12 of its diagonal means the
+    filtered regressors are collinear, as over a flat quantized stretch.
+    """
+    n, start = len(z), max(p, q)
+    zbar = float(np.mean(z)) if with_mean else 0.0
+    zc = z - zbar
+    rows = np.stack([zc[start - i:n - i] for i in range(1, p + 1)]
+                    + ([np.ones(n - start)] if with_mean else []) + [zc[start:]])
+    eliminate = _ELIMINATE[len(rows) - 1]
+    phi_pad = [0.0] * (2 - p)
+
+    def solve_rows(f: np.ndarray):
         fit = eliminate(f.dot(f.T).tolist())
         if fit is None:
             return None
         sse, beta = fit
         phi = beta[:p]
-        phi1, phi2 = phi + [0.0] * (2 - p)
+        phi1, phi2 = phi + phi_pad
         if not _beyond_margin(phi1, phi2):
             return None
         mu = zbar + beta[p] / (1.0 - phi1 - phi2) if with_mean else 0.0
-        return sse, phi, mu
+        return sse, phi, mu, beta
 
-    return solve
+    return rows, solve_rows
+
+
+# The q = 2 search runs over the partial autocorrelations r of the
+# margin-scaled MA polynomial, held in [-_PACF_BOUND, _PACF_BOUND]^2.
+_PACF_BOUND = 1.0 - 1e-7
+
+
+def _ma_from_pacf(r1: float, r2: float) -> list[float]:
+    """theta at partial autocorrelations (r1, r2): m theta_1 = -r1 (1 - r2)
+    and m^2 theta_2 = -r2, with m = ``ROOT_MARGIN``.
+
+    Monahan's map (Biometrika 1984) takes the open box (-1, 1)^2 onto the
+    margin-scaled invertibility triangle: a2 = r2 and a1 = r1 (1 - r2), so
+    a1 + a2 < 1 and a2 - a1 < 1 are (1 - r2)(r1 -/+ 1) < 0.
+    """
+    return [-r1 * (1.0 - r2) / ROOT_MARGIN, -r2 / _MARGIN_SQUARED]
 
 
 def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                    config: FitConfig):
-    """Coefficients for one (p, q) pair, or None when inadmissible.
+    """Coefficients ``(phi, theta, mu)`` for one (p, q) pair, or None when
+    inadmissible.
 
-    Every pair is solved by ``_profiled_css``.  A pure AR pair takes one
-    solve at theta = [], the global least CSS sum.  Otherwise the simplex
-    searches theta alone, with phi and the mean solved at each vertex.  It
-    starts at theta = 0, where the filter is the identity and the solve is
-    the AR(p) fit, and returns the best vertex it evaluated, so the result
-    is never worse than that fit.  Flat lag rows are refused either way.
-    p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces bit for bit to the
-    history mean.
+    A pure AR pair takes one solve at theta = [], the global least CSS sum;
+    a pair with an MA part takes ``_search_theta``.  Flat lag rows are
+    refused either way.  p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces
+    bit for bit to the history mean.
     """
     if p == q == 0:
         return np.zeros(0), np.zeros(0), float(np.mean(z)) if with_mean else 0.0
-    solve = _profiled_css(z, p, q, with_mean)
-    theta = np.zeros(0)
     if q:
+        return _search_theta(z, p, q, with_mean, config)
+    fit = _profiled_css(z, p, q, with_mean)([])
+    if fit is None:
+        return None
+    _, phi, mu = fit
+    return np.array(phi), np.zeros(0), mu
+
+
+def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitConfig):
+    """The theta search of a pair with an MA part: ``(phi, theta, mu)`` or None.
+
+    Both searches start at theta = 0, where the filter is the identity and
+    the solve is the AR(p) fit, solve phi and the mean at every trial, and
+    never end above that fit.  q = 1 runs the simplex over theta, with an
+    inadmissible or refused vertex penalized, and re-solves its best
+    vertex.  q = 2 runs ``gauss_newton`` over the partial autocorrelations
+    r (``_ma_from_pacf``) in [-_PACF_BOUND, _PACF_BOUND]^2, from r = 0,
+    within ``config.max_evals`` trials, and takes the phi and mean of the
+    trial it ends on.  A refused start refuses the pair.
+    """
+    if q == 1:
+        solve = _profiled_css(z, p, q, with_mean)
+
         def sse(theta: list[float]) -> float:
             fit = solve(theta)
             if fit is None:
@@ -317,12 +370,98 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                 return 1e30 * (1.0 + sum(abs(v) for v in theta))
             return fit[0]
 
-        theta = nelder_mead(sse, [0.0] * q, max_evals=config.max_evals).x
-    fit = solve(theta.tolist())
-    if fit is None:
+        theta = nelder_mead(sse, [0.0], max_evals=config.max_evals).x
+        fit = solve(theta.tolist())
+        if fit is None:
+            return None
+        _, phi, mu = fit
+        return np.array(phi), theta, mu
+
+    residuals, jacobian_gram, trials = _pacf_least_squares(z, p, with_mean)
+    r = gauss_newton(residuals, jacobian_gram, [0.0, 0.0], [-_PACF_BOUND] * 2,
+                     [_PACF_BOUND] * 2, max_trials=config.max_evals)
+    start = trials.get((0.0, 0.0))
+    if start is None:
         return None
-    _, phi, mu = fit
-    return np.array(phi), theta, mu
+    # Trials are kept on e'e, the search's sum; the solve's own sum rounds
+    # apart, and on it too the pair must not end above its start.
+    sse, phi, mu, _ = trials[tuple(r)]
+    if sse > start[0]:
+        r, (_, phi, mu, _) = [0.0, 0.0], start
+    return np.array(phi), np.array(_ma_from_pacf(*r)), mu
+
+
+def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
+    """The q = 2 CSS problem in r, as ``gauss_newton`` takes it.
+
+    Returns ``(residuals, jacobian_gram, trials)``.  ``residuals(r)``
+    filters the pair's rows by theta(B)^-1 at theta = ``_ma_from_pacf(r)``
+    once, solves them (``_profile``), and returns e = F_0 - beta' A over
+    the filtered regressors A; a refused trial (collinear rows or an
+    inadmissible phi, as ``solve`` refuses) returns inf, which the search
+    never keeps.  ``trials`` maps each admissible r tried to its ``(sse,
+    phi, mu, filtered rows)``.
+
+    ``jacobian_gram(r, e)`` is Kaufman's variable-projection Jacobian (BIT
+    1975) at a trial ``residuals`` admitted: with g = theta(B)^-1 e,
+    de/dtheta_j is minus g lagged j times, projected off A.  One Gram
+    product of A, the two lags and e, and one ``_ELIMINATE`` solve per lag
+    give the projected Gram on Python floats; the chain rule through
+    ``_ma_from_pacf`` carries it to r.  At a refused start, or if the
+    projection is singular, it returns a zero Gram, which ends the search.
+    """
+    rows, solve_rows = _profile(z, p, 2, with_mean)
+    k, n = len(rows) - 1, rows.shape[1]
+    refused = np.full(n, np.inf)
+    trials = {}
+
+    def residuals(r: list[float]) -> np.ndarray:
+        f = all_pole([1.0, *_ma_from_pacf(*r)], rows)
+        fit = solve_rows(f)
+        if fit is None:
+            return refused
+        sse, phi, mu, beta = fit
+        trials[tuple(r)] = sse, phi, mu, f
+        return np.dot([-b for b in beta] + [1.0], f)
+
+    stacked = np.zeros((k + 3, n))
+    no_step = [[0.0] * 3] * 3
+
+    def jacobian_gram(r: list[float], e: np.ndarray) -> list[list[float]]:
+        if tuple(r) not in trials:
+            return no_step
+        stacked[:k] = trials[tuple(r)][3][:k]
+        g = all_pole([1.0, *_ma_from_pacf(*r)], e)
+        stacked[k, 1:] = g[:-1]
+        stacked[k + 1, 2:] = g[:-2]
+        stacked[k + 2] = e
+        gram = stacked.dot(stacked.T).tolist()
+        # de/dtheta_j = b_j' A - l_j, for the lag l_j = B^j g and b_j its
+        # least-squares coefficients on A; the elimination's sum is that
+        # row's squared norm.
+        norms, b = [], []
+        for j in (k, k + 1):
+            fit = _ELIMINATE[k]([row[:k] + [row[j]] for row in gram[:k]]
+                                + [gram[j][:k] + [gram[j][j]]])
+            if fit is None:
+                return no_step
+            norms.append(fit[0])
+            b.append(fit[1])
+        cross, grad1, grad2 = gram[k][k + 1], -gram[k][k + 2], -gram[k + 1][k + 2]
+        for row, c1, c2 in zip(gram, *b):
+            cross -= c1 * row[k + 1]
+            grad1 += c1 * row[k + 2]
+            grad2 += c2 * row[k + 2]
+        # The chain rule: theta_1 moves with r1 and r2, theta_2 with r2.
+        r1, r2 = r
+        d11, d12, d22 = (r2 - 1.0) / ROOT_MARGIN, r1 / ROOT_MARGIN, -1.0 / _MARGIN_SQUARED
+        h11 = d11 * d11 * norms[0]
+        h12 = d11 * (d12 * norms[0] + d22 * cross)
+        h22 = d12 * d12 * norms[0] + 2.0 * d12 * d22 * cross + d22 * d22 * norms[1]
+        g1, g2 = d11 * grad1, d12 * grad1 + d22 * grad2
+        return [[h11, h12, g1], [h12, h22, g2], [g1, g2, gram[k + 2][k + 2]]]
+
+    return residuals, jacobian_gram, trials
 
 
 def _differenced_forecasts(phi, theta, mu: float, lags: list, shocks: list, n_steps: int) -> list:

@@ -116,8 +116,9 @@ class FitConfig:
     [0.01, 0.99].
     ``budget`` scales optimizer effort: every search is capped at
     ``max_evals = budget**3`` objective evaluations (the ARIMA simplex over
-    at most 2 MA coefficients, and the smoothing Gauss-Newton trials), and
-    default smoothing grids densify with it.
+    one MA coefficient, and the Gauss-Newton trials of the ARIMA search
+    over two MA coefficients and of the smoothing weights), and default
+    smoothing grids densify with it.
     """
 
     method: MethodKind = MethodKind.CONSTANT

@@ -140,7 +140,7 @@ _LAMBDA_MIN = 1e-6
 _FTOL = 1e-10
 
 
-def gauss_newton(residuals, stacked_jacobian, x0, lo, hi, *, max_trials: int) -> list[float]:
+def gauss_newton(residuals, jacobian_gram, x0, lo, hi, *, max_trials: int) -> list[float]:
     """Minimize ``|residuals(x)|**2`` over the box ``lo <= x <= hi`` from ``x0``.
 
     Levenberg-Marquardt: each step solves (JᵀJ + λ diag(JᵀJ)) d = -Jᵀe on
@@ -152,10 +152,11 @@ def gauss_newton(residuals, stacked_jacobian, x0, lo, hi, *, max_trials: int) ->
     one at ``x0``.
 
     ``residuals(x)`` takes x as a list of Python floats and returns e as a
-    1-D array.  ``stacked_jacobian(x, e)`` returns the rows of Jᵀ followed
-    by e, a (k + 1) x n array, whose one Gram product gives JᵀJ and Jᵀe;
-    the at most 2 x 2 system is then solved on Python floats.  ``x0`` must
-    lie in the box.
+    1-D array.  ``jacobian_gram(x, e)``, called at the start and at each
+    kept trial, returns the Gram matrix of the rows of Jᵀ followed by e, as
+    k + 1 lists of k + 1 Python floats: JᵀJ and Jᵀe, then eᵀJ and eᵀe.
+    The at most 2 x 2 system is solved on Python floats.  ``x0`` must lie
+    in the box.
     """
     x = [float(v) for v in x0]
     k = len(x)
@@ -170,8 +171,7 @@ def gauss_newton(residuals, stacked_jacobian, x0, lo, hi, *, max_trials: int) ->
         fresh = True
         while trials < max_trials:
             if fresh:
-                m = stacked_jacobian(x, e)
-                gram = (m @ m.T).tolist()
+                gram = jacobian_gram(x, e)
                 if not math.isfinite(sum(map(sum, gram))):
                     break
                 grad = [row[k] for row in gram]

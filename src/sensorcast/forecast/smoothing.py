@@ -137,17 +137,17 @@ def _simple_weights(search: np.ndarray, config: FitConfig) -> list[float]:
     def errors(x):
         return all_pole([1.0, x[0] - 1.0], diffs)
 
-    def stacked_jacobian(x, e):
+    def jacobian_gram(x, e):
         # theta = alpha - 1, and de/dtheta = -(theta(B)^-1 e) lagged once.
         m = np.empty((2, n))
         m[0, 0] = 0.0
         np.negative(all_pole([1.0, x[0] - 1.0], e)[:-1], out=m[0, 1:])
         m[1] = e
-        return m
+        return (m @ m.T).tolist()
 
     alphas = grid.tolist()
     start = alphas[int(np.argmin([_sse(errors([a])) for a in alphas]))]
-    return gauss_newton(errors, stacked_jacobian, [start], alphas[:1], alphas[-1:],
+    return gauss_newton(errors, jacobian_gram, [start], alphas[:1], alphas[-1:],
                         max_trials=config.max_evals)
 
 
@@ -164,7 +164,7 @@ def _trend_weights(search: np.ndarray, config: FitConfig) -> list[float]:
         alpha, beta = x
         return all_pole([1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], diffs)
 
-    def stacked_jacobian(x, e):
+    def jacobian_gram(x, e):
         # de/dtheta_j = -g lagged j times, with g = theta(B)^-1 e; the chain
         # rule through theta_1 = alpha(1 + beta) - 2 and theta_2 = 1 - alpha.
         alpha, beta = x
@@ -174,10 +174,10 @@ def _trend_weights(search: np.ndarray, config: FitConfig) -> list[float]:
         m[0, 2:] += g[:-2]
         np.multiply(g[:-1], -alpha, out=m[1, 1:])
         m[2] = e
-        return m
+        return (m @ m.T).tolist()
 
     start = _best_cell(diffs, alpha_grid, beta_grid)
-    return gauss_newton(errors, stacked_jacobian, start,
+    return gauss_newton(errors, jacobian_gram, start,
                         [float(alpha_grid[0]), _ALPHA_LO], [float(alpha_grid[-1]), _ALPHA_HI],
                         max_trials=config.max_evals)
 

@@ -186,10 +186,15 @@ def linear_problem(a, b):
         calls.append(list(x))
         return a @ np.array(x) - b
 
-    def stacked_jacobian(x, e):
-        return np.vstack((a.T, e))
+    def jacobian_gram(x, e):
+        return gram_of(np.vstack((a.T, e)))
 
-    return residuals, stacked_jacobian, calls
+    return residuals, jacobian_gram, calls
+
+
+def gram_of(m):
+    # The Gram matrix of the rows of Jᵀ and e, as gauss_newton takes it.
+    return (m @ m.T).tolist()
 
 
 def test_gauss_newton_solves_linear_least_squares():
@@ -231,7 +236,7 @@ def test_gauss_newton_never_ends_above_its_start_and_obeys_the_cap():
         return np.array([x[0] ** 3 - 1.0, x[0]])
 
     def jacobian(x, e):
-        return np.array([[3.0 * x[0] ** 2, 1.0], e.tolist()])
+        return gram_of(np.array([[3.0 * x[0] ** 2, 1.0], e.tolist()]))
 
     start = residuals([0.9]) @ residuals([0.9])
     for cap in (0, 1, 2, 5, 50):
@@ -262,3 +267,32 @@ def test_gauss_newton_returns_its_start_on_a_non_finite_gram(entry):
                      max_trials=100)
     assert x == [0.25, 0.5]
     assert len(calls) == 1
+
+
+def test_gauss_newton_damps_its_way_past_refused_trials():
+    # e = x - (3, 3), refused (all inf) wherever x0 > 1: the undamped step
+    # from 0 lands there, so each refused trial must grow the damping and
+    # shorten the next step, until one is kept; none is ever kept refused.
+    trials = []
+
+    def residuals(x):
+        trials.append(list(x))
+        if x[0] > 1.0:
+            return np.full(2, np.inf)
+        return np.array(x) - 3.0
+
+    def jacobian(x, e):
+        return gram_of(np.vstack((np.eye(2), e)))
+
+    x = gauss_newton(residuals, jacobian, [0.0, 0.0], [-10.0, -10.0], [10.0, 10.0],
+                     max_trials=100)
+    refused = [t for t in trials if t[0] > 1.0]
+    assert len(refused) >= 2
+    # Until the first kept trial, every step goes from the start, shorter each time.
+    first_kept = next(i for i, t in enumerate(trials[1:], 1) if t[0] <= 1.0)
+    lengths = [math.hypot(*t) for t in trials[1:first_kept + 1]]
+    assert all(b < a for a, b in zip(lengths, lengths[1:]))
+    assert x[0] <= 1.0
+    start = residuals([0.0, 0.0])
+    end = residuals(x)
+    assert end @ end < start @ start
