@@ -15,7 +15,6 @@ from .models import (
     aicc,
     gaussian_neg2_loglik,
 )
-from .optimize import SimplexResult, nelder_mead
 from .selection import METHOD_SPECS, fit_constant, fit_model, forecast, min_history
 from .smoothing import fit_exponential_smoothing, simple_errors, trend_errors
 
@@ -27,7 +26,6 @@ __all__ = [
     "METHOD_SPECS",
     "ForecastModel",
     "MethodKind",
-    "SimplexResult",
     "aicc",
     "choose_differencing",
     "css_residuals",
@@ -38,7 +36,6 @@ __all__ = [
     "forecast",
     "gaussian_neg2_loglik",
     "min_history",
-    "nelder_mead",
     "simple_errors",
     "trend_errors",
 ]

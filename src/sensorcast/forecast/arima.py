@@ -17,9 +17,10 @@ candidate is dropped; a fit raises ``FitError`` only when none is left.
 The search covers the q <= 2 MA coefficients only, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta the CSS
 residuals are linear in phi and the constant, so each trial gets them from
-one least-squares solve, straight-line float code per count of unknowns
-(``_profile``).  At q = 1 a simplex searches theta, and an inadmissible
-solved phi costs a vertex the penalty of an inadmissible theta.  At q = 2
+one filter and least-squares solve, straight-line float code per count of
+unknowns (``_profiled_css``), the one solve every candidate calls.  At
+q = 1 a simplex searches theta, and an inadmissible solved phi costs a
+vertex the penalty of an inadmissible theta.  At q = 2
 ``optimize.gauss_newton`` searches the MA polynomial's partial
 autocorrelations, a box that maps onto the margin-scaled triangle, with
 Kaufman's Jacobian; a trial with an inadmissible phi is refused.
@@ -225,7 +226,6 @@ def fit_arima(history: np.ndarray, config: FitConfig) -> ForecastModel:
         )
 
     (_, k, _), p, q, phi, theta, mu, resid = best
-    phi, theta = phi.tolist(), theta.tolist()
     anchors = [float(np.diff(scaled, n=i)[-1]) for i in range(d)]
     *tail, mu = np.ldexp([*z[len(z) - p:], *resid[len(resid) - q:], *anchors, mu],
                          exponent).tolist()
@@ -248,45 +248,25 @@ def _profiled_css(z: np.ndarray, p: int, q: int, with_mean: bool):
     """The least CSS sum of squares over phi and the mean, as a function of theta.
 
     Returns ``solve``: for ``theta`` a list of q floats, ``solve(theta)`` is
-    ``(sse, phi, mu)``, the least CSS sum of squares at that theta and the
-    AR coefficients (a list of p floats) and mean that attain it, or None
-    when theta or that phi is inadmissible or the lag rows are collinear
-    after filtering (a flat stretch).  Without a mean (d >= 1) mu is 0.
-    At q = 0 (``theta = []``) the filter is the identity and is skipped:
-    the solve is then the pure AR model's closed-form least squares.
+    ``(sse, phi, mu, beta, f)``, the least CSS sum of squares at that theta,
+    the AR coefficients (a list of p floats) and mean that attain it, beta
+    (phi, then c) and the filtered rows f, or None when theta or that phi is
+    inadmissible or the filtered regressors are collinear (a flat stretch).
+    Without a mean (d >= 1) mu is 0.
 
     For fixed theta the residuals are linear in phi and in the constant
     c = (mu - zbar) phi(1): e = F_0 - sum_i phi_i F_i - c F_c, where F_0, F_i
     and F_c are z - zbar, its lag i and ones, each filtered by theta(B)^-1
-    (Golub & Pereyra's variable projection).  So a solve costs one filter
-    call over those rows and ``_profile``'s solve of the filtered rows.
-    """
-    rows, solve_rows = _profile(z, p, q, with_mean)
-    theta_pad = [0.0] * (2 - q)
-
-    def solve(theta: list[float]):
-        theta1, theta2 = theta + theta_pad
-        if not _beyond_margin(-theta1, -theta2):
-            return None
-        fit = solve_rows(all_pole([1.0, *theta], rows) if q else rows)
-        return None if fit is None else fit[:3]
-
-    return solve
-
-
-def _profile(z: np.ndarray, p: int, q: int, with_mean: bool):
-    """The regressor rows of a (p, q) pair, and the least squares on them.
-
-    ``rows`` holds, for t = max(p, q) .. n-1, the lags 1..p of z_t - zbar,
-    ones (with a mean) and, last, z_t - zbar itself.  ``solve_rows(f)``
-    takes those rows filtered by some theta(B)^-1 and returns ``(sse, phi,
-    mu, beta)``, beta being phi and then c, or None when the filtered
-    regressors are collinear or phi is inadmissible.  It needs one Gram
-    product, and the normal equations of its k = p + [with mean] <= 3
-    unknowns solved by symmetric elimination (Cholesky without the square
-    roots), written out per k on Python floats in the elimination loop's
-    order of operations.  A pivot at most 1e-12 of its diagonal means the
-    filtered regressors are collinear, as over a flat quantized stretch.
+    (Golub & Pereyra's variable projection).  The rows hold, for
+    t = max(p, q) .. n-1, the lags 1..p of z_t - zbar, ones (with a mean)
+    and, last, z_t - zbar itself; at q = 0 (``theta = []``) the filter is the
+    identity and is skipped, and the solve is the pure AR model's
+    closed-form least squares.  A solve costs one filter call over the rows,
+    one Gram product, and the normal equations of its k = p + [with mean]
+    <= 3 unknowns solved by symmetric elimination (Cholesky without the
+    square roots), written out per k on Python floats in the elimination
+    loop's order of operations.  A pivot at most 1e-12 of its diagonal means
+    the filtered regressors are collinear, as over a flat quantized stretch.
     """
     n, start = len(z), max(p, q)
     zbar = float(np.mean(z)) if with_mean else 0.0
@@ -294,9 +274,13 @@ def _profile(z: np.ndarray, p: int, q: int, with_mean: bool):
     rows = np.stack([zc[start - i:n - i] for i in range(1, p + 1)]
                     + ([np.ones(n - start)] if with_mean else []) + [zc[start:]])
     eliminate = _ELIMINATE[len(rows) - 1]
-    phi_pad = [0.0] * (2 - p)
+    theta_pad, phi_pad = [0.0] * (2 - q), [0.0] * (2 - p)
 
-    def solve_rows(f: np.ndarray):
+    def solve(theta: list[float]):
+        theta1, theta2 = theta + theta_pad
+        if not _beyond_margin(-theta1, -theta2):
+            return None
+        f = all_pole([1.0, *theta], rows) if q else rows
         fit = eliminate(f.dot(f.T).tolist())
         if fit is None:
             return None
@@ -306,9 +290,9 @@ def _profile(z: np.ndarray, p: int, q: int, with_mean: bool):
         if not _beyond_margin(phi1, phi2):
             return None
         mu = zbar + beta[p] / (1.0 - phi1 - phi2) if with_mean else 0.0
-        return sse, phi, mu, beta
+        return sse, phi, mu, beta, f
 
-    return rows, solve_rows
+    return solve
 
 
 # The q = 2 search runs over the partial autocorrelations r of the
@@ -333,8 +317,8 @@ def _ma_from_pacf(r1: float, r2: float) -> list[float]:
 
 def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
                    config: FitConfig):
-    """Coefficients ``(phi, theta, mu)`` for one (p, q) pair, or None when
-    inadmissible.
+    """Coefficients ``(phi, theta, mu)`` for one (p, q) pair, phi and theta
+    lists of floats, or None when inadmissible.
 
     A pure AR pair takes one solve at theta = [], the global least CSS sum;
     a pair with an MA part takes ``_search_theta``.  Flat lag rows are
@@ -342,14 +326,11 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     bit for bit to the history mean.
     """
     if p == q == 0:
-        return np.zeros(0), np.zeros(0), float(np.mean(z)) if with_mean else 0.0
+        return [], [], float(np.mean(z)) if with_mean else 0.0
     if q:
         return _search_theta(z, p, q, with_mean, config)
     fit = _profiled_css(z, p, q, with_mean)([])
-    if fit is None:
-        return None
-    _, phi, mu = fit
-    return np.array(phi), np.zeros(0), mu
+    return None if fit is None else (fit[1], [], fit[2])
 
 
 def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitConfig):
@@ -357,12 +338,14 @@ def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitCon
 
     Both searches start at theta = 0, where the filter is the identity and
     the solve is the AR(p) fit, solve phi and the mean at every trial, and
-    never end above that fit.  q = 1 runs the simplex over theta, with an
-    inadmissible or refused vertex penalized, and re-solves its best
-    vertex.  q = 2 runs ``gauss_newton`` over the partial autocorrelations
-    r (``_ma_from_pacf``) in [-_PACF_BOUND, _PACF_BOUND]^2, from r = 0,
-    within ``config.max_evals`` trials, and takes the phi and mean of the
-    trial it ends on.  A refused start refuses the pair.
+    never end above an admitted start.  q = 1 runs the simplex over theta,
+    with an inadmissible or refused vertex penalized, so a refused start is
+    one more penalized vertex that the search moves on from; it re-solves
+    its best vertex, and refuses the pair when that solve is refused.  q = 2
+    runs ``gauss_newton`` over the partial autocorrelations r
+    (``_ma_from_pacf``) in [-_PACF_BOUND, _PACF_BOUND]^2, from r = 0, within
+    ``config.max_evals`` trials, and takes the phi and mean of the trial it
+    ends on; a refused start refuses the pair.
     """
     if q == 1:
         solve = _profiled_css(z, p, q, with_mean)
@@ -374,12 +357,9 @@ def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitCon
                 return 1e30 * (1.0 + sum(abs(v) for v in theta))
             return fit[0]
 
-        theta = nelder_mead(sse, [0.0], max_evals=config.max_evals).x
-        fit = solve(theta.tolist())
-        if fit is None:
-            return None
-        _, phi, mu = fit
-        return np.array(phi), theta, mu
+        theta = nelder_mead(sse, [0.0], max_evals=config.max_evals).x.tolist()
+        fit = solve(theta)
+        return None if fit is None else (fit[1], theta, fit[2])
 
     residuals, jacobian_gram, trials = _pacf_least_squares(z, p, with_mean)
     r = gauss_newton(residuals, jacobian_gram, [0.0, 0.0], [-_PACF_BOUND] * 2,
@@ -389,22 +369,22 @@ def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitCon
         return None
     # Trials are kept on e'e, the search's sum; the solve's own sum rounds
     # apart, and on it too the pair must not end above its start.
-    sse, phi, mu, _ = trials[tuple(r)]
+    sse, phi, mu, *_ = trials[tuple(r)]
     if sse > start[0]:
-        r, (_, phi, mu, _) = [0.0, 0.0], start
-    return np.array(phi), np.array(_ma_from_pacf(*r)), mu
+        r, (_, phi, mu, *_) = [0.0, 0.0], start
+    return phi, _ma_from_pacf(*r), mu
 
 
 def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
     """The q = 2 CSS problem in r, as ``gauss_newton`` takes it.
 
     Returns ``(residuals, jacobian_gram, trials)``.  ``residuals(r)``
-    filters the pair's rows by theta(B)^-1 at theta = ``_ma_from_pacf(r)``
-    once, solves them (``_profile``), and returns e = F_0 - beta' A over
-    the filtered regressors A; a refused trial (collinear rows or an
-    inadmissible phi, as ``solve`` refuses) returns inf, which the search
-    never keeps.  ``trials`` maps each admissible r tried to its ``(sse,
-    phi, mu, filtered rows)``.
+    takes the pair's solve (``_profiled_css``) at theta =
+    ``_ma_from_pacf(r)``, which every r in the box passes, and returns
+    e = F_0 - beta' A over the filtered regressors A; a refused trial
+    (collinear rows or an inadmissible phi) returns inf, which the search
+    never keeps.  ``trials`` maps each admissible r tried to its solve,
+    ``(sse, phi, mu, beta, f)``.
 
     ``jacobian_gram(r, e)`` is Kaufman's variable-projection Jacobian (BIT
     1975) at a trial ``residuals`` admitted: with g = theta(B)^-1 e,
@@ -414,19 +394,17 @@ def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
     ``_ma_from_pacf`` carries it to r.  At a refused start, or if the
     projection is singular, it returns a zero Gram, which ends the search.
     """
-    rows, solve_rows = _profile(z, p, 2, with_mean)
-    k, n = len(rows) - 1, rows.shape[1]
+    solve = _profiled_css(z, p, 2, with_mean)
+    k, n = p + with_mean, len(z) - max(p, 2)
     refused = np.full(n, np.inf)
     trials = {}
 
     def residuals(r: list[float]) -> np.ndarray:
-        f = all_pole([1.0, *_ma_from_pacf(*r)], rows)
-        fit = solve_rows(f)
+        fit = solve(_ma_from_pacf(*r))
         if fit is None:
             return refused
-        sse, phi, mu, beta = fit
-        trials[tuple(r)] = sse, phi, mu, f
-        return np.dot([-b for b in beta] + [1.0], f)
+        trials[tuple(r)] = fit
+        return np.dot([-b for b in fit[3]] + [1.0], fit[4])
 
     stacked = np.zeros((k + 3, n))
     no_step = [[0.0] * 3] * 3
@@ -434,7 +412,7 @@ def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
     def jacobian_gram(r: list[float], e: np.ndarray) -> list[list[float]]:
         if tuple(r) not in trials:
             return no_step
-        stacked[:k] = trials[tuple(r)][3][:k]
+        stacked[:k] = trials[tuple(r)][4][:k]
         g = all_pole([1.0, *_ma_from_pacf(*r)], e)
         stacked[k, 1:] = g[:-1]
         stacked[k + 1, 2:] = g[:-2]

@@ -493,7 +493,7 @@ def test_ma_search_never_ends_above_its_ar_start():
                 solve = _profiled_css(z, p, q, d == 0)
                 start = solve([0.0] * q)
                 if start is not None:
-                    assert solve(fitted[1].tolist())[0] <= start[0], (p, d, q)
+                    assert solve(fitted[1])[0] <= start[0], (p, d, q)
                     checked += 1
     assert checked > 400
 
@@ -548,14 +548,14 @@ def test_theta_objective_is_the_least_css_sum_at_its_phi_and_mean(case):
         # A flat history leaves no AR lag to solve for: a refused vertex.
         assert fit is None
         return
-    sse, phi, mu = fit
+    sse, phi, mu, *_ = fit
     assert_least_css(z, phi, theta, mu, sse, with_mean=True)
 
 
 def test_unmeaned_theta_objective_is_the_least_css_sum_at_zero():
     rng = np.random.default_rng(73)
     z = rng.standard_normal(60)
-    sse, phi, mu = _profiled_css(z, 2, 1, False)([0.5])
+    sse, phi, mu, *_ = _profiled_css(z, 2, 1, False)([0.5])
     assert mu == 0.0
     assert_least_css(z, phi, [0.5], 0.0, sse, with_mean=False)
 
@@ -703,7 +703,7 @@ def test_projected_jacobian_matches_finite_differences(p, with_mean):
             residuals, jacobian_gram, trials = _pacf_least_squares(z, p, with_mean)
             e = residuals(r)
             gram = np.array(jacobian_gram(r, e))
-            a = trials[tuple(r)][3][:-1]
+            a = trials[tuple(r)][4][:-1]
             h = 1e-6
             fd_grad, fd_jac = [], []
             for i in range(2):
@@ -753,7 +753,7 @@ def test_ma2_search_ends_better_at_least_as_often_as_the_simplex():
             assert (fitted is None) == (simplex is None), (p, d)
             if fitted is None:
                 continue
-            sse = _profiled_css(z, p, 2, d == 0)(fitted[1].tolist())[0]
+            sse = _profiled_css(z, p, 2, d == 0)(fitted[1])[0]
             change = (sse - simplex[0]) / simplex[0]
             better += change < -1e-6
             worse += change > 1e-6

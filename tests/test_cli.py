@@ -300,14 +300,18 @@ def test_evaluate_reruns_are_byte_identical(tmp_path):
 
 
 def test_evaluate_parallel_matches_serial(tmp_path):
-    manifest = write_manifest(tmp_path / "m.json", workers=1,
+    # The fitted methods too: the pool's workers fit ARIMA and smoothing
+    # models that must match the serial run's to the byte.
+    manifest = write_manifest(tmp_path / "m.json", workers=1, n_splits=4,
                               output_dir=str(tmp_path / "serial"),
-                              methods=["constant", "simple_mean", "linear"])
+                              methods=["arima", "exponential_smoothing", "constant",
+                                       "simple_mean", "linear"])
     assert run_cli("evaluate", "--manifest", str(manifest)) == 0
     assert run_cli("evaluate", "--manifest", str(manifest), "--workers", "3",
                    "--output-dir", str(tmp_path / "parallel")) == 0
-    assert ((tmp_path / "serial" / "report.csv").read_bytes()
-            == (tmp_path / "parallel" / "report.csv").read_bytes())
+    for name in ("report.csv", "report.json"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes()), name
 
 
 def _sensorscope_fixture(path, n_epochs=3000):
