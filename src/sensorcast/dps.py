@@ -195,6 +195,10 @@ class _Window:
         except IndexError:
             raise DpsProtocolError("forecast window exhausted") from None
 
+    def due(self) -> bool:
+        """True when the next ``advance`` makes a fit due."""
+        return not self.holds and self.pos + 1 == self.length
+
     def advance(self, value: float, transmitted: bool) -> bool:
         """Move past one reading; True when a fit is due."""
         if self.holds:
@@ -289,6 +293,8 @@ class Gateway:
             else:
                 raise DpsProtocolError(f"unknown message type {type(msg).__name__}")
 
+        if update is not None and not self._window.due():
+            raise DpsProtocolError("model update at a step where no fit is due")
         t = len(self.reconstructed)
         if measurement is not None:
             if measurement.index != t:

@@ -1,7 +1,7 @@
 """Minimizers used by the model fitters.
 
-``nelder_mead`` is derivative-free; ``gauss_newton`` minimizes a sum of
-squares inside a box from the residuals' Jacobian.  Both are
+``nelder_mead`` searches one coordinate; ``gauss_newton`` minimizes a sum
+of squares inside a box from the residuals' Jacobian.  Both are
 deterministic: no randomness, no environment-dependent stopping rules.
 """
 
@@ -22,110 +22,63 @@ class SimplexResult:
     n_evals: int
 
 
-# The simplex has converged when its values span at most _FATOL and every
-# vertex lies within _XATOL of the best in each coordinate.
+# The simplex has converged when its two values differ by at most _FATOL
+# and its two vertices by at most _XATOL.
 _XATOL = 1e-8
 _FATOL = 1e-10
 
 
-def _column_means(rows: list[list[float]]) -> list[float]:
-    # numpy's mean(axis=0): each column summed from 0.0 in row order, then
-    # divided by the row count.
-    means = []
-    for column in zip(*rows):
-        total = 0.0
-        for v in column:
-            total += v
-        means.append(total / len(rows))
-    return means
-
-
 def nelder_mead(fn, x0, *, max_evals: int = 1000) -> SimplexResult:
-    """Minimize ``fn`` from ``x0`` with the Nelder-Mead simplex method.
+    """Minimize ``fn`` over one coordinate from ``x0`` by Nelder-Mead.
 
-    Standard reflection / expansion / contraction / shrink steps with the
-    usual coefficients (1, 2, 0.5, 0.5).  Returns the best vertex ever
-    evaluated, so starting at a local optimum cannot end anywhere worse than
-    the start.  ``n_evals`` counts the calls of ``fn``; no iteration starts
-    once it reaches ``max_evals``, so the last may overrun it by up to n + 1.
-
-    The simplex is kept as lists of Python floats, which cost far less than
-    numpy calls on a handful of entries; ``fn`` receives a vertex as such a
-    list and must not modify it, and must return a number, never NaN (which
-    would break the ordering every step relies on).  The arithmetic and its
-    order are those of the array form: the centroid is the mean of the best
-    n vertices, taken afresh every iteration.
+    The simplex is two points.  Each iteration reflects the worst through
+    the best, then expands, contracts or shrinks with the usual coefficients
+    (1, 2, 0.5, 0.5), as the n-dimensional method does at n = 1, bit for
+    bit.  Returns the best vertex kept, so a start at a local optimum cannot
+    end anywhere worse.  ``n_evals`` counts the calls of ``fn``; no
+    iteration starts once it reaches ``max_evals``, so the last may overrun
+    it by up to 2.  ``fn`` receives a vertex as a one-element list of a
+    Python float and must return a number, never NaN (which would break the
+    ordering every step relies on).
     """
-    x0 = np.asarray(x0, dtype=np.float64).tolist()
-    n = len(x0)
-    if n == 0:
-        raise ValueError("nelder_mead needs at least one free parameter")
-
-    # Initial simplex: perturb each coordinate by 10% of its size (absolute
-    # floor keeps zero starts from collapsing the simplex).
-    simplex = [x0]
-    for i in range(n):
-        v = list(x0)
-        v[i] += 0.1 * max(abs(v[i]), 0.25)
-        simplex.append(v)
-    fvals = [float(fn(v)) for v in simplex]
-    n_evals = n + 1
-
-    shrunk = True
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (1,):
+        raise ValueError(f"nelder_mead searches one coordinate, got shape {x0.shape}")
+    best = float(x0[0])
+    # A 10% step, with an absolute floor so that a zero start moves.
+    worst = best + 0.1 * max(abs(best), 0.25)
+    f_best, f_worst = float(fn([best])), float(fn([worst]))
+    n_evals = 2
     while n_evals < max_evals:
-        # Keep the simplex in numpy's stable argsort order.  Only a shrink
-        # moves more than the last vertex, so otherwise the other n stay
-        # sorted and the last goes in after each vertex not above it: where
-        # the stable sort puts it.
-        if shrunk:
-            order = sorted(range(n + 1), key=fvals.__getitem__)
-            simplex = [simplex[i] for i in order]
-            fvals = [fvals[i] for i in order]
-        else:
-            f_new = fvals.pop()
-            i = n
-            while i and fvals[i - 1] > f_new:
-                i -= 1
-            fvals.insert(i, f_new)
-            simplex.insert(i, simplex.pop())
-        best, worst = simplex[0], simplex[-1]
-        if (fvals[-1] - fvals[0] <= _FATOL
-                and all(abs(a - b) <= _XATOL
-                        for v in simplex[1:] for a, b in zip(v, best))):
+        if f_worst < f_best:
+            best, worst, f_best, f_worst = worst, best, f_worst, f_best
+        if f_worst - f_best <= _FATOL and abs(worst - best) <= _XATOL:
             break
-
-        centroid = _column_means(simplex[:-1])
-        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
-        f_r = float(fn(reflected))
+        # The centroid is the best vertex summed from 0.0, as numpy's mean
+        # sums it, so -0.0 becomes 0.0.
+        c = 0.0 + best
+        x = c + (c - worst)
+        f = float(fn([x]))
         n_evals += 1
-
-        shrunk = False
-        if f_r < fvals[0]:
-            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            f_e = float(fn(expanded))
+        if f < f_best:
+            x_e = c + 2.0 * (c - worst)
+            f_e = float(fn([x_e]))
             n_evals += 1
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
+            if f_e < f:
+                x, f = x_e, f_e
         else:
-            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
-            f_c = float(fn(contracted))
+            x = c + 0.5 * (worst - c)
+            f = float(fn([x]))
             n_evals += 1
-            if f_c < fvals[-1]:
-                simplex[-1], fvals[-1] = contracted, f_c
-            else:
+            if not f < f_worst:
                 # Shrink towards the best vertex, which stays in place.
-                for i in range(1, n + 1):
-                    simplex[i] = [b + 0.5 * (a - b) for a, b in zip(simplex[i], best)]
-                    fvals[i] = float(fn(simplex[i]))
-                n_evals += n
-                shrunk = True
-
-    best = min(range(n + 1), key=fvals.__getitem__)
-    return SimplexResult(x=np.array(simplex[best]), fun=fvals[best], n_evals=n_evals)
+                x = best + 0.5 * (worst - best)
+                f = float(fn([x]))
+                n_evals += 1
+        worst, f_worst = x, f
+    if f_worst < f_best:
+        best, f_best = worst, f_worst
+    return SimplexResult(x=np.array([best]), fun=f_best, n_evals=n_evals)
 
 
 # Marquardt's damping starts at _LAMBDA0 and follows the gain ratio rho,

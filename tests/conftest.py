@@ -53,6 +53,57 @@ def shaped(shape: str, n: int, rng: np.random.Generator, peak: float | None = No
     return np.round(walk * 2.0) / 2.0
 
 
+def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
+    """The n-dimensional Nelder-Mead simplex written on numpy arrays
+    (argsort, mean(axis=0), np.argmin): ``(x, fun, n_evals)``.
+
+    ``optimize.nelder_mead`` must match it bit for bit at one coordinate;
+    at two it is the reference the q = 2 ARIMA search is measured against.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = len(x0)
+    simplex = [x0]
+    for i in range(n):
+        v = x0.copy()
+        v[i] += 0.1 * max(abs(v[i]), 0.25)
+        simplex.append(v)
+    simplex = np.array(simplex)
+    fvals = np.array([fn(v) for v in simplex])
+    n_evals = n + 1
+    while n_evals < max_evals:
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        if fvals[-1] - fvals[0] <= fatol and np.max(np.abs(simplex[1:] - simplex[0])) <= xatol:
+            break
+        centroid = simplex[:-1].mean(axis=0)
+        reflected = centroid + (centroid - simplex[-1])
+        f_r = fn(reflected)
+        n_evals += 1
+        if f_r < fvals[0]:
+            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            f_e = fn(expanded)
+            n_evals += 1
+            if f_e < f_r:
+                simplex[-1], fvals[-1] = expanded, f_e
+            else:
+                simplex[-1], fvals[-1] = reflected, f_r
+        elif f_r < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            f_c = fn(contracted)
+            n_evals += 1
+            if f_c < fvals[-1]:
+                simplex[-1], fvals[-1] = contracted, f_c
+            else:
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    fvals[i] = fn(simplex[i])
+                n_evals += n
+    best = int(np.argmin(fvals))
+    return simplex[best], float(fvals[best]), n_evals
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(2026)

@@ -25,11 +25,10 @@ from sensorcast.forecast.arima import (
 from sensorcast.forecast.filters import all_pole
 from sensorcast.forecast.models import (FULL_ORDER_GRID, FitConfig, FitError, MethodKind,
                                         _unit_scaled)
-from sensorcast.forecast.optimize import nelder_mead
 from sensorcast.forecast.selection import forecast
 from sensorcast.series import quantize_to_resolution
 
-from conftest import SHAPES, make_ar1, shaped, yule_walker_ar1
+from conftest import SHAPES, make_ar1, nelder_mead_array_oracle, shaped, yule_walker_ar1
 
 ARIMA_CONFIG = FitConfig(method="arima")
 
@@ -732,8 +731,9 @@ def simplex_from_zero(z, p, q, with_mean, config):
         fit = solve(theta)
         return 1e30 * (1.0 + sum(abs(v) for v in theta)) if fit is None else fit[0]
 
-    theta = nelder_mead(sse, [0.0] * q, max_evals=config.max_evals).x.tolist()
-    return solve(theta)
+    theta, _, _ = nelder_mead_array_oracle(lambda v: sse(v.tolist()), [0.0] * q,
+                                           config.max_evals)
+    return solve(theta.tolist())
 
 
 def test_ma2_search_ends_better_at_least_as_often_as_the_simplex():

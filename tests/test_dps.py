@@ -371,6 +371,21 @@ def test_gateway_rejects_protocol_violations():
     # Steady state with no model installed is a protocol violation.
     with pytest.raises(DpsProtocolError):
         gw.step([])
+    # A model update where no fit is due is refused before the step changes
+    # anything: mid-window, and under value-holding, which never refits.
+    model = fit_model(np.array([0.0, 1.0]), LINEAR)
+    gw = Gateway(MethodKind.LINEAR, history_len=1, window_len=3)
+    gw.step([Measurement(seq=0, index=0, value=1.0), ModelUpdate(seq=1, model=model)])
+    with pytest.raises(DpsProtocolError, match="no fit is due"):
+        gw.step([ModelUpdate(seq=2, model=model)])
+    assert gw.reconstructed == [1.0]
+    assert gw.step([]) == 2.0
+    gw = Gateway(MethodKind.CONSTANT, history_len=1, window_len=3)
+    with pytest.raises(DpsProtocolError, match="no fit is due"):
+        gw.step([Measurement(seq=0, index=0, value=6.0), ModelUpdate(seq=1, model=model)])
+    assert gw.reconstructed == []
+    gw.step([Measurement(seq=0, index=0, value=6.0)])
+    assert gw.step([]) == 6.0
 
 
 def test_gateway_rejects_two_updates_or_a_foreign_object_in_one_step():

@@ -321,6 +321,15 @@ def test_equal_pair_fraction_hand_case():
     s = TimeSeries.regular([0.0, 0.1, 0.6, 0.7])
     # Quantized at 0.5: [0, 0, 0.5, 0.5] -> two of three pairs equal.
     assert equal_pair_fraction(s, 0.5) == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValueError, match="two samples"):
+        equal_pair_fraction(TimeSeries.regular([1.0]), 0.5)
+
+
+@pytest.mark.parametrize("field", ["history_len", "window_len", "n_splits"])
+def test_scenario_rejects_a_length_below_one(field):
+    lengths = {"history_len": 20, "window_len": 10, "n_splits": 5, field: 0}
+    with pytest.raises(ValueError, match=field):
+        Scenario(descriptor=descriptor_for("ball"), config=FitConfig(), **lengths)
 
 
 def test_calibrate_resolution_meets_target():

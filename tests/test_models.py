@@ -46,12 +46,20 @@ def test_fit_config_validation():
         FitConfig(order_grid=())
     with pytest.raises(ValueError):
         FitConfig(es_variants=("holt",))
+    with pytest.raises(ValueError):
+        FitConfig(es_variants=())
     # Level weights must be finite and in [0, 1], and there must be one.
     assert FitConfig(es_alpha_grid=(0.0, 1.0)).es_alpha_grid == (0.0, 1.0)
     assert FitConfig(es_alpha_grid=(0.9, 0.1, 0.5)).es_alpha_grid == (0.1, 0.5, 0.9)
     for grid in ((), (float("nan"),), (3.0,), (0.5, -0.1), (float("inf"),)):
         with pytest.raises(ValueError):
             FitConfig(es_alpha_grid=grid)
+
+
+@pytest.mark.parametrize("orders", [(), (1, 1), (1, 1, 1, 0)])
+def test_forecast_model_rejects_orders_not_a_triple(orders):
+    with pytest.raises(ValueError, match="3-tuple"):
+        ForecastModel(kind=MethodKind.ARIMA, orders=orders)
 
 
 def test_forecast_model_round_trips_through_json():

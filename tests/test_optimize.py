@@ -7,25 +7,25 @@ import pytest
 
 from sensorcast.forecast.optimize import gauss_newton, nelder_mead
 
-
-def quadratic_bowl(x):
-    return float(np.sum((x - np.array([1.0, -2.0])) ** 2))
+from conftest import nelder_mead_array_oracle
 
 
-def rosenbrock(x):
-    a, b = x
-    return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+def quartic(x):
+    return (x[0] * x[0] - 2.0) ** 2 + 0.5 * x[0]
 
 
-def test_nelder_mead_solves_quadratic():
-    res = nelder_mead(quadratic_bowl, [0.0, 0.0], max_evals=2000)
-    np.testing.assert_allclose(res.x, [1.0, -2.0], atol=1e-5)
+def rugged(x):
+    return (x[0] - 0.3) ** 2 + 0.05 * math.sin(25.0 * x[0])
+
+
+def kink(x):
+    return abs(x[0] - 1e-3) + 1e-6 * x[0] ** 2
+
+
+def test_nelder_mead_one_dimensional():
+    res = nelder_mead(lambda x: (x[0] - 3.5) ** 2, [0.0], max_evals=500)
+    assert res.x[0] == pytest.approx(3.5, abs=1e-5)
     assert res.fun < 1e-9
-
-
-def test_nelder_mead_solves_rosenbrock():
-    res = nelder_mead(rosenbrock, [-1.2, 1.0], max_evals=4000)
-    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
 
 
 def test_nelder_mead_counts_evaluations_within_budget():
@@ -33,56 +33,51 @@ def test_nelder_mead_counts_evaluations_within_budget():
 
     def noisy_bowl(x):
         counter["n"] += 1
-        return quadratic_bowl(x) + 0.001 * np.sin(97.0 * x[0])
+        return (x[0] - 1.0) ** 2 + 0.001 * math.sin(97.0 * x[0])
 
-    res = nelder_mead(noisy_bowl, [3.0, 3.0], max_evals=600)
-    assert res.n_evals == counter["n"]
-    assert res.n_evals <= 600 + 2  # budget may be exceeded only mid-iteration
+    for max_evals in (1, 2, 3, 7, 600):
+        counter["n"] = 0
+        res = nelder_mead(noisy_bowl, [3.0], max_evals=max_evals)
+        assert res.n_evals == counter["n"]
+        # Two vertices to start; after that only the last iteration, which
+        # starts below the budget, may pass it, by up to 2.
+        assert res.n_evals <= max(max_evals, 2) + 2
 
 
 def test_nelder_mead_returns_best_ever_vertex():
     # fun must equal fn(x) for the reported x, and be no worse than the start.
-    res = nelder_mead(rosenbrock, [0.3, 0.7], max_evals=200)
-    assert res.fun == pytest.approx(rosenbrock(res.x), abs=1e-12)
-    assert res.fun <= rosenbrock(np.array([0.3, 0.7]))
+    res = nelder_mead(quartic, [0.3], max_evals=200)
+    assert res.fun == quartic(res.x.tolist())
+    assert res.fun <= quartic([0.3])
 
 
 def test_nelder_mead_starting_at_optimum_stays_there():
-    res = nelder_mead(quadratic_bowl, [1.0, -2.0], max_evals=500)
-    assert res.fun <= quadratic_bowl(np.array([1.0, -2.0])) + 1e-15
+    res = nelder_mead(lambda x: (x[0] + 2.0) ** 2, [-2.0], max_evals=500)
+    assert res.fun == 0.0
+    assert res.x[0] == -2.0
 
 
 def test_nelder_mead_is_deterministic():
-    a = nelder_mead(rosenbrock, [0.0, 0.0], max_evals=300)
-    b = nelder_mead(rosenbrock, [0.0, 0.0], max_evals=300)
+    a = nelder_mead(rugged, [0.0], max_evals=300)
+    b = nelder_mead(rugged, [0.0], max_evals=300)
     np.testing.assert_array_equal(a.x, b.x)
     assert a.n_evals == b.n_evals
 
 
-def test_nelder_mead_one_dimensional():
-    res = nelder_mead(lambda x: (x[0] - 3.5) ** 2, [0.0], max_evals=500)
-    assert res.x[0] == pytest.approx(3.5, abs=1e-5)
-
-
-def test_nelder_mead_rejects_empty_start():
+@pytest.mark.parametrize("x0", [[], [0.0, 0.0], [[0.0]]])
+def test_nelder_mead_searches_one_coordinate_only(x0):
     with pytest.raises(ValueError):
-        nelder_mead(lambda x: 0.0, [])
+        nelder_mead(lambda x: 0.0, x0)
 
 
-def bowl3(x):
-    u, v, w = x
-    return (u - 1.0) ** 2 + 3.0 * (v + 2.0) ** 2 + 0.5 * (w - 0.25) ** 2 + 0.4 * u * v
-
-
-# Golden results, bit for bit: x and fun as float.hex, and n_evals.  The
-# search must reproduce them exactly, so any change to the arithmetic, its
-# order or the tie-breaking shows up here.
+# Golden results, bit for bit: x and fun as float.hex, and n_evals, as the
+# n-dimensional list-form simplex gave them.  The search must reproduce them
+# exactly, so any change to the arithmetic, its order or the tie-breaking
+# shows up here.
 NELDER_MEAD_PINS = [
-    (rosenbrock, [-1.2, 1.0], 4000,
-     ["0x1.00000002d8f40p+0", "0x1.000000045314dp+0"], "0x1.87d2269700080p-57", 249),
-    (bowl3, [0.0, 0.0, 0.0], 2000,
-     ["0x1.6b3e4539c6e55p+0", "-0x1.0c1bacf764991p+1", "0x1.0000003a6d3c2p-2"],
-     "-0x1.f914c1bacf917p-1", 253),
+    (quartic, [-1.2], 4000, ["-0x1.71c9bfe147adfp+0"], "-0x1.6df437de92571p-1", 56),
+    (rugged, [-0.0], 300, ["-0x1.4657166666669p-5"], "0x1.2d29aceb151efp-4", 50),
+    (kink, [7.5], 1000, ["0x1.0624e00000000p-10"], "0x1.6aa5a35c3df6ep-33", 74),
 ]
 
 
@@ -94,81 +89,31 @@ def test_nelder_mead_reproduces_pinned_results(fn, x0, max_evals, x, fun, n_eval
     assert res.n_evals == n_evals
 
 
-def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
-    # The search written on numpy arrays: argsort, mean(axis=0), np.argmin.
-    # The list form must match it bit for bit.
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = len(x0)
-    simplex = [x0]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += 0.1 * max(abs(v[i]), 0.25)
-        simplex.append(v)
-    simplex = np.array(simplex)
-    fvals = np.array([fn(v) for v in simplex])
-    n_evals = n + 1
-    while n_evals < max_evals:
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if fvals[-1] - fvals[0] <= fatol and np.max(np.abs(simplex[1:] - simplex[0])) <= xatol:
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = fn(reflected)
-        n_evals += 1
-        if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = fn(expanded)
-            n_evals += 1
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_c = fn(contracted)
-            n_evals += 1
-            if f_c < fvals[-1]:
-                simplex[-1], fvals[-1] = contracted, f_c
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = fn(simplex[i])
-                n_evals += n
-    best = int(np.argmin(fvals))
-    return simplex[best], float(fvals[best]), n_evals
-
-
 def test_nelder_mead_matches_array_oracle_bit_for_bit():
-    # Random quadratics in 1..4 dimensions: plain (kinds 0 and 1), rounded
-    # (many ties), with a plateau of 0.0 and -0.0, and rugged (many shrink
-    # steps); some starts hold signed zeros.  No fn returns NaN, which the
-    # search does not accept.
+    # Random one-coordinate quadratics: plain (kinds 0 and 1), rounded (many
+    # ties), with a plateau of 0.0 and -0.0, and rugged (many shrink steps);
+    # some starts are signed zeros.  No fn returns NaN, which the search
+    # does not accept.
     rng = np.random.default_rng(11)
-    for case in range(200):
-        dim = int(rng.integers(1, 5))
-        centre = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
-        a = rng.standard_normal((dim, dim))
-        hess = a @ a.T + 0.01 * np.eye(dim)
-        rng.standard_normal()  # unused: keeps the later draws of each case
+    for case in range(400):
+        centre = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+        curvature = rng.standard_normal() ** 2 + 0.01
         kind = case % 5
 
-        def fn(x, kind=kind, centre=centre, hess=hess):
-            d = x - centre
-            v = float(d @ hess @ d)
+        def fn(x, kind=kind, centre=centre, curvature=curvature):
+            d = x[0] - centre
+            v = curvature * d * d
             if kind == 2:
                 return float(np.round(v, 1))
             if kind == 3 and v < 4.0:
-                return math.copysign(0.0, x[-1] - centre[-1])
+                return math.copysign(0.0, d)
             if kind == 4:
                 return v + 3.0 * math.sin(40.0 * x[0])
             return v
 
-        x0 = (rng.standard_normal(dim) * 3.0).tolist()
+        x0 = [float(rng.standard_normal() * 3.0)]
         if case % 3 == 0:
-            x0 = [math.copysign(0.0, v) for v in x0]
+            x0 = [math.copysign(0.0, x0[0])]
         max_evals = int(rng.integers(1, 300))
         res = nelder_mead(fn, x0, max_evals=max_evals)
         x, fun, n_evals = nelder_mead_array_oracle(fn, x0, max_evals)
@@ -195,6 +140,14 @@ def linear_problem(a, b):
 def gram_of(m):
     # The Gram matrix of the rows of Jᵀ and e, as gauss_newton takes it.
     return (m @ m.T).tolist()
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_gauss_newton_searches_one_or_two_coordinates(k):
+    residuals, jacobian, calls = linear_problem(np.eye(max(k, 1)), [1.0] * max(k, 1))
+    with pytest.raises(ValueError, match="one or two"):
+        gauss_newton(residuals, jacobian, [0.0] * k, [-1.0] * k, [1.0] * k, max_trials=10)
+    assert calls == []
 
 
 def test_gauss_newton_solves_linear_least_squares():

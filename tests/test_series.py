@@ -34,6 +34,8 @@ def test_series_rejects_bad_input():
         TimeSeries(np.array([0.0, np.inf]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         TimeSeries(np.array([0.0]), np.array([1.0]), resolution=0.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        TimeSeries(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]))
 
 
 def test_series_arrays_are_readonly(short_series):
