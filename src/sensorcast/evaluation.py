@@ -368,28 +368,31 @@ def calibrate_resolution(series: TimeSeries, target: float = 0.5) -> float:
     differences; if the whole span quantizes too finely, a geometric tail
     up to four times the largest difference is scanned as well.  The
     fraction is not monotone in r near bin boundaries, which is why this
-    scans instead of bisecting.
+    scans instead of bisecting.  Both spans are built on the readings
+    scaled by 2**-shift, the least power of two that keeps four times their
+    largest difference finite (none below 2**1021), and scaled back; a
+    resolution past the largest float ends the scan.
     """
     if len(series) < 2:
         raise ValueError("calibration needs at least two samples")
     if not (0.0 < target < 1.0):
         raise ValueError(f"target must lie in (0, 1), got {target}")
-    adiffs = np.abs(np.diff(series.values))
+    shift = max(int(np.frexp(np.max(np.abs(series.values)))[1]) - 1021, 0)
+    adiffs = np.abs(np.diff(np.ldexp(series.values, -shift)))
     positive = adiffs[adiffs > 0]
     if len(positive) == 0:
         raise CalibrationError("series is constant; every resolution satisfies the target")
     lo = float(np.min(positive))
     hi = float(np.max(adiffs))
     grid = np.geomspace(lo, hi, 1024) if hi > lo else np.array([lo])
-    for r in grid:
-        if equal_pair_fraction(series, float(r)) >= target:
-            return float(r)
-    for r in np.geomspace(hi, 4.0 * hi, 256)[1:]:
-        if equal_pair_fraction(series, float(r)) >= target:
-            return float(r)
-    raise CalibrationError(
-        f"no resolution up to {4.0 * hi!r} reaches an equal-pair fraction of {target}"
-    )
+    with np.errstate(over="ignore"):
+        candidates = np.ldexp(np.concatenate([grid, np.geomspace(hi, 4.0 * hi, 256)[1:]]),
+                              shift)
+    for r in candidates[np.isfinite(candidates)].tolist():
+        if equal_pair_fraction(series, r) >= target:
+            return r
+    raise CalibrationError(f"no resolution up to {float(candidates[-1])!r} reaches an "
+                           f"equal-pair fraction of {target}")
 
 
 def manifest_sha256(manifest: dict | None) -> str:

@@ -1,18 +1,19 @@
 """ARIMA fitting by conditional sum of squares.
 
 The fit pipeline: pick the differencing depth by a variance-ratio rule,
-then for every (p, q) pair in the grid estimate coefficients and keep the
-AICc winner.  Every pair gets its AR part and mean from one least-squares
-solve at a given theta: a pure-AR pair (q = 0) once at theta = [], the
-closed-form CSS optimum, and a pair with a moving-average part at each
-trial of a search over theta that starts at theta = 0, the AR(p) fit.
-Flat lag rows (a constant stretch) make the solve singular and refuse the
-candidate.  A candidate is admissible when every root of its AR
-and MA polynomials has modulus above ``ROOT_MARGIN`` (1.001): for degree
-<= 2, with a1 = m c1 and a2 = m^2 c2 for 1 - c1 z - c2 z^2 (c = phi, or
--theta for MA), when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1 (the
-Box-Jenkins triangle scaled by the margin).  An inadmissible or refused
-candidate is dropped; a fit raises ``FitError`` only when none is left.
+then for every (p, q) pair in the grid estimate coefficients and keep
+the AICc winner.  Every pair but (0, 0, 0) takes one path: its AR part
+and mean come from one least-squares solve per theta, first at
+theta = 0, the AR(p) fit (at q = 0 the closed-form CSS optimum, and the
+end), then at each trial of a search over theta from there; it ends on
+the search's last theta, or on the AR(p) fit if that sums lower.  Flat
+lag rows (a constant stretch) make the solve singular and refuse the
+candidate.  A candidate is admissible when every root of its AR and MA
+polynomials has modulus above ``ROOT_MARGIN`` (1.001): for degree <= 2,
+with a1 = m c1 and a2 = m^2 c2 for 1 - c1 z - c2 z^2 (c = phi, or -theta
+for MA), when |a2| < 1, a1 + a2 < 1 and a2 - a1 < 1 (the Box-Jenkins
+triangle scaled by the margin).  An inadmissible or refused candidate is
+dropped; a fit raises ``FitError`` only when none is left.
 
 The search covers the q <= 2 MA coefficients only, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 1973): for fixed theta the CSS
@@ -320,36 +321,31 @@ def _fit_candidate(z: np.ndarray, p: int, q: int, with_mean: bool,
     """Coefficients ``(phi, theta, mu)`` for one (p, q) pair, phi and theta
     lists of floats, or None when inadmissible.
 
-    A pure AR pair takes one solve at theta = [], the global least CSS sum;
-    a pair with an MA part takes ``_search_theta``.  Flat lag rows are
-    refused either way.  p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces
-    bit for bit to the history mean.
+    p = q = 0 takes ``np.mean``, so (0, 0, 0) reduces bit for bit to the
+    history mean.  Every other pair solves phi and the mean at theta = 0,
+    the AR(p) fit (at q = 0 the global least CSS sum, and the end), and at
+    each trial of a search over theta from there, each theta once.  q = 1
+    runs the simplex over theta, an inadmissible or refused vertex
+    penalized, so a refused start is one more penalized vertex that the
+    search moves on from.  q = 2 runs ``gauss_newton`` over the partial
+    autocorrelations r (``_ma_from_pacf``) in [-_PACF_BOUND, _PACF_BOUND]^2
+    from r = 0, where a refused start ends the search.  Both take the solve
+    of the theta they end on, or the AR(p) fit where its sum is lower, and
+    refuse the pair when neither was admitted.
     """
     if p == q == 0:
         return [], [], float(np.mean(z)) if with_mean else 0.0
-    if q:
-        return _search_theta(z, p, q, with_mean, config)
-    fit = _profiled_css(z, p, q, with_mean)([])
-    return None if fit is None else (fit[1], [], fit[2])
+    profiled, fits = _profiled_css(z, p, q, with_mean), {}
 
+    def solve(theta: list[float]):
+        # -0.0 keys as 0.0: the filter's values do not tell the two apart.
+        key = tuple(theta)
+        if key not in fits:
+            fits[key] = profiled(theta)
+        return fits[key]
 
-def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitConfig):
-    """The theta search of a pair with an MA part: ``(phi, theta, mu)`` or None.
-
-    Both searches start at theta = 0, where the filter is the identity and
-    the solve is the AR(p) fit, solve phi and the mean at every trial, and
-    never end above an admitted start.  q = 1 runs the simplex over theta,
-    with an inadmissible or refused vertex penalized, so a refused start is
-    one more penalized vertex that the search moves on from; it re-solves
-    its best vertex, and refuses the pair when that solve is refused.  q = 2
-    runs ``gauss_newton`` over the partial autocorrelations r
-    (``_ma_from_pacf``) in [-_PACF_BOUND, _PACF_BOUND]^2, from r = 0, within
-    ``config.max_evals`` trials, and takes the phi and mean of the trial it
-    ends on; a refused start refuses the pair.
-    """
+    start, theta = solve([0.0] * q), []
     if q == 1:
-        solve = _profiled_css(z, p, q, with_mean)
-
         def sse(theta: list[float]) -> float:
             fit = solve(theta)
             if fit is None:
@@ -358,33 +354,28 @@ def _search_theta(z: np.ndarray, p: int, q: int, with_mean: bool, config: FitCon
             return fit[0]
 
         theta = nelder_mead(sse, [0.0], max_evals=config.max_evals).x.tolist()
-        fit = solve(theta)
-        return None if fit is None else (fit[1], theta, fit[2])
-
-    residuals, jacobian_gram, trials = _pacf_least_squares(z, p, with_mean)
-    r = gauss_newton(residuals, jacobian_gram, [0.0, 0.0], [-_PACF_BOUND] * 2,
-                     [_PACF_BOUND] * 2, max_trials=config.max_evals)
-    start = trials.get((0.0, 0.0))
-    if start is None:
-        return None
-    # Trials are kept on e'e, the search's sum; the solve's own sum rounds
+    elif q == 2:
+        residuals, jacobian_gram = _pacf_least_squares(z, p, with_mean, solve)
+        theta = _ma_from_pacf(*gauss_newton(residuals, jacobian_gram, [0.0, 0.0],
+                                            [-_PACF_BOUND] * 2, [_PACF_BOUND] * 2,
+                                            max_trials=config.max_evals))
+    fit = solve(theta)
+    # q = 2 keeps trials on e'e, the search's sum; the solve's own sum rounds
     # apart, and on it too the pair must not end above its start.
-    sse, phi, mu, *_ = trials[tuple(r)]
-    if sse > start[0]:
-        r, (_, phi, mu, *_) = [0.0, 0.0], start
-    return phi, _ma_from_pacf(*r), mu
+    if start is not None and (fit is None or fit[0] > start[0]):
+        theta, fit = [0.0] * q, start
+    return None if fit is None else (fit[1], theta, fit[2])
 
 
-def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
+def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool, solve):
     """The q = 2 CSS problem in r, as ``gauss_newton`` takes it.
 
-    Returns ``(residuals, jacobian_gram, trials)``.  ``residuals(r)``
-    takes the pair's solve (``_profiled_css``) at theta =
+    Returns ``(residuals, jacobian_gram)``.  ``residuals(r)`` takes the
+    pair's solve (``_profiled_css``'s, or its cache) at theta =
     ``_ma_from_pacf(r)``, which every r in the box passes, and returns
     e = F_0 - beta' A over the filtered regressors A; a refused trial
     (collinear rows or an inadmissible phi) returns inf, which the search
-    never keeps.  ``trials`` maps each admissible r tried to its solve,
-    ``(sse, phi, mu, beta, f)``.
+    never keeps.
 
     ``jacobian_gram(r, e)`` is Kaufman's variable-projection Jacobian (BIT
     1975) at a trial ``residuals`` admitted: with g = theta(B)^-1 e,
@@ -394,26 +385,25 @@ def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
     ``_ma_from_pacf`` carries it to r.  At a refused start, or if the
     projection is singular, it returns a zero Gram, which ends the search.
     """
-    solve = _profiled_css(z, p, 2, with_mean)
     k, n = p + with_mean, len(z) - max(p, 2)
     refused = np.full(n, np.inf)
-    trials = {}
 
     def residuals(r: list[float]) -> np.ndarray:
         fit = solve(_ma_from_pacf(*r))
         if fit is None:
             return refused
-        trials[tuple(r)] = fit
         return np.dot([-b for b in fit[3]] + [1.0], fit[4])
 
     stacked = np.zeros((k + 3, n))
     no_step = [[0.0] * 3] * 3
 
     def jacobian_gram(r: list[float], e: np.ndarray) -> list[list[float]]:
-        if tuple(r) not in trials:
+        theta = _ma_from_pacf(*r)
+        fit = solve(theta)
+        if fit is None:
             return no_step
-        stacked[:k] = trials[tuple(r)][4][:k]
-        g = all_pole([1.0, *_ma_from_pacf(*r)], e)
+        stacked[:k] = fit[4][:k]
+        g = all_pole([1.0, *theta], e)
         stacked[k, 1:] = g[:-1]
         stacked[k + 1, 2:] = g[:-2]
         stacked[k + 2] = e
@@ -443,7 +433,7 @@ def _pacf_least_squares(z: np.ndarray, p: int, with_mean: bool):
         g1, g2 = d11 * grad1, d12 * grad1 + d22 * grad2
         return [[h11, h12, g1], [h12, h22, g2], [g1, g2, gram[k + 2][k + 2]]]
 
-    return residuals, jacobian_gram, trials
+    return residuals, jacobian_gram
 
 
 def _differenced_forecasts(phi, theta, mu: float, lags: list, shocks: list, n_steps: int) -> list:

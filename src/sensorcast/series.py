@@ -113,12 +113,18 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 def quantize_to_resolution(series: TimeSeries, resolution: float) -> TimeSeries:
     """Snap every value to the nearest multiple of ``resolution``.
 
-    Ties round away from zero.  The result's ``resolution`` field is set to
-    the new step so downstream thresholds follow the simulated sensor.
+    Ties round away from zero.  Where the nearest multiple, or the quotient
+    by ``resolution``, passes the largest float, the value snaps to the
+    next multiple toward zero, x - fmod(x, r): x itself where r is below an
+    ulp of x.  The result's ``resolution`` field is set to the new step so
+    downstream thresholds follow the simulated sensor.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    q = _round_half_away(series.values / resolution) * resolution
+    if not 0.0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    x = series.values
+    with np.errstate(over="ignore"):
+        q = _round_half_away(x / resolution) * resolution
+    q = np.where(np.isfinite(q), q, x - np.fmod(x, resolution))
     return replace(series, values=q, resolution=resolution)
 
 

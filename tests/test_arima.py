@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -25,12 +26,16 @@ from sensorcast.forecast.arima import (
 from sensorcast.forecast.filters import all_pole
 from sensorcast.forecast.models import (FULL_ORDER_GRID, FitConfig, FitError, MethodKind,
                                         _unit_scaled)
+from sensorcast.forecast.optimize import SimplexResult
 from sensorcast.forecast.selection import forecast
 from sensorcast.series import quantize_to_resolution
 
 from conftest import SHAPES, make_ar1, nelder_mead_array_oracle, shaped, yule_walker_ar1
 
 ARIMA_CONFIG = FitConfig(method="arima")
+# By name, because the package attribute ``sensorcast.forecast`` is the
+# forecast() function.
+ARIMA_MODULE = importlib.import_module("sensorcast.forecast.arima")
 
 
 def css_residuals_oracle(z, phi, theta, mu):
@@ -497,6 +502,66 @@ def test_ma_search_never_ends_above_its_ar_start():
     assert checked > 400
 
 
+def test_no_theta_is_solved_twice_in_one_pair(monkeypatch):
+    # Each pair builds its solve once; every theta its search tries, the
+    # start and the end among them, reaches that solve at most once.
+    solved = []
+
+    def recording_profiled_css(z, p, q, with_mean):
+        solve, thetas = _profiled_css(z, p, q, with_mean), []
+        solved.append(((p, q), thetas))
+
+        def recorded(theta):
+            thetas.append(tuple(theta))
+            return solve(theta)
+
+        return recorded
+
+    monkeypatch.setattr(ARIMA_MODULE, "_profiled_css", recording_profiled_css)
+    for x in pinned_grid_histories():
+        fit_arima(x, ARIMA_CONFIG)
+    assert {pair for pair, _ in solved} == {(p, q) for p, _, q in ARIMA_CONFIG.order_grid
+                                            if p or q}
+    for pair, thetas in solved:
+        assert len(set(thetas)) == len(thetas), pair
+
+
+def fake_search_end(monkeypatch, theta):
+    # Both searches end on ``theta`` (at q = 2, on the r that maps to it),
+    # whatever their objective says.
+    def nelder_mead(fn, x0, *, max_evals):
+        return SimplexResult(x=np.array(theta[:1]), fun=fn(theta[:1]), n_evals=1)
+
+    def gauss_newton(residuals, jacobian_gram, x0, lo, hi, *, max_trials):
+        return list(pacf_from_ma(*theta))
+
+    monkeypatch.setattr(ARIMA_MODULE, "nelder_mead", nelder_mead)
+    monkeypatch.setattr(ARIMA_MODULE, "gauss_newton", gauss_newton)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("q", [1, 2])
+def test_a_search_ending_above_its_ar_start_takes_the_ar_fit(monkeypatch, p, q):
+    z, _ = _unit_scaled(arma_history(5, 0))
+    theta = [-0.9, 0.05][:q]
+    solve = _profiled_css(z, p, q, True)
+    start, end = solve([0.0] * q), solve(theta)
+    assert end is not None and end[0] > start[0]
+    fake_search_end(monkeypatch, theta)
+    assert _fit_candidate(z, p, q, True, ARIMA_CONFIG) == (start[1], [0.0] * q, start[2])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_a_search_ending_refused_at_a_refused_start_refuses_the_pair(monkeypatch, q):
+    # Lag rows of a flat history are the ones column: every solve refuses.
+    z = np.full(40, 0.75)
+    theta = [0.5, 0.2][:q]
+    solve = _profiled_css(z, 1, q, True)
+    assert solve([0.0] * q) is None and solve(theta) is None
+    fake_search_end(monkeypatch, theta)
+    assert _fit_candidate(z, 1, q, True, ARIMA_CONFIG) is None
+
+
 def profiled_mean_cases():
     # (z, phi, theta): random admissible coefficients on ARMA data with a
     # mean, AR parts near the unit-root margin (a real root at 1.002 and a
@@ -699,10 +764,10 @@ def test_projected_jacobian_matches_finite_differences(p, with_mean):
         z = pacf_problem_data(p, with_mean, seed)
         solve = _profiled_css(z, p, 2, with_mean)
         for r in rng.uniform(-0.8, 0.8, size=(4, 2)).tolist():
-            residuals, jacobian_gram, trials = _pacf_least_squares(z, p, with_mean)
+            residuals, jacobian_gram = _pacf_least_squares(z, p, with_mean, solve)
             e = residuals(r)
             gram = np.array(jacobian_gram(r, e))
-            a = trials[tuple(r)][4][:-1]
+            a = solve(_ma_from_pacf(*r))[4][:-1]
             h = 1e-6
             fd_grad, fd_jac = [], []
             for i in range(2):

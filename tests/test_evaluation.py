@@ -33,7 +33,7 @@ from sensorcast.evaluation import (
     write_json,
 )
 from sensorcast.forecast import FitConfig, FitError, MethodKind, forecast, min_history
-from sensorcast.series import TimeSeries, extract_splits
+from sensorcast.series import TimeSeries, extract_splits, quantize_to_resolution
 
 from conftest import MAGNITUDES, SHAPES, shaped
 
@@ -354,6 +354,44 @@ def test_calibrate_resolution_failure_modes():
         calibrate_resolution(TimeSeries.regular([1.0]), target=0.5)
     with pytest.raises(ValueError):
         calibrate_resolution(TimeSeries.regular([1.0, 2.0]), target=1.5)
+
+
+def test_calibrate_resolution_scans_its_tail_past_the_largest_difference():
+    # At any r up to the largest difference, 1, the values 0 and 1 quantize
+    # apart; only an r past 2 (1 / r < 0.5) puts both at 0.
+    s = TimeSeries.regular([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    r = calibrate_resolution(s, target=0.5)
+    assert r == pytest.approx(2.005, abs=1e-3)
+    assert equal_pair_fraction(s, r) == 1.0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-1.5e308, 1.5e308), min_size=2, max_size=12),
+       resolution=st.floats(0.0, 1.5e308, exclude_min=True), target=st.floats(0.05, 0.95))
+@example(values=[1.5e308, 3.0], resolution=0.5, target=0.5)
+@example(values=[2.0, -2.0], resolution=1e-320, target=0.5)
+@example(values=[1.5e308, -1.5e308], resolution=1e308, target=0.5)
+@example(values=[-1e308, 1e308, -1e308, 0.0, 0.0], resolution=1.0, target=0.5)
+def test_quantize_and_calibrate_stay_finite_at_any_magnitude(values, resolution, target):
+    # Tier-1 turns every warning, an overflow among them, into an error.
+    # Quantizing moves a value by at most the resolution (and a few ulps of
+    # rounding), to a value of its own sign, and not at all where the
+    # quotient passes the largest float.
+    s = TimeSeries.regular(values)
+    x = np.asarray(values)
+    q = quantize_to_resolution(s, resolution).values
+    assert np.all(np.isfinite(q))
+    assert np.all(q * np.sign(x) >= 0.0)
+    assert np.all(np.abs(q - x) <= resolution + 4.0 * np.spacing(np.abs(x))), (x, q)
+    with np.errstate(over="ignore"):
+        past = np.isinf(x / resolution)
+    assert np.array_equal(q[past], x[past])
+    try:
+        r = calibrate_resolution(s, target)
+    except CalibrationError:
+        return
+    assert math.isfinite(r) and r > 0.0
+    assert equal_pair_fraction(s, r) >= target
 
 
 def test_manifest_sha256_is_canonical():

@@ -222,6 +222,24 @@ def test_gauss_newton_returns_its_start_on_a_non_finite_gram(entry):
     assert len(calls) == 1
 
 
+def test_gauss_newton_returns_its_start_on_a_gram_that_is_not_positive_definite():
+    # JᵀJ = [[1, 3], [3, 1]] has a negative eigenvalue, and damping its
+    # diagonal by 1 + 1e-3 leaves the 2 x 2 determinant negative: no step.
+    calls = []
+
+    def residuals(x):
+        calls.append(list(x))
+        return np.array([1.0, 2.0])
+
+    def jacobian_gram(x, e):
+        return [[1.0, 3.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 5.0]]
+
+    x = gauss_newton(residuals, jacobian_gram, [0.25, 0.5], [0.0, 0.0], [1.0, 1.0],
+                     max_trials=100)
+    assert x == [0.25, 0.5]
+    assert calls == [[0.25, 0.5]]
+
+
 def test_gauss_newton_damps_its_way_past_refused_trials():
     # e = x - (3, 3), refused (all inf) wherever x0 > 1: the undamped step
     # from 0 lands there, so each refused trial must grow the damping and

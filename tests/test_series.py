@@ -143,6 +143,12 @@ def test_quantize_rejects_nonpositive_resolution(short_series):
         quantize_to_resolution(short_series, 0.0)
 
 
+@pytest.mark.parametrize("resolution", [np.inf, np.nan])
+def test_quantize_rejects_a_non_finite_resolution(short_series, resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        quantize_to_resolution(short_series, resolution)
+
+
 def test_extract_splits_shapes_and_determinism():
     s = TimeSeries.regular(np.arange(100.0))
     a = extract_splits(s, history_len=10, window_len=5, n_splits=20, seed=42)
