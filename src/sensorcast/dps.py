@@ -49,7 +49,7 @@ class DpsProtocolError(RuntimeError):
     """Message stream violates the protocol contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     seq: int
     index: int
@@ -230,22 +230,21 @@ class SensorNode:
         self._window = _Window(METHOD_SPECS[config.method].holds, history_len)
         self.fallback_steps: list[int] = []
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
     def _refit(self, *, piggybacked: bool) -> ModelUpdate:
         model, shipped, fell_back = ship(np.array(self._buffer), self.config)
         if fell_back:
             self.fallback_steps.append(self._t - 1)
-        update = ModelUpdate(seq=self._next_seq(), model=model, piggybacked=piggybacked)
+        update = ModelUpdate(seq=self._seq, model=model, piggybacked=piggybacked)
+        self._seq += 1
         self._window.install(forecast(shipped, self.window_len))
         return update
 
     def step(self, value: float) -> list[DpsMessage]:
-        """Process one reading; returns the messages to transmit (0 to 2)."""
+        """Process one reading; returns the messages to transmit (0 to 2).
+        A reading that is not finite is refused before any state moves."""
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"reading must be finite, got {value}")
         t = self._t
         self._t += 1
         self._buffer.append(value)
@@ -256,7 +255,8 @@ class SensorNode:
         messages: list[DpsMessage] = []
         transmit = bootstrap or not suppressed(self._window.predicted(), value, self.delta_min)
         if transmit:
-            messages.append(Measurement(seq=self._next_seq(), index=t, value=value))
+            messages.append(Measurement(self._seq, t, value))
+            self._seq += 1
         if self._window.advance(value, transmit):
             messages.append(self._refit(piggybacked=bootstrap))
         return messages
@@ -303,6 +303,8 @@ class Gateway:
                     f"current position {t}"
                 )
             value = measurement.value
+            if not math.isfinite(value):
+                raise DpsProtocolError(f"measurement carries non-finite value {value}")
         elif t < self.history_len:
             raise DpsProtocolError(f"missing bootstrap measurement at step {t}")
         else:
@@ -419,10 +421,11 @@ def run_dps(series: TimeSeries, config: FitConfig, history_len: int,
     sensor = SensorNode(config, history_len, window_len, delta_min)
     gateway = Gateway(config.method, history_len, window_len)
     log: list[tuple[int, DpsMessage]] = []
-    for t, value in enumerate(series.values):
+    for t, value in enumerate(series.values.tolist()):
         messages = sensor.step(value)
         gateway.step(messages)
-        log.extend((t, m) for m in messages)
+        for m in messages:
+            log.append((t, m))
     reconstructed = TimeSeries(
         series.timestamps, np.array(gateway.reconstructed),
         unit=series.unit, resolution=series.resolution,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -785,6 +786,33 @@ def test_projected_jacobian_matches_finite_differences(p, with_mean):
             np.testing.assert_allclose(gram[:2, :2], jac @ jac.T, rtol=1e-5,
                                        atol=1e-7 * float(np.max(np.abs(gram[:2, :2]))))
             assert gram[2][2] == pytest.approx(float(e @ e), rel=1e-12)
+
+
+# Every pair with an A block: the elimination of a lone row never refuses.
+@pytest.mark.parametrize("p, with_mean", [(0, True), (1, False), (1, True), (2, False),
+                                          (2, True)])
+def test_a_jacobian_sub_gram_the_elimination_refuses_ends_the_search(monkeypatch, p, with_mean):
+    # The Jacobian eliminates A's block of its own, stacked Gram product,
+    # which rounds apart from the solve's Gram of the same rows; where that
+    # block fails a pivot the solve's passed, the Jacobian returns the zero
+    # Gram and the search ends at its start, the AR(p) fit.  A stub refuses
+    # only the Jacobian's eliminations.
+    z = pacf_problem_data(p, with_mean, 0)
+    solve = _profiled_css(z, p, 2, with_mean)
+    r = [0.3, -0.2]
+    assert solve(_ma_from_pacf(*r)) is not None
+
+    def refusing(eliminate):
+        def stub(g):
+            return None if sys._getframe(1).f_code.co_name == "jacobian_gram" else eliminate(g)
+        return stub
+
+    monkeypatch.setattr(ARIMA_MODULE, "_ELIMINATE",
+                        tuple(refusing(e) for e in ARIMA_MODULE._ELIMINATE))
+    residuals, jacobian_gram = _pacf_least_squares(z, p, with_mean, solve)
+    assert jacobian_gram(r, residuals(r)) == [[0.0] * 3] * 3
+    start = solve([0.0, 0.0])
+    assert _fit_candidate(z, p, 2, with_mean, ARIMA_CONFIG) == (start[1], [0.0, 0.0], start[2])
 
 
 def simplex_from_zero(z, p, q, with_mean, config):

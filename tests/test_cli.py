@@ -3,16 +3,27 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
+import sensorcast
 from sensorcast.cli import RunManifest, load_manifest, main
 from sensorcast.datasets import ball_series, descriptor_for, load_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_python_m_sensorcast_exits_with_the_cli_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["sensorcast", "--version"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sensorcast", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == f"{sensorcast.__version__}\n"
 
 
 def write_manifest(path, **overrides):

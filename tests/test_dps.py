@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
+import pickle
 import struct
 
 import numpy as np
@@ -76,6 +79,27 @@ def test_measurement_wire_round_trip():
     m = Measurement(seq=7, index=123, value=-3.25)
     back = decode_message(encode_message(m))
     assert back == m
+
+
+def test_measurement_is_a_frozen_slotted_value():
+    # The message log holds one per transmitted reading: no __dict__ each.
+    m = Measurement(7, 123, -0.0)
+    assert not hasattr(m, "__dict__")
+    for name in ("seq", "index", "value"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, 1.0)
+    # A slotted frozen dataclass refuses a new name with TypeError before
+    # Python 3.12 and with FrozenInstanceError (an AttributeError) after.
+    with pytest.raises((AttributeError, TypeError)):
+        m.other = 1.0
+    assert m == Measurement(seq=7, index=123, value=-0.0)
+    assert m != Measurement(8, 123, -0.0) and m != Measurement(7, 124, -0.0)
+    assert hash(m) == hash(Measurement(7, 123, -0.0))
+    assert len({m, Measurement(7, 123, -0.0), Measurement(7, 123, 1.5)}) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(m, protocol))
+        assert type(back) is Measurement and back == m
+        assert back.value.hex() == "-0x0.0p+0"
 
 
 def test_model_update_wire_round_trip_every_kind():
@@ -350,6 +374,28 @@ def test_sensor_validation():
             SensorNode(cfg, 5, 5, delta)
 
 
+@pytest.mark.parametrize("method", ["constant", "linear"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+def test_sensor_refuses_a_non_finite_reading_before_any_state_moves(method, bad):
+    # Refused mid-bootstrap (value-holding would relay inf, which the wire
+    # refuses) and at the first fit (linear on 1, 2, NaN would fail inside
+    # the refit's own fallback, after the step had moved).
+    def state(node):
+        return (node._t, node._seq, list(node._buffer), node._window.values,
+                node._window.pos, node.fallback_steps)
+
+    node, clean = (SensorNode(FitConfig(method=method), 3, 2, 0.5) for _ in range(2))
+    for value in (1.0, 2.0):
+        assert node.step(value) == clean.step(value)
+    before = state(node)
+    with pytest.raises(ValueError, match="reading must be finite"):
+        node.step(bad)
+    assert state(node) == before
+    for value in (3.0, 3.25, 9.0):
+        got, want = node.step(value), clean.step(value)
+        assert [encode_message(m) for m in got] == [encode_message(m) for m in want]
+
+
 def test_run_dps_rejects_short_series():
     series = TimeSeries.regular(np.arange(10.0))
     with pytest.raises(ValueError):
@@ -397,6 +443,26 @@ def test_gateway_rejects_two_updates_or_a_foreign_object_in_one_step():
     with pytest.raises(DpsProtocolError, match="unknown message type bytes"):
         gw.step([bootstrap, encode_message(bootstrap)])
     assert gw.reconstructed == []
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_gateway_refuses_a_non_finite_measurement_as_the_decoder_does(bad):
+    # The object API carries what the wire refuses; the gateway refuses it
+    # with the decoder's message, before the step changes anything.
+    with pytest.raises(DpsProtocolError) as decoded:
+        decode_message(encode_message(Measurement(1, 1, bad)))
+    model = fit_model(np.array([0.0, 1.0]), LINEAR)
+    gw = Gateway(MethodKind.LINEAR, history_len=2, window_len=2)
+    gw.step([Measurement(0, 0, 0.0)])
+    with pytest.raises(DpsProtocolError) as stepped:
+        gw.step([Measurement(1, 1, bad), ModelUpdate(2, model)])
+    assert str(stepped.value) == str(decoded.value)
+    assert gw.reconstructed == [0.0]
+    gw.step([Measurement(1, 1, 1.0), ModelUpdate(2, model)])
+    with pytest.raises(DpsProtocolError, match="non-finite value"):
+        gw.step([Measurement(3, 2, bad)])
+    assert gw.reconstructed == [0.0, 1.0]
+    assert gw.step([]) == 2.0
 
 
 def test_gateway_window_exhaustion_detected():

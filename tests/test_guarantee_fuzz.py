@@ -25,7 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensorcast.datasets import descriptor_for
-from sensorcast.dps import Gateway, Measurement, ModelUpdate, SensorNode, run_dps, ship
+from sensorcast.dps import (Gateway, Measurement, ModelUpdate, SensorNode, encode_message,
+                            run_dps, ship)
 from sensorcast.evaluation import MapeUndefined, Scenario, count_avoided, mape, run_scenario
 from sensorcast.forecast import FitConfig, FitError, fit_model, forecast, min_history
 from sensorcast.series import TimeSeries, extract_splits
@@ -105,6 +106,51 @@ def test_sensor_and_gateway_windows_agree_bit_for_bit(
     else:
         assert updates[0] == (history_len - 1, True)
         assert not any(piggybacked for _, piggybacked in updates[1:])
+
+
+def hand_stepped_run(series, config, history_len, window_len, delta):
+    # The per-reading loop written plainly: numpy scalars in, and each
+    # step's messages logged through a generator.
+    sensor = SensorNode(config, history_len, window_len, delta)
+    gateway = Gateway(config.method, history_len, window_len)
+    log = []
+    for t, value in enumerate(series.values):
+        messages = sensor.step(value)
+        gateway.step(messages)
+        log.extend((t, m) for m in messages)
+    return log, np.array(gateway.reconstructed), sensor.fallback_steps
+
+
+def wire_log(log):
+    return [(t, getattr(m, "piggybacked", None), encode_message(m)) for t, m in log]
+
+
+@PROPERTY
+@given(**RUNS, zeros=st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=8))
+def test_run_dps_is_the_hand_stepped_loop_bit_for_bit(
+        method, shape, exponent, relative_delta, window_len, n_windows, seed, zeros):
+    config = FitConfig(method=method)
+    history_len = min_history(config)
+    n = history_len + window_len * n_windows
+    scale = 10.0 ** exponent
+    values = shaped(shape, n, np.random.default_rng(seed)) * scale
+    # A bootstrap reading is always sent, so a -0.0 there crosses the wire.
+    values[0] = -0.0
+    for i, negative in zeros:
+        values[i % n] = -0.0 if negative else 0.0
+    series = TimeSeries.regular(values)
+    delta = relative_delta * scale
+
+    trace = run_dps(series, config, history_len, window_len, delta)
+    log, reconstructed, fallback_steps = hand_stepped_run(series, config, history_len,
+                                                          window_len, delta)
+    assert wire_log(trace.messages) == wire_log(log)
+    assert trace.reconstructed.values.tobytes() == reconstructed.tobytes()
+    assert list(trace.fallback_steps) == fallback_steps
+    for _, m in trace.messages:
+        if isinstance(m, Measurement):
+            assert type(m.value) is float
+            assert m.value.hex() == values[m.index].hex()
 
 
 def hexes(values):
