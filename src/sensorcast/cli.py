@@ -164,6 +164,9 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
     if (values.get("ring_branches") is None) != (values.get("ring_depth") is None):
         raise ValueError("ring_branches and ring_depth (--ring-branches, --ring-depth) "
                          "are only valid together")
+    # Every method name, before a command writes anything.
+    for name in values.get("methods", ()):
+        MethodKind.coerce(name)
     for key in _LIST_ELEMENTS:
         if key in values:
             values[key] = tuple(values[key])
@@ -250,7 +253,7 @@ def cmd_evaluate(args) -> int:
     skipped = []
     for descriptor, series in datasets:
         for method_name in manifest.methods:
-            config = FitConfig(method=MethodKind.coerce(method_name))
+            config = FitConfig(method=method_name)
             for h in manifest.history_lengths:
                 if h < min_history(config):
                     skipped.append({
@@ -330,7 +333,7 @@ def cmd_dps(args) -> int:
     summaries = []
     for descriptor, series in datasets:
         for method_name in manifest.methods:
-            config = FitConfig(method=MethodKind.coerce(method_name))
+            config = FitConfig(method=method_name)
             trace = run_dps(series, config, manifest.history_len,
                             manifest.window_len, descriptor.threshold)
             name = f"dps_{descriptor.label}_{method_name}.jsonl"

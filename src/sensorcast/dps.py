@@ -309,12 +309,15 @@ class Gateway:
             raise DpsProtocolError(f"missing bootstrap measurement at step {t}")
         else:
             value = self._window.predicted()
+        # Decoded and forecast before any state moves, so a refused update
+        # leaves the step to be sent again.
+        if update is not None:
+            values = forecast(_wire_round_trip(update.model), self.window_len)
 
         self.reconstructed.append(value)
         self._window.advance(value, measurement is not None)
         if update is not None:
-            model = _wire_round_trip(update.model)
-            self._window.install(forecast(model, self.window_len))
+            self._window.install(values)
         return value
 
 

@@ -5,26 +5,22 @@ Level-only smoothing is ARIMA(0,1,1) and Holt's linear trend is ARIMA(0,2,2)
 variants compute their one-step errors as that MA filter over first or second
 differences and recover the final level and trend from the last errors.
 
-Smoothing weights are chosen by minimizing the in-sample sum of squared
-one-step-ahead errors: the best point of a coarse grid starts one bounded
-Gauss-Newton (Levenberg-Marquardt) search, ``optimize.gauss_newton``.  Each
-variant takes its differences once; the trend grid runs as one recursion
-over all (alpha, beta) cells, bit for bit the per-cell filter.  A search
-step costs two filters: e = theta(B)^-1 w, then theta(B)^-1 e, whose lags
-are the derivatives of e in theta, carried to the weights by the chain
-rule.  Alpha stays in [min, max] of its grid ([0.01, 0.99] by default) and
-beta in [0.01, 0.99]; the search never ends above its start, and its
-trials are capped at ``FitConfig.max_evals`` (budget**3).  Every filter
-is ``filters.all_pole``.  The search runs on the history scaled by a power
-of two that puts max|x| in [0.5, 1): the scaling is exact, so the chosen
-weights do not depend on the series' magnitude, and no sum of squares
-overflows or underflows at extreme ones.  One ``simple_errors`` or
-``trend_errors`` call on the scaled history then gives the errors and the
-final level and trend, the state, scaled back exactly.  A model ships that
-state alone; the weights are ``ForecastModel.estimates``.  The likelihood
-is that of the scaled errors plus the scale's exact log, so the variant
-choice (level-only vs level+trend, by AICc with the initial states
-charged as parameters) does not depend on the magnitude either.
+The weights minimize the in-sample sum of squared one-step errors.  Each
+variant takes its differences once and starts from the best point of a grid
+(the trend grid runs as one recursion over all (alpha, beta) cells, bit for
+bit the per-cell filter).  Both then run one bounded Levenberg-Marquardt
+search, ``_ma_weights``, given their MA coefficients and the coefficients'
+derivatives in the weights.  Alpha stays in [min, max] of its grid ([0.01,
+0.99] by default) and beta in [0.01, 0.99]; the search never ends above its
+start, and its trials are capped at ``FitConfig.max_evals`` (budget**3).
+Every filter is ``filters.all_pole``.  The search runs on the history scaled
+by an exact power of two (``models._unit_scaled``), so the weights do not
+depend on the series' magnitude and no sum of squares overflows or
+underflows.  One ``simple_errors`` or ``trend_errors`` call on the scaled
+history gives the errors and the final level and trend, the state a model
+ships, scaled back exactly; the weights are ``ForecastModel.estimates``.
+The likelihood adds the scale's exact log, so the variant choice (by AICc,
+initial states charged as parameters) does not depend on the magnitude.
 """
 
 from __future__ import annotations
@@ -107,10 +103,10 @@ def _best_cell(w: np.ndarray, alpha_grid: np.ndarray,
                beta_grid: np.ndarray) -> tuple[float, float]:
     # The cell with the least trend SSE over w, alpha-major: the first strict
     # minimum wins and a NaN never does, so with no finite SSE the first cell.
-    alphas, betas = (g.ravel() for g in np.meshgrid(alpha_grid, beta_grid, indexing="ij"))
-    sse = _lane_sse(w, alphas * (1.0 + betas) - 2.0, 1.0 - alphas)
-    best = int(np.argmin(np.where(np.isnan(sse), np.inf, sse)))
-    return float(alphas[best]), float(betas[best])
+    ma1 = (alpha_grid[:, None] * (1.0 + beta_grid) - 2.0).ravel()
+    sse = _lane_sse(w, ma1, np.repeat(1.0 - alpha_grid, len(beta_grid)))
+    a, b = divmod(int(np.argmin(np.where(np.isnan(sse), np.inf, sse))), len(beta_grid))
+    return float(alpha_grid[a]), float(beta_grid[b])
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,58 +124,55 @@ def _alpha_grid(config: FitConfig, n_points: int) -> np.ndarray:
     return _default_grid(n_points)
 
 
-def _simple_weights(search: np.ndarray, config: FitConfig) -> list[float]:
-    grid = _alpha_grid(config, max(3, min(25, config.budget ** 2)))
-    # simple_errors(search, a)[0], with the differences taken once.
-    diffs = np.diff(search)
-    n = len(diffs)
-
+def _ma_weights(diffs: np.ndarray, ma, start, lo, hi, config: FitConfig) -> list[float]:
+    # The weights x in [lo, hi], from start, with the least squares of e =
+    # theta(B)^-1 diffs: ma(x) is [1, theta_1, ...] and, per weight x_i, the
+    # row of d theta_j / d x_i.  de/dtheta_j is -g lagged j, g = theta(B)^-1 e.
     def errors(x):
-        return all_pole([1.0, x[0] - 1.0], diffs)
+        return all_pole(ma(x)[0], diffs)
 
     def jacobian_gram(x, e):
-        # theta = alpha - 1, and de/dtheta = -(theta(B)^-1 e) lagged once.
-        m = np.empty((2, n))
-        m[0, 0] = 0.0
-        np.negative(all_pole([1.0, x[0] - 1.0], e)[:-1], out=m[0, 1:])
-        m[1] = e
+        polynomial, rows = ma(x)
+        g = all_pole(polynomial, e)
+        m = np.zeros((len(x) + 1, len(e)))
+        for i, derivatives in enumerate(rows):
+            for lag, d in enumerate(derivatives, start=1):
+                m[i, lag:] -= g[:-lag] * d
+        m[-1] = e
         return (m @ m.T).tolist()
 
-    alphas = grid.tolist()
-    start = alphas[int(np.argmin([_sse(errors([a])) for a in alphas]))]
-    return gauss_newton(errors, jacobian_gram, [start], alphas[:1], alphas[-1:],
-                        max_trials=config.max_evals)
+    return gauss_newton(errors, jacobian_gram, start, lo, hi, max_trials=config.max_evals)
+
+
+def _simple_weights(search: np.ndarray, config: FitConfig) -> list[float]:
+    alphas = _alpha_grid(config, max(3, min(25, config.budget ** 2))).tolist()
+    # simple_errors(search, a)[0], with the differences taken once.
+    diffs = np.diff(search)
+    start = alphas[int(np.argmin([_sse(all_pole([1.0, a - 1.0], diffs)) for a in alphas]))]
+
+    def ma(x):
+        d_alpha = [1.0]  # d theta_1 / d alpha
+        return [1.0, x[0] - 1.0], [d_alpha]
+
+    return _ma_weights(diffs, ma, [start], alphas[:1], alphas[-1:], config)
 
 
 def _trend_weights(search: np.ndarray, config: FitConfig) -> list[float]:
     n_points = max(3, min(13, config.budget + 3))
     alpha_grid = _alpha_grid(config, n_points)
-    beta_grid = _default_grid(n_points)
     # trend_errors(search, a, b)[0], with the differences taken once: the
     # leading zero is the error trend_errors fixes at the second step.
     diffs = np.concatenate(([0.0], np.diff(search, 2)))
-    n = len(diffs)
 
-    def errors(x):
+    def ma(x):
         alpha, beta = x
-        return all_pole([1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], diffs)
+        d_alpha = [1.0 + beta, -1.0]  # d theta_1 / d alpha, d theta_2 / d alpha
+        d_beta = [alpha]              # d theta_1 / d beta; theta_2 has no beta
+        return [1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], [d_alpha, d_beta]
 
-    def jacobian_gram(x, e):
-        # de/dtheta_j = -g lagged j times, with g = theta(B)^-1 e; the chain
-        # rule through theta_1 = alpha(1 + beta) - 2 and theta_2 = 1 - alpha.
-        alpha, beta = x
-        g = all_pole([1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], e)
-        m = np.zeros((3, n))
-        np.multiply(g[:-1], -(1.0 + beta), out=m[0, 1:])
-        m[0, 2:] += g[:-2]
-        np.multiply(g[:-1], -alpha, out=m[1, 1:])
-        m[2] = e
-        return (m @ m.T).tolist()
-
-    start = _best_cell(diffs, alpha_grid, beta_grid)
-    return gauss_newton(errors, jacobian_gram, start,
-                        [float(alpha_grid[0]), _ALPHA_LO], [float(alpha_grid[-1]), _ALPHA_HI],
-                        max_trials=config.max_evals)
+    start = _best_cell(diffs, alpha_grid, _default_grid(n_points))
+    return _ma_weights(diffs, ma, start, [float(alpha_grid[0]), _ALPHA_LO],
+                       [float(alpha_grid[-1]), _ALPHA_HI], config)
 
 
 def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> ForecastModel:
@@ -219,11 +212,8 @@ def fit_exponential_smoothing(history: np.ndarray, config: FitConfig) -> Forecas
             loglik_n=len(errors),
         )
         try:
-            crit = aicc(model.neg2_loglik, model.k, model.loglik_n)
-            undefined = 0
+            key = (0, aicc(model.neg2_loglik, model.k, model.loglik_n))
         except ValueError:
-            crit = model.neg2_loglik
-            undefined = 1
-        ranked.append((undefined, crit, model.k, order, model))
-    ranked.sort(key=lambda item: item[:4])
-    return ranked[0][4]
+            key = (1, model.neg2_loglik)
+        ranked.append((*key, model.k, order, model))
+    return min(ranked, key=lambda item: item[:4])[4]

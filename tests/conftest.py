@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sensorcast.forecast.filters import all_pole
 from sensorcast.series import TimeSeries
 
 
@@ -102,6 +103,36 @@ def nelder_mead_array_oracle(fn, x0, max_evals, xatol=1e-8, fatol=1e-10):
                 n_evals += n
     best = int(np.argmin(fvals))
     return simplex[best], float(fvals[best]), n_evals
+
+
+def simple_jacobian_gram_oracle(x, e):
+    """The level-only weight search's Jacobian Gram, written for that variant
+    alone: theta = alpha - 1, and de/dtheta = -(theta(B)^-1 e) lagged once.
+
+    The shared smoothing search must match it bit for bit.
+    """
+    m = np.empty((2, len(e)))
+    m[0, 0] = 0.0
+    np.negative(all_pole([1.0, x[0] - 1.0], e)[:-1], out=m[0, 1:])
+    m[1] = e
+    return (m @ m.T).tolist()
+
+
+def trend_jacobian_gram_oracle(x, e):
+    """The trend weight search's Jacobian Gram, written for that variant
+    alone: de/dtheta_j = -g lagged j times, with g = theta(B)^-1 e, chained
+    through theta_1 = alpha(1 + beta) - 2 and theta_2 = 1 - alpha.
+
+    The shared smoothing search must match it bit for bit.
+    """
+    alpha, beta = x
+    g = all_pole([1.0, alpha * (1.0 + beta) - 2.0, 1.0 - alpha], e)
+    m = np.zeros((3, len(e)))
+    np.multiply(g[:-1], -(1.0 + beta), out=m[0, 1:])
+    m[0, 2:] += g[:-2]
+    np.multiply(g[:-1], -alpha, out=m[1, 1:])
+    m[2] = e
+    return (m @ m.T).tolist()
 
 
 @pytest.fixture

@@ -224,6 +224,18 @@ def test_dps_refuses_one_ring_key_without_the_other(tmp_path, capsys, flags, bod
     assert not (tmp_path / "out" / "dps_summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["dps", "evaluate"])
+def test_an_unknown_method_in_a_manifest_exits_2_before_any_output(tmp_path, capsys, command):
+    # Checked with the manifest, so no run of the names before it is written.
+    manifest = write_manifest(tmp_path / "m.json", methods=["constant", "bogus"],
+                              output_dir=str(tmp_path / "out"))
+    assert run_cli(command, "--manifest", str(manifest)) == 2
+    captured = capsys.readouterr()
+    assert "unknown method 'bogus'; expected one of: constant" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body, flags", [({"workers": -3}, []), ({}, ["--workers", "-3"])])
 def test_evaluate_refuses_negative_workers(tmp_path, capsys, body, flags):
     manifest = write_manifest(tmp_path / "m.json", output_dir=str(tmp_path / "out"), **body)

@@ -465,6 +465,25 @@ def test_gateway_refuses_a_non_finite_measurement_as_the_decoder_does(bad):
     assert gw.step([]) == 2.0
 
 
+def test_gateway_refuses_a_malformed_update_before_any_state_moves():
+    # The step's update is decoded and forecast first: a refused one leaves
+    # the reconstruction and the window as they were, so the sensor's good
+    # messages for the same step are still accepted.
+    node = SensorNode(LINEAR, 3, 2, 0.5)
+    gw = Gateway(MethodKind.LINEAR, 3, 2)
+    for value in (1.0, 2.0):
+        gw.step(node.step(value))
+    measurement, update = node.step(3.0)
+    bad = ModelUpdate(update.seq, dataclasses.replace(update.model, params=[math.inf, 1.0]))
+    with pytest.raises(DpsProtocolError, match="non-finite floats"):
+        gw.step([measurement, bad])
+    assert gw.reconstructed == [1.0, 2.0]
+    assert gw.step([measurement, update]) == 3.0
+    assert gw.reconstructed == [1.0, 2.0, 3.0]
+    for value in (4.0, 5.0):
+        assert gw.step(node.step(value)) == value
+
+
 def test_gateway_window_exhaustion_detected():
     gw = Gateway(MethodKind.LINEAR, history_len=1, window_len=2)
     model = fit_model(np.array([0.0, 1.0]), LINEAR)

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import simple_jacobian_gram_oracle, trend_jacobian_gram_oracle
 from sensorcast.datasets import ball_series
+from sensorcast.forecast import smoothing
 from sensorcast.forecast.models import FitConfig, FitError, MethodKind, gaussian_neg2_loglik
 from sensorcast.forecast.selection import forecast
 from sensorcast.forecast.smoothing import (
@@ -379,3 +383,52 @@ def test_flat_histories_fit_without_a_zero_pivot(variant):
             assert np.isfinite(forecast(model, 3)).all()
             if np.all(values == values[0]):
                 assert forecast(model, 3).tolist() == [values[0]] * 3
+
+
+def search_problem(weights_of, search, config):
+    # The errors and Jacobian-Gram closures a weight search hands to
+    # gauss_newton, with its box; the search itself is not run.
+    seen = {}
+
+    def capture(errors, jacobian_gram, start, lo, hi, *, max_trials):
+        seen.update(errors=errors, jacobian_gram=jacobian_gram, lo=lo, hi=hi)
+        return list(start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "gauss_newton", capture)
+        weights_of(search, config)
+    return seen
+
+
+# Weights at the edges of the box, alpha's by explicit grids: both variants
+# are then evaluated where a MA coefficient or a derivative is 0 or -1.
+EDGE_ALPHAS = (0.0, 0.01, 0.99, 1.0)
+EDGE_BETAS = (0.01, 0.99)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(variant=st.sampled_from(["simple", "trend"]),
+       search=st.integers(3, 60).flatmap(
+           lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)),
+       alpha=st.sampled_from(EDGE_ALPHAS) | st.floats(0.0, 1.0),
+       beta=st.sampled_from(EDGE_BETAS) | st.floats(0.01, 0.99),
+       random_e=st.booleans(), data=st.data())
+def test_shared_search_gram_is_each_variants_own_bit_for_bit(variant, search, alpha, beta,
+                                                             random_e, data):
+    # The one Jacobian-Gram closure both weight searches share, against each
+    # variant's own, on w of 3-60 differences and on its errors or random e.
+    config = FitConfig(method="exponential_smoothing", budget=2, es_alpha_grid=(0.0, 1.0))
+    if variant == "simple":
+        weights_of, oracle, x = _simple_weights, simple_jacobian_gram_oracle, [alpha]
+    else:
+        weights_of, oracle, x = _trend_weights, trend_jacobian_gram_oracle, [alpha, beta]
+    problem = search_problem(weights_of, np.array(search), config)
+    assert problem["lo"][0] == 0.0 and problem["hi"][0] == 1.0
+    e = problem["errors"](x)
+    assert len(e) == len(search) - 1
+    if random_e:
+        e = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(e),
+                                        max_size=len(e))))
+    got = problem["jacobian_gram"](x, e)
+    expected = oracle(x, e)
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in expected]
