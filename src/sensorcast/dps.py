@@ -19,7 +19,8 @@ import json
 import math
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +50,24 @@ class DpsProtocolError(RuntimeError):
     """Message stream violates the protocol contract."""
 
 
-@dataclass(frozen=True, slots=True)
-class Measurement:
+class Measurement(NamedTuple):
+    """One transmitted reading: an immutable tuple, so the sensor builds it
+    in one C call (``tuple.__new__``), with type-strict equality."""
+
     seq: int
     index: int
     value: float
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +223,19 @@ class _Window:
         return self.pos == self.length
 
 
+def _check_lengths(history_len: int, window_len: int) -> None:
+    if history_len < 1:
+        raise ValueError(f"history_len must be >= 1, got {history_len}")
+    if window_len < 1:
+        raise ValueError(f"window_len must be >= 1, got {window_len}")
+
+
 class SensorNode:
     """Sensor endpoint: decides transmissions, refits at window boundaries."""
 
     def __init__(self, config: FitConfig, history_len: int, window_len: int,
                  delta_min: float):
-        if history_len < 1:
-            raise ValueError(f"history_len must be >= 1, got {history_len}")
-        if window_len < 1:
-            raise ValueError(f"window_len must be >= 1, got {window_len}")
+        _check_lengths(history_len, window_len)
         if not 0 < delta_min < math.inf:
             raise ValueError(f"delta_min must be finite and positive, got {delta_min}")
         self.config = config
@@ -255,7 +273,7 @@ class SensorNode:
         messages: list[DpsMessage] = []
         transmit = bootstrap or not suppressed(self._window.predicted(), value, self.delta_min)
         if transmit:
-            messages.append(Measurement(self._seq, t, value))
+            messages.append(tuple.__new__(Measurement, (self._seq, t, value)))
             self._seq += 1
         if self._window.advance(value, transmit):
             messages.append(self._refit(piggybacked=bootstrap))
@@ -270,12 +288,13 @@ class Gateway:
     update bytes alone carry the model.
     """
 
-    def __init__(self, method: MethodKind, history_len: int, window_len: int):
-        self.method = method
+    def __init__(self, method: MethodKind | str, history_len: int, window_len: int):
+        _check_lengths(history_len, window_len)
+        self.method = MethodKind.coerce(method)
         self.history_len = history_len
         self.window_len = window_len
         self.reconstructed: list[float] = []
-        self._window = _Window(METHOD_SPECS[method].holds, history_len)
+        self._window = _Window(METHOD_SPECS[self.method].holds, history_len)
 
     def step(self, messages) -> float:
         """Consume one step's messages and return the reconstructed value."""
@@ -312,7 +331,13 @@ class Gateway:
         # Decoded and forecast before any state moves, so a refused update
         # leaves the step to be sent again.
         if update is not None:
-            values = forecast(_wire_round_trip(update.model), self.window_len)
+            model = _wire_round_trip(update.model)
+            # A sensor ships its own method's model, or value-holding's
+            # when that fit falls back.
+            if model.kind is not self.method and model.kind is not MethodKind.CONSTANT:
+                raise DpsProtocolError(
+                    f"{model.kind.value} model update at a {self.method.value} gateway")
+            values = forecast(model, self.window_len)
 
         self.reconstructed.append(value)
         self._window.advance(value, measurement is not None)

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,53 @@ def test_measurement_is_a_frozen_slotted_value():
         back = pickle.loads(pickle.dumps(m, protocol))
         assert type(back) is Measurement and back == m
         assert back.value.hex() == "-0x0.0p+0"
+
+
+def test_measurement_equals_only_a_measurement():
+    m = Measurement(7, 123, -0.0)
+    plain = (7, 123, -0.0)
+    assert m != plain and plain != m
+    assert not m == plain and not plain == m
+    assert len({m, plain}) == 2
+    update = ModelUpdate(seq=7, model=fit_constant(np.array([1.0])))
+    assert m != update and update != m and not m == update
+    # Positional, keyword and mixed construction build the same value.
+    for other in (Measurement(seq=7, index=123, value=-0.0),
+                  Measurement(7, index=123, value=-0.0)):
+        assert m == other and not m != other
+        assert (other.seq, other.index, other.value) == (7, 123, -0.0)
+    # The sensor builds its measurements without __init__: each is still a
+    # Measurement and carries the reading's bits.
+    node = SensorNode(FitConfig(method="constant"), 3, 5, 0.5)
+    readings = (-0.0, 5e-324, -1.5e308)
+    for t, value in enumerate(readings):
+        (sent,) = node.step(value)
+        assert type(sent) is Measurement and sent == Measurement(t, t, value)
+        assert struct.pack("<d", sent.value) == struct.pack("<d", value)
+        assert decode_message(encode_message(sent)) == sent
+
+
+def test_value_holding_step_enters_no_python_frame_beyond_its_own():
+    # After the bootstrap, a value-holding reading, sent or suppressed, runs
+    # Python code only in the step and its window: no message __init__.
+    node = SensorNode(FitConfig(method="constant"), 2, 5, 0.5)
+    for value in (0.0, 0.0):
+        node.step(value)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code.co_name)
+
+    sent = []
+    sys.setprofile(profile)
+    try:
+        for value in (0.1, 3.0, 3.2, -0.0, 7.5):
+            sent.append(node.step(value))
+    finally:
+        sys.setprofile(None)
+    assert entered == {"step", "predicted", "suppressed", "advance"}
+    assert [[m.value for m in msgs] for msgs in sent] == [[], [3.0], [], [-0.0], [7.5]]
 
 
 def test_model_update_wire_round_trip_every_kind():
@@ -443,6 +491,36 @@ def test_gateway_rejects_two_updates_or_a_foreign_object_in_one_step():
     with pytest.raises(DpsProtocolError, match="unknown message type bytes"):
         gw.step([bootstrap, encode_message(bootstrap)])
     assert gw.reconstructed == []
+
+
+@pytest.mark.parametrize("method", ["linear", "simple_mean", "exponential_smoothing", "arima"])
+def test_gateway_refuses_an_update_of_another_method(method):
+    # A sensor ships its own method's model or, when the fit falls back, the
+    # value-holding one; any other kind is refused before any state moves.
+    history = np.array([0.0, 1.0])
+    foreign = fit_model(history, FitConfig(method="simple_mean" if method == "linear"
+                                           else "linear"))
+    gw = Gateway(MethodKind(method), history_len=2, window_len=3)
+    gw.step([Measurement(0, 0, 0.0)])
+    with pytest.raises(DpsProtocolError, match=f"{foreign.kind.value} model update at a "
+                                               f"{method} gateway"):
+        gw.step([Measurement(1, 1, 1.0), ModelUpdate(2, foreign)])
+    assert gw.reconstructed == [0.0]
+    fallback = fit_constant(history)
+    assert gw.step([Measurement(1, 1, 1.0), ModelUpdate(2, fallback)]) == 1.0
+    assert [gw.step([]) for _ in range(3)] == [1.0, 1.0, 1.0]
+
+
+def test_gateway_coerces_its_method_and_refuses_lengths_as_the_sensor_does():
+    assert Gateway("arima", 50, 20).method is MethodKind.ARIMA
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        Gateway("bogus", 50, 20)
+    for lengths in ((0, 5), (5, 0), (-1, -1)):
+        with pytest.raises(ValueError) as sensor:
+            SensorNode(FitConfig(method="constant"), *lengths, 0.1)
+        with pytest.raises(ValueError) as gateway:
+            Gateway(MethodKind.CONSTANT, *lengths)
+        assert str(gateway.value) == str(sensor.value)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
