@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +44,7 @@ from .evaluation import (
 )
 from .forecast import FitConfig, MethodKind, min_history
 from .ring import RingNetwork, approx_transmissions_paper, network_savings, nodes_in_ring, total_nodes, total_transmissions
-from .series import TimeSeries
+from .series import TimeSeries, check_magnitude
 
 __all__ = ["main", "RunManifest", "cmd_generate", "cmd_evaluate", "cmd_dps",
            "cmd_calibrate", "cmd_ring"]
@@ -156,8 +155,8 @@ def load_manifest(path: str | None, overrides: dict) -> RunManifest:
     # Checked here, not only by the descriptor, which never sees it when
     # every dataset entry sets its own.
     delta = values.get("delta_min")
-    if delta is not None and not 0 < delta < math.inf:
-        raise ValueError(f"manifest delta_min must be finite and positive, got {delta}")
+    if delta is not None:
+        check_magnitude("manifest delta_min", delta)
     if values.get("workers", 0) < 0:
         raise ValueError(f"manifest workers must be >= 0 (0: one per core), "
                          f"got {values['workers']}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries, gap_fill
+from .series import TimeSeries, check_count, check_magnitude, coerce_name, gap_fill
 
 __all__ = [
     "DatasetFamily",
@@ -69,13 +69,7 @@ class DatasetFamily(enum.Enum):
 
     @classmethod
     def coerce(cls, value) -> "DatasetFamily":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            names = ", ".join(f.value for f in cls)
-            raise ValueError(f"unknown dataset family {value!r}; expected one of: {names}") from None
+        return coerce_name(cls, value, "dataset family")
 
 
 @dataclass(frozen=True)
@@ -128,13 +122,11 @@ class DatasetDescriptor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", DatasetFamily.coerce(self.family))
-        if self.group < 1:
-            raise ValueError(f"group must be >= 1, got {self.group}")
+        object.__setattr__(self, "group", check_count("group", self.group))
         # Every command takes its threshold and period from a descriptor.
         for name in ("delta_min", "expected_period"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if getattr(self, name) is not None:
+                check_magnitude(name, getattr(self, name))
         if self.sensor_id is not None and _FAMILIES[self.family].sensor is None:
             raise ValueError(f"sensor_id {self.sensor_id} given, but {self.family.value} "
                              f"files have no sensor column")
@@ -178,16 +170,11 @@ class BallParams:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
-        if self.decay < 0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("amplitude", "frequency", "dt"):
+            check_magnitude(name, getattr(self, name))
+        if not 0 <= self.decay < math.inf:
+            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
+        object.__setattr__(self, "n_samples", check_count("n_samples", self.n_samples))
 
 
 # The three standard ball scenarios: drop heights 50/100/200 with slow or
@@ -210,8 +197,7 @@ def ball_signal(t: np.ndarray, params: BallParams) -> np.ndarray:
 def ball_zero_crossings(params: BallParams, count: int) -> np.ndarray:
     """First ``count`` times the noiseless trajectory touches zero:
     t = (2k + 1) / (4 frequency)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_count("count", count)
     k = np.arange(count, dtype=np.float64)
     return (2.0 * k + 1.0) / (4.0 * params.frequency)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .datasets import _atomic_write
 from .forecast import (METHOD_SPECS, FitConfig, FitError, ForecastModel, MethodKind,
                        fit_constant, fit_model, forecast)
-from .series import TimeSeries
+from .series import TimeSeries, check_count, check_magnitude
 
 __all__ = [
     "Measurement",
@@ -223,29 +223,20 @@ class _Window:
         return self.pos == self.length
 
 
-def _check_lengths(history_len: int, window_len: int) -> None:
-    if history_len < 1:
-        raise ValueError(f"history_len must be >= 1, got {history_len}")
-    if window_len < 1:
-        raise ValueError(f"window_len must be >= 1, got {window_len}")
-
-
 class SensorNode:
     """Sensor endpoint: decides transmissions, refits at window boundaries."""
 
     def __init__(self, config: FitConfig, history_len: int, window_len: int,
                  delta_min: float):
-        _check_lengths(history_len, window_len)
-        if not 0 < delta_min < math.inf:
-            raise ValueError(f"delta_min must be finite and positive, got {delta_min}")
+        self.history_len = check_count("history_len", history_len)
+        self.window_len = check_count("window_len", window_len)
+        check_magnitude("delta_min", delta_min)
         self.config = config
-        self.history_len = history_len
-        self.window_len = window_len
         self.delta_min = delta_min
-        self._buffer: deque[float] = deque(maxlen=history_len)
+        self._buffer: deque[float] = deque(maxlen=self.history_len)
         self._seq = 0
         self._t = 0
-        self._window = _Window(METHOD_SPECS[config.method].holds, history_len)
+        self._window = _Window(METHOD_SPECS[config.method].holds, self.history_len)
         self.fallback_steps: list[int] = []
 
     def _refit(self, *, piggybacked: bool) -> ModelUpdate:
@@ -289,12 +280,11 @@ class Gateway:
     """
 
     def __init__(self, method: MethodKind | str, history_len: int, window_len: int):
-        _check_lengths(history_len, window_len)
+        self.history_len = check_count("history_len", history_len)
+        self.window_len = check_count("window_len", window_len)
         self.method = MethodKind.coerce(method)
-        self.history_len = history_len
-        self.window_len = window_len
         self.reconstructed: list[float] = []
-        self._window = _Window(METHOD_SPECS[self.method].holds, history_len)
+        self._window = _Window(METHOD_SPECS[self.method].holds, self.history_len)
 
     def step(self, messages) -> float:
         """Consume one step's messages and return the reconstructed value."""

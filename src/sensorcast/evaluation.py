@@ -23,7 +23,7 @@ from .datasets import DatasetDescriptor, _atomic_write
 from .dps import ship, suppressed
 from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, forecast
 from .forecast.models import _unit_scaled
-from .series import TimeSeries, extract_splits, quantize_to_resolution
+from .series import TimeSeries, check_count, extract_splits, quantize_to_resolution
 
 __all__ = [
     "HISTORY_GRID",
@@ -122,12 +122,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.history_len < 1:
-            raise ValueError(f"history_len must be >= 1, got {self.history_len}")
-        if self.window_len < 1:
-            raise ValueError(f"window_len must be >= 1, got {self.window_len}")
-        if self.n_splits < 1:
-            raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
+        for name in ("history_len", "window_len", "n_splits"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,11 +384,12 @@ def calibrate_resolution(series: TimeSeries, target: float = 0.5) -> float:
     with np.errstate(over="ignore"):
         candidates = np.ldexp(np.concatenate([grid, np.geomspace(hi, 4.0 * hi, 256)[1:]]),
                               shift)
-    for r in candidates[np.isfinite(candidates)].tolist():
+    scanned = candidates[np.isfinite(candidates)].tolist()
+    for r in scanned:
         if equal_pair_fraction(series, r) >= target:
             return r
-    raise CalibrationError(f"no resolution up to {float(candidates[-1])!r} reaches an "
-                           f"equal-pair fraction of {target}")
+    bound = f"up to {scanned[-1]!r}" if scanned else "that is finite"
+    raise CalibrationError(f"no resolution {bound} reaches an equal-pair fraction of {target}")
 
 
 def manifest_sha256(manifest: dict | None) -> str:

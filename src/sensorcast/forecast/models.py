@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..series import coerce_name
+
 __all__ = [
     "MethodKind",
     "ForecastModel",
@@ -38,13 +40,7 @@ class MethodKind(enum.Enum):
 
     @classmethod
     def coerce(cls, value) -> "MethodKind":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            names = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown method {value!r}; expected one of: {names}") from None
+        return coerce_name(cls, value, "method")
 
 
 FULL_ORDER_GRID: tuple[tuple[int, int, int], ...] = tuple(
@@ -84,6 +80,7 @@ class ForecastModel:
     loglik_n: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", MethodKind.coerce(self.kind))
         for name in ("params", "state", "estimates"):
             if getattr(self, name) is not _NO_FLOATS:
                 object.__setattr__(self, name, _frozen_f64(getattr(self, name)))

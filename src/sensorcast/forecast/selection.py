@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..series import check_count
 from .arima import fit_arima, forecast_arima
 from .arima import min_history as _arima_min_history
 from .models import FULL_ORDER_GRID, FitConfig, FitError, ForecastModel, MethodKind
@@ -164,6 +165,5 @@ def forecast(model: ForecastModel, n_steps: int) -> np.ndarray:
     Deterministic in (model, n_steps); a shorter horizon is always a prefix
     of a longer one because every recursion runs forward step by step.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    check_count("n_steps", n_steps)
     return METHOD_SPECS[model.kind].forecast(model, n_steps)

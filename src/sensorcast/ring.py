@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .series import check_count
+
 __all__ = [
     "RingNetwork",
     "nodes_in_ring",
@@ -27,10 +29,8 @@ class RingNetwork:
     depth: int
 
     def __post_init__(self) -> None:
-        if self.branches < 1:
-            raise ValueError(f"branches must be >= 1, got {self.branches}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        for name in ("branches", "depth"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
 
 def nodes_in_ring(net: RingNetwork, d: int) -> int:

@@ -8,6 +8,8 @@ series can be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +21,35 @@ __all__ = [
     "extract_splits",
     "gap_fill",
 ]
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int; refused unless >= 1 (numpy ints pass, 2.5 does not)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    return count
+
+
+def check_magnitude(name: str, value) -> None:
+    """Refuse a magnitude that is not finite and greater than 0 (NaN fails)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def coerce_name(kind, value, noun: str):
+    """``value`` as a member of the string-valued enum ``kind``, by member or value;
+    each class's ``coerce`` passes its own ``noun`` for the refusal."""
+    if isinstance(value, kind):
+        return value
+    try:
+        return kind(str(value))
+    except ValueError:
+        names = ", ".join(member.value for member in kind)
+        raise ValueError(f"unknown {noun} {value!r}; expected one of: {names}") from None
 
 
 def _as_readonly_f64(values, name: str) -> np.ndarray:
@@ -43,7 +74,7 @@ class TimeSeries:
         Physical unit label, informational only.
     resolution : float
         Smallest meaningful value step of the producing sensor; must be
-        positive.  Doubles as the default transmission threshold.
+        finite and positive.  Doubles as the default transmission threshold.
     """
 
     timestamps: np.ndarray
@@ -66,8 +97,7 @@ class TimeSeries:
             raise ValueError("values must be finite")
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        if not (self.resolution > 0):
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        check_magnitude("resolution", self.resolution)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -119,8 +149,7 @@ def quantize_to_resolution(series: TimeSeries, resolution: float) -> TimeSeries:
     ulp of x.  The result's ``resolution`` field is set to the new step so
     downstream thresholds follow the simulated sensor.
     """
-    if not 0.0 < resolution < np.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    check_magnitude("resolution", resolution)
     x = series.values
     with np.errstate(over="ignore"):
         q = _round_half_away(x / resolution) * resolution
@@ -138,10 +167,9 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
     come back as one S x H and one S x W block, each gathered by a single
     fancy index into the series values, so every row is a contiguous copy.
     """
-    if history_len < 1 or window_len < 1:
-        raise ValueError("history_len and window_len must be >= 1")
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
+    check_count("history_len", history_len)
+    check_count("window_len", window_len)
+    check_count("n_splits", n_splits)
     need = history_len + window_len
     if len(series) < need:
         raise ValueError(
@@ -170,8 +198,7 @@ def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> Ti
     noise, with standard deviation equal to the series resolution.  Needs
     at least two samples.
     """
-    if expected_period <= 0:
-        raise ValueError(f"expected_period must be positive, got {expected_period}")
+    check_magnitude("expected_period", expected_period)
     if len(series) < 2:
         raise ValueError("interpolation needs at least two samples")
     ts = series.timestamps

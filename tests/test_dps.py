@@ -523,6 +523,21 @@ def test_gateway_coerces_its_method_and_refuses_lengths_as_the_sensor_does():
         assert str(gateway.value) == str(sensor.value)
 
 
+def test_forecast_model_coerces_its_kind_and_a_foreign_kind_is_still_refused():
+    # A kind given by name becomes its MethodKind at construction, so the
+    # encoder and the gateway see the same model a fitter would build.
+    model = ForecastModel(kind="linear", params=[1.0, 0.0])
+    assert model.kind is MethodKind.LINEAR
+    assert decode_message(encode_message(ModelUpdate(0, model))).model.kind is MethodKind.LINEAR
+    with pytest.raises(ValueError, match="unknown method 'bogus'; expected one of: constant"):
+        ForecastModel(kind="bogus")
+    gw = Gateway("arima", history_len=2, window_len=3)
+    gw.step([Measurement(0, 0, 0.0)])
+    with pytest.raises(DpsProtocolError, match="linear model update at a arima gateway"):
+        gw.step([Measurement(1, 1, 1.0), ModelUpdate(2, model)])
+    assert gw.reconstructed == [0.0]
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_gateway_refuses_a_non_finite_measurement_as_the_decoder_does(bad):
     # The object API carries what the wire refuses; the gateway refuses it

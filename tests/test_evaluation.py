@@ -365,6 +365,22 @@ def test_calibrate_resolution_scans_its_tail_past_the_largest_difference():
     assert equal_pair_fraction(s, r) == 1.0
 
 
+def test_calibrate_resolution_names_the_largest_finite_resolution_it_scanned():
+    # Readings alternating in sign at 0.75-1.5e308 (CI's extreme fixture):
+    # the scan's tail passes the largest float, and the refusal names the
+    # last resolution actually tried, not inf.
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.75e308, 1.5e308, 120) * np.where(np.arange(120) % 2, -1.0, 1.0)
+    with pytest.raises(CalibrationError, match=r"^no resolution up to \S+ reaches") as err:
+        calibrate_resolution(TimeSeries.regular(values), target=0.5)
+    largest = float(str(err.value).split()[4])
+    assert 1.7e308 < largest < math.inf
+    # Every difference past the largest float: no candidate is finite.
+    with pytest.raises(CalibrationError, match="^no resolution that is finite reaches an "
+                                               "equal-pair fraction of 0.5$"):
+        calibrate_resolution(TimeSeries.regular([1.5e308, -1.5e308, 1.5e308]), target=0.5)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(values=st.lists(st.floats(-1.5e308, 1.5e308), min_size=2, max_size=12),
        resolution=st.floats(0.0, 1.5e308, exclude_min=True), target=st.floats(0.05, 0.95))

@@ -111,7 +111,7 @@ def test_gap_fill_partial_period_tail_is_dropped():
 
 
 def test_gap_fill_rejects_degenerate_input(short_series):
-    with pytest.raises(ValueError, match="expected_period must be positive"):
+    with pytest.raises(ValueError, match="expected_period must be finite and positive"):
         gap_fill(short_series, 0.0)
     one = TimeSeries(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="at least two samples"):
