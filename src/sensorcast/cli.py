@@ -282,7 +282,7 @@ def cmd_evaluate(args) -> int:
     if workers <= 1 or len(tasks) == 1:
         rows = [_scenario_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(_scenario_task, tasks))
     rows = attach_fairness(rows)
 

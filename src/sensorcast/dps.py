@@ -131,7 +131,7 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     head = struct.calcsize("<BIBB")
     if len(data) < head:
         raise DpsProtocolError(f"model update header truncated at {len(data)} bytes")
-    _, seq, kind_code, packed = struct.unpack("<BIBB", data[:head])
+    _, seq, kind_code, packed = struct.unpack_from("<BIBB", data)
     if kind_code not in _CODE_KINDS:
         raise DpsProtocolError(f"unknown model kind code {kind_code}")
     kind = _CODE_KINDS[kind_code]
@@ -145,20 +145,18 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     if len(data) != head + 8 * count:
         raise DpsProtocolError(f"{kind.value}{orders} update payload has "
                                f"{len(data) - head} bytes, expected {8 * count}")
-    # At most six floats, and every refit decodes twice (sensor and
-    # gateway): struct and math cost less here than numpy calls.
-    floats = struct.unpack_from(f"<{count}d", data, head)
-    if not all(map(math.isfinite, floats)):
+    # The model's arrays are views of the frame's bytes, copied if mutable.
+    # Every refit decodes twice: math checks six floats faster than numpy.
+    floats = np.frombuffer(bytes(data), "<f8", count, head)
+    if not all(map(math.isfinite, floats.tolist())):
         raise DpsProtocolError(f"{kind.value}{orders} update carries non-finite floats")
-    model = ForecastModel(kind=kind, orders=orders, params=floats[:n_params],
-                          state=floats[n_params:])
+    model = ForecastModel._of(kind, orders, floats[:n_params], floats[n_params:])
     return ModelUpdate(seq=seq, model=model, piggybacked=piggybacked)
 
 
 def _wire_round_trip(model: ForecastModel) -> ForecastModel:
     # The sensor forecasts from the model as the gateway will see it.
-    decoded = decode_message(encode_message(ModelUpdate(seq=0, model=model)))
-    return decoded.model
+    return decode_message(encode_message(ModelUpdate(seq=0, model=model))).model
 
 
 def ship(history: np.ndarray, config: FitConfig) -> tuple[ForecastModel, ForecastModel, bool]:
@@ -240,7 +238,8 @@ class SensorNode:
         self.fallback_steps: list[int] = []
 
     def _refit(self, *, piggybacked: bool) -> ModelUpdate:
-        model, shipped, fell_back = ship(np.array(self._buffer), self.config)
+        history = np.fromiter(self._buffer, np.float64, len(self._buffer))
+        model, shipped, fell_back = ship(history, self.config)
         if fell_back:
             self.fallback_steps.append(self._t - 1)
         update = ModelUpdate(seq=self._seq, model=model, piggybacked=piggybacked)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..series import coerce_name
+from ..series import check_count, coerce_name
 
 __all__ = [
     "MethodKind",
@@ -88,6 +88,15 @@ class ForecastModel:
         if len(self.orders) != 3:
             raise ValueError(f"orders must be a 3-tuple, got {self.orders}")
 
+    @classmethod
+    def _of(cls, kind, orders, params, state, **fit) -> "ForecastModel":
+        # The constructor without coercion, copies or checks, for decoded and
+        # closed-form models: 1-D float64 params (frozen here) and read-only state.
+        params.setflags(write=False)
+        model = object.__new__(cls)
+        vars(model).update(_BLANK, kind=kind, orders=orders, params=params, state=state, **fit)
+        return model
+
     def to_json_dict(self) -> dict:
         """Report-facing representation; diagnostics beyond these fixed
         fields stay out so reports are stable across fitter internals."""
@@ -98,6 +107,9 @@ class ForecastModel:
             "k": self.k,
             "fit_n": self.fit_n,
         }
+
+
+_BLANK = vars(ForecastModel(MethodKind.CONSTANT))  # every field, in order, at its default
 
 
 @dataclass(frozen=True)
@@ -126,8 +138,10 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", MethodKind.coerce(self.method))
-        if not (0 <= self.budget <= 10):
-            raise ValueError(f"budget must lie in [0, 10], got {self.budget}")
+        budget = check_count("budget", self.budget, least=0)
+        if budget > 10:
+            raise ValueError(f"budget must lie in [0, 10], got {budget}")
+        object.__setattr__(self, "budget", budget)
         grid = tuple((int(p), int(d), int(q)) for p, d, q in self.order_grid)
         if not grid:
             raise ValueError("order_grid must not be empty")

@@ -23,7 +23,7 @@ import numpy as np
 from ..series import check_count
 from .arima import fit_arima, forecast_arima
 from .arima import min_history as _arima_min_history
-from .models import FULL_ORDER_GRID, FitConfig, FitError, ForecastModel, MethodKind
+from .models import _NO_FLOATS, FULL_ORDER_GRID, FitConfig, FitError, ForecastModel, MethodKind
 from .smoothing import _MIN_HISTORY as _ES_MIN_HISTORY
 from .smoothing import fit_exponential_smoothing
 
@@ -67,7 +67,8 @@ def _closed_form(kind: MethodKind, code: int, n_params: int, fit_block, forecast
         history = np.asarray(history, dtype=np.float64)
         if len(history) < n_params:
             raise FitError(f"{kind.value} model needs at least {n_params} observations")
-        return ForecastModel(kind, params=fit_block(history), k=n_params, fit_n=len(history))
+        return ForecastModel._of(kind, (0, 0, 0), fit_block(history), _NO_FLOATS, k=n_params,
+                                 fit_n=len(history))
 
     return MethodSpec(code, fit, lambda model, n: forecast_block(model.params, n),
                       payloads={(0, 0, 0): (n_params, 0)}, min_history=lambda config: n_params,
@@ -125,7 +126,8 @@ def _line(params: np.ndarray, n_steps: int) -> np.ndarray:
 
 METHOD_SPECS: dict[MethodKind, MethodSpec] = {
     MethodKind.CONSTANT: _closed_form(MethodKind.CONSTANT, 0, 1,
-                                      lambda histories: histories[..., -1:], _flat, holds=True),
+                                      lambda histories: histories[..., -1:].copy(), _flat,
+                                      holds=True),
     MethodKind.LINEAR: _closed_form(MethodKind.LINEAR, 1, 2, _last_and_slope, _line),
     MethodKind.SIMPLE_MEAN: _closed_form(MethodKind.SIMPLE_MEAN, 2, 1, _row_means, _flat),
     MethodKind.EXPONENTIAL_SMOOTHING: MethodSpec(

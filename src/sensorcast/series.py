@@ -23,14 +23,14 @@ __all__ = [
 ]
 
 
-def check_count(name: str, value) -> int:
-    """``value`` as an int; refused unless >= 1 (numpy ints pass, 2.5 does not)."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; refused unless >= ``least`` (numpy ints pass, 2.5 does not)."""
     try:
         count = operator.index(value)
     except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        count = least - 1
+    if count < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     return count
 
 
@@ -95,7 +95,8 @@ class TimeSeries:
             raise ValueError("timestamps must be finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+        # Compared, not subtracted: a difference past the largest float overflows.
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         check_magnitude("resolution", self.resolution)
 
@@ -188,6 +189,9 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
     return Splits(*blocks)
 
 
+_MAX_GRID = 2**26  # grid steps: 0.5 GiB for each float64 array over the grid
+
+
 def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> TimeSeries:
     """Resample onto the regular grid ``t0 + k * expected_period``, then
     perturb the filled samples.
@@ -196,13 +200,20 @@ def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> Ti
     observed samples; grid points beyond the last observation are not
     generated.  Only grid points that had no original observation receive
     noise, with standard deviation equal to the series resolution.  Needs
-    at least two samples.
+    at least two samples, and a grid of at most 2**26 steps: a longer one,
+    or one whose length passes the largest float, is refused before any of
+    it is allocated.
     """
     check_magnitude("expected_period", expected_period)
     if len(series) < 2:
         raise ValueError("interpolation needs at least two samples")
     ts = series.timestamps
-    n_steps = int(np.floor((ts[-1] - ts[0]) / expected_period + 1e-9))
+    # On Python floats, which overflow to inf without a warning.
+    steps = (ts[-1].item() - ts[0].item()) / float(expected_period) + 1e-9
+    if not steps < _MAX_GRID:
+        raise ValueError(f"expected_period {expected_period} cuts the series into "
+                         f"{steps:.3g} grid steps, more than {_MAX_GRID}")
+    n_steps = math.floor(steps)
     grid = ts[0] + expected_period * np.arange(n_steps + 1, dtype=np.float64)
     values = np.interp(grid, ts, series.values)
     # A grid point counts as observed when an original timestamp lands on

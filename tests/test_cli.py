@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sensorcast
+import sensorcast.cli
 from sensorcast.cli import RunManifest, load_manifest, main
 from sensorcast.datasets import ball_series, descriptor_for, load_csv
 
@@ -242,6 +243,46 @@ def test_evaluate_refuses_negative_workers(tmp_path, capsys, body, flags):
     assert run_cli("evaluate", "--manifest", str(manifest), *flags) == 2
     assert "workers must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_evaluate_pool_is_no_larger_than_its_scenarios(tmp_path, monkeypatch):
+    # A stand-in pool that maps in-process, so no process starts.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sensorcast.cli, "ProcessPoolExecutor", InlinePool)
+    manifest = write_manifest(tmp_path / "m.json", n_splits=2,
+                              output_dir=str(tmp_path / "out"))
+    assert run_cli("evaluate", "--manifest", str(manifest), "--workers", "100000") == 0
+    assert run_cli("evaluate", "--manifest", str(manifest), "--workers", "2",
+                   "--output-dir", str(tmp_path / "two")) == 0
+    assert sizes == [2, 2]
+    assert ((tmp_path / "out" / "report.json").read_bytes()
+            == (tmp_path / "two" / "report.json").read_bytes())
+
+
+def test_evaluate_refuses_a_period_too_small_to_grid_the_series(tmp_path, capsys):
+    assert run_cli("generate", "--paper-defaults", "--output-dir", str(tmp_path / "data")) == 0
+    capsys.readouterr()
+    entry = {"family": "ball", "group": 1, "path": "ball_group1.csv", "expected_period": 5e-324}
+    manifest = write_manifest(tmp_path / "m.json", methods=["constant"], datasets=[entry],
+                              data_dir=str(tmp_path / "data"), output_dir=str(tmp_path / "out"))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected_period 5e-324 cuts the series into inf grid steps")
+    assert not (tmp_path / "out").exists()
 
 
 def test_dps_has_no_seed_flag(tmp_path, capsys):

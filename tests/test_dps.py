@@ -25,6 +25,7 @@ from sensorcast.dps import (
     run_dps,
 )
 from sensorcast.forecast import (
+    METHOD_SPECS,
     FitConfig,
     ForecastModel,
     MethodKind,
@@ -201,6 +202,74 @@ def test_decode_rejects_malformed_frames():
     bad_kind[5] = 200
     with pytest.raises(DpsProtocolError):
         decode_message(bytes(bad_kind))
+
+
+def _every_payload_shape():
+    # A config per payload shape: the orders are forced where a kind has
+    # several, and value-holding's model ships only when a linear fit's
+    # slope overflows on the wire.
+    for kind, spec in METHOD_SPECS.items():
+        for orders in spec.payloads:
+            if kind is MethodKind.ARIMA:
+                config = FitConfig(method=kind, order_grid=(orders,))
+            elif kind is MethodKind.EXPONENTIAL_SMOOTHING:
+                config = FitConfig(method=kind, es_variants=(("simple", "trend")[orders[0] - 1],))
+            else:
+                config = FitConfig(method="linear" if spec.holds else kind)
+            yield pytest.param(config, kind, orders, id=f"{kind.value}{orders}")
+
+
+def _hex(model):
+    return [list(map(float.hex, getattr(model, name).tolist())) for name in ("params", "state")]
+
+
+@pytest.mark.parametrize("config, kind, orders", list(_every_payload_shape()))
+def test_every_model_of_a_refit_is_frozen_exact_and_aliases_nothing(config, kind, orders,
+                                                                      monkeypatch):
+    history = np.cumsum(np.random.default_rng(1).standard_normal(60))
+    if kind is MethodKind.CONSTANT:
+        history[-2:] = -1e308, 1e308
+    decoded = []
+    decode = dps_module.decode_message
+
+    def recording(data, **kwargs):
+        msg = decode(data, **kwargs)
+        decoded.append(msg.model)
+        return msg
+
+    monkeypatch.setattr(dps_module, "decode_message", recording)
+    sensor = SensorNode(config, len(history), 5, 0.1)
+    gateway = Gateway(config.method, len(history), 5)
+    for value in history:
+        messages = sensor.step(value)
+        gateway.step(messages)
+    monkeypatch.undo()
+    # The first refit rides on the last bootstrap reading; the sensor decodes
+    # it to forecast, then the gateway.
+    fit = messages[-1].model
+    assert fit.kind is kind and fit.orders == orders and len(decoded) == 2
+    frame = encode_message(messages[-1])
+    n_params, n_state = METHOD_SPECS[fit.kind].payloads[orders]
+    floats = struct.unpack_from(f"<{n_params + n_state}d", frame, 7)
+    wire = ForecastModel(fit.kind, orders, params=floats[:n_params], state=floats[n_params:])
+    for model in (fit, *decoded):
+        for floats in (model.params, model.state):
+            assert floats.ndim == 1 and floats.dtype == np.float64
+            assert not floats.flags.writeable
+        # The public constructor, given the model's own fields, copies the same floats.
+        assert _hex(model) == _hex(dataclasses.replace(model)) == _hex(wire)
+        assert model.to_json_dict() == dataclasses.replace(model).to_json_dict()
+
+    # Nothing a refit yields changes with the history or frame it came from.
+    source = history.copy()
+    models = [fit_model(source, config), fit_constant(source)]
+    buffers = [bytearray(frame), memoryview(bytearray(frame))]
+    models += [decode_message(buffer).model for buffer in buffers]
+    before = [_hex(model) for model in models]
+    source[:] = np.nan
+    for buffer in buffers:
+        buffer[7:] = bytes(len(frame) - 7)
+    assert [_hex(model) for model in models] == before
 
 
 def test_decode_refuses_non_finite_floats():

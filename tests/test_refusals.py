@@ -1,7 +1,8 @@
 """The three refusal rules, at every public entry point that applies one.
 
-A count is an int >= 1 (numpy ints pass, 2.5 does not); a magnitude is
-finite and greater than 0 (NaN fails); a name is the value of its enum.
+A count is an int >= 1, or >= 0 for a fit budget (numpy ints pass, 2.5
+does not); a magnitude is finite and greater than 0 (NaN fails); a name
+is the value of its enum.
 Each rule has one message, so every row checks the whole text.
 """
 
@@ -44,6 +45,10 @@ COUNTS = [
     ("depth", lambda n: RingNetwork(2, n)),
     ("n_steps", lambda n: forecast(MODEL, n)),
 ]
+# Counts that may be 0.
+COUNTS_FROM_ZERO = [
+    ("budget", lambda n: FitConfig(budget=n)),
+]
 MAGNITUDES = [
     ("delta_min", lambda v: SensorNode(CONSTANT, 5, 5, v)),
     ("resolution", lambda v: TimeSeries.regular([1.0, 2.0], resolution=v)),
@@ -82,14 +87,29 @@ def test_numpy_and_python_ints_pass_as_counts(name, call, good):
     call(good)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, np.float64(3.0), math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, call", COUNTS_FROM_ZERO, ids=_ids(COUNTS_FROM_ZERO))
+def test_a_count_from_zero_is_an_int_of_at_least_zero(name, call, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == f"{name} must be an int >= 0, got {bad!r}"
+
+
+@pytest.mark.parametrize("good", [0, 3, np.int64(3)])
+@pytest.mark.parametrize("name, call", COUNTS_FROM_ZERO, ids=_ids(COUNTS_FROM_ZERO))
+def test_numpy_and_python_ints_pass_as_counts_from_zero(name, call, good):
+    call(good)
+
+
 def test_a_numpy_count_is_stored_as_an_int(tmp_path):
     # The report writer's json takes Python ints only.
     three = np.int64(3)
     scenario = Scenario(BALL, CONSTANT, three, three, n_splits=three)
     stored = [scenario.history_len, scenario.window_len, scenario.n_splits,
               DatasetDescriptor("ball", group=three).group, BallParams(n_samples=three).n_samples,
-              RingNetwork(three, three).branches, RingNetwork(three, three).depth]
-    assert [type(n) for n in stored] == [int] * 7
+              RingNetwork(three, three).branches, RingNetwork(three, three).depth,
+              FitConfig(budget=three).budget]
+    assert [type(n) for n in stored] == [int] * 8
     emit_report([run_scenario(scenario, SERIES)], tmp_path / "r.json", tmp_path / "r.csv")
 
 

@@ -118,6 +118,32 @@ def test_gap_fill_rejects_degenerate_input(short_series):
         gap_fill(one, 1.0)
 
 
+def test_timestamps_spanning_past_the_largest_float_are_ordered_without_overflow():
+    ends = np.array([-1e308, 1e308])
+    assert TimeSeries(ends, np.array([1.0, 2.0])).timestamps.tolist() == [-1e308, 1e308]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeSeries(ends[::-1], np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("timestamps, period, steps", [
+    (np.arange(12.0), 5e-324, "inf"),
+    (np.arange(12.0), 1e-300, "1.1e+301"),
+    (np.array([-1e308, 1e308]), 1.0, "inf"),
+    (np.array([0.0, 1e12]), 1.0, "1e+12"),
+])
+def test_gap_fill_refuses_a_grid_it_cannot_size(timestamps, period, steps):
+    series = TimeSeries(timestamps, np.zeros(len(timestamps)))
+    with pytest.raises(ValueError) as err:
+        gap_fill(series, period)
+    assert str(err.value) == (f"expected_period {period} cuts the series into {steps} "
+                              f"grid steps, more than 67108864")
+
+
+def test_gap_fill_sizes_a_grid_from_a_numpy_period():
+    out = gap_fill(TimeSeries.regular(np.arange(12.0)), np.float64(0.5))
+    assert out.timestamps.tolist() == (0.5 * np.arange(23.0)).tolist()
+
+
 def test_quantize_ties_round_away_from_zero():
     s = TimeSeries.regular([0.25, -0.25, 1.3, -1.3, 0.74, 0.76])
     out = quantize_to_resolution(s, 0.5)
