@@ -92,6 +92,15 @@ def suppressed(predicted, actual, delta_min):
     return abs(predicted - actual) < delta_min
 
 
+def _payload_sizes(kind: MethodKind, orders) -> tuple[int, int]:
+    # The (params, state) float counts an update of these orders carries;
+    # orders the kind's fitter never produces are malformed.
+    sizes = METHOD_SPECS[kind].payloads.get(orders)
+    if sizes is None:
+        raise DpsProtocolError(f"{kind.value} models have no orders {orders}")
+    return sizes
+
+
 def encode_message(msg: DpsMessage) -> bytes:
     """Wire encoding: 1-byte variant tag, little-endian fields.
 
@@ -104,10 +113,14 @@ def encode_message(msg: DpsMessage) -> bytes:
         return struct.pack("<BIId", _TAG_MEASUREMENT, msg.seq, msg.index, msg.value)
     model = msg.model
     p, d, q = model.orders
-    packed = (p << 4) | (d << 2) | q
-    floats = model.params.tolist() + model.state.tolist()
-    return struct.pack(f"<BIBB{len(floats)}d", _TAG_MODEL_UPDATE, msg.seq,
-                       METHOD_SPECS[model.kind].code, packed, *floats)
+    sizes = _payload_sizes(model.kind, model.orders)
+    if sizes != (len(model.params), len(model.state)):
+        raise DpsProtocolError(f"{model.kind.value}{model.orders} update payload has "
+                               f"{len(model.params)} + {len(model.state)} floats, "
+                               f"expected {sizes[0]} + {sizes[1]}")
+    return struct.pack(f"<BIBB{sum(sizes)}d", _TAG_MODEL_UPDATE, msg.seq,
+                       METHOD_SPECS[model.kind].code, (p << 4) | (d << 2) | q,
+                       *model.params, *model.state)
 
 
 def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
@@ -138,19 +151,15 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
     # p takes the reserved bits 6-7 too: set, they make p > 3, which no
     # kind produces.
     orders = (packed >> 4, (packed >> 2) & 0x3, packed & 0x3)
-    sizes = METHOD_SPECS[kind].payloads.get(orders)
-    if sizes is None:
-        raise DpsProtocolError(f"{kind.value} models have no orders {orders}")
-    n_params, count = sizes[0], sum(sizes)
+    n_params, n_state = _payload_sizes(kind, orders)
+    count = n_params + n_state
     if len(data) != head + 8 * count:
         raise DpsProtocolError(f"{kind.value}{orders} update payload has "
                                f"{len(data) - head} bytes, expected {8 * count}")
-    # The model's arrays are views of the frame's bytes, copied if mutable.
-    # Every refit decodes twice: math checks six floats faster than numpy.
-    floats = np.frombuffer(bytes(data), "<f8", count, head)
-    if not all(map(math.isfinite, floats.tolist())):
+    floats = struct.unpack_from(f"<{count}d", data, head)
+    if not all(map(math.isfinite, floats)):
         raise DpsProtocolError(f"{kind.value}{orders} update carries non-finite floats")
-    model = ForecastModel._of(kind, orders, floats[:n_params], floats[n_params:])
+    model = ForecastModel(kind, orders, floats[:n_params], floats[n_params:])
     return ModelUpdate(seq=seq, model=model, piggybacked=piggybacked)
 
 

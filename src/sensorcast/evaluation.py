@@ -23,7 +23,7 @@ from .datasets import DatasetDescriptor, _atomic_write
 from .dps import ship, suppressed
 from .forecast import METHOD_SPECS, FitConfig, FitError, MethodKind, forecast
 from .forecast.models import _unit_scaled
-from .series import TimeSeries, check_count, extract_splits, quantize_to_resolution
+from .series import TimeSeries, check_splits, extract_splits, quantize_to_resolution
 
 __all__ = [
     "HISTORY_GRID",
@@ -122,8 +122,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("history_len", "window_len", "n_splits"):
-            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        # Checked here, so evaluate refuses a split grid before any scenario runs.
+        checked = check_splits(self.history_len, self.window_len, self.n_splits)
+        for name, value in zip(("history_len", "window_len", "n_splits"), checked):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

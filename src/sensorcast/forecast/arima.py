@@ -456,9 +456,9 @@ def forecast_arima(model: ForecastModel, n_steps: int) -> np.ndarray:
     forecasts, the AR recursion after them, integrated by the anchors."""
     p, d, q = model.orders
     r = max(p, q)
-    w = model.state[:r].tolist()
-    mu = float(model.params[p]) if d == 0 else 0.0
-    ar = _differenced_forecasts(model.params[:p].tolist(), [], mu, w, [], max(n_steps - q, 0))
+    w = list(model.state[:r])
+    mu = model.params[p] if d == 0 else 0.0
+    ar = _differenced_forecasts(model.params[:p], [], mu, w, [], max(n_steps - q, 0))
     out = np.array((w[r - q:] + ar)[:n_steps])
     for level in range(d - 1, -1, -1):
         out = model.state[r + level] + np.cumsum(out)

@@ -10,7 +10,9 @@ fitters live in ``smoothing`` and ``arima``, and the closed forms in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +50,8 @@ FULL_ORDER_GRID: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
-def _frozen_f64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
-_NO_FLOATS = _frozen_f64(())  # every empty default: frozen, so never copied
-
-
-@dataclass(frozen=True, eq=False)
-class ForecastModel:
+class ForecastModel(namedtuple("ForecastModel", "kind orders params state estimates k fit_n "
+                                                "neg2_loglik loglik_n")):
     """Everything needed to reproduce a fit's forecasts.
 
     ``params`` and ``state`` are exactly the floats the forecast reads and
@@ -67,35 +60,25 @@ class ForecastModel:
     the fitted coefficients (ARIMA phi, theta and the mean; smoothing's
     weights; empty for closed forms and decoded models), ``k`` the
     parameter count charged by AICc, ``fit_n`` the history length fitted.
+
+    A model is an immutable tuple that only this constructor builds
+    (``_replace`` too).  It takes a method name for ``kind`` and keeps the
+    floats as tuples of Python floats; two models are equal only if identical.
     """
 
-    kind: MethodKind
-    orders: tuple[int, int, int] = (0, 0, 0)
-    params: np.ndarray = field(default_factory=lambda: _NO_FLOATS)
-    state: np.ndarray = field(default_factory=lambda: _NO_FLOATS)
-    estimates: np.ndarray = field(default_factory=lambda: _NO_FLOATS)
-    k: int = 0
-    fit_n: int = 0
-    neg2_loglik: float = float("nan")
-    loglik_n: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", MethodKind.coerce(self.kind))
-        for name in ("params", "state", "estimates"):
-            if getattr(self, name) is not _NO_FLOATS:
-                object.__setattr__(self, name, _frozen_f64(getattr(self, name)))
-        object.__setattr__(self, "orders", tuple(map(int, self.orders)))
-        if len(self.orders) != 3:
-            raise ValueError(f"orders must be a 3-tuple, got {self.orders}")
+    def __new__(cls, kind, orders=(0, 0, 0), params=(), state=(), estimates=(), k=0,
+                fit_n=0, neg2_loglik=math.nan, loglik_n=0):
+        orders = tuple(map(int, orders))
+        if len(orders) != 3:
+            raise ValueError(f"orders must be a 3-tuple, got {orders}")
+        return tuple.__new__(cls, (MethodKind.coerce(kind), orders, tuple(map(float, params)),
+                                   tuple(map(float, state)), tuple(map(float, estimates)), k,
+                                   fit_n, neg2_loglik, loglik_n))
 
-    @classmethod
-    def _of(cls, kind, orders, params, state, **fit) -> "ForecastModel":
-        # The constructor without coercion, copies or checks, for decoded and
-        # closed-form models: 1-D float64 params (frozen here) and read-only state.
-        params.setflags(write=False)
-        model = object.__new__(cls)
-        vars(model).update(_BLANK, kind=kind, orders=orders, params=params, state=state, **fit)
-        return model
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def to_json_dict(self) -> dict:
         """Report-facing representation; diagnostics beyond these fixed
@@ -103,13 +86,10 @@ class ForecastModel:
         return {
             "kind": self.kind.value,
             "orders": list(self.orders),
-            **{name: getattr(self, name).tolist() for name in ("params", "state", "estimates")},
+            **{name: list(getattr(self, name)) for name in ("params", "state", "estimates")},
             "k": self.k,
             "fit_n": self.fit_n,
         }
-
-
-_BLANK = vars(ForecastModel(MethodKind.CONSTANT))  # every field, in order, at its default
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ every call.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +22,7 @@ import numpy as np
 from ..series import check_count
 from .arima import fit_arima, forecast_arima
 from .arima import min_history as _arima_min_history
-from .models import _NO_FLOATS, FULL_ORDER_GRID, FitConfig, FitError, ForecastModel, MethodKind
+from .models import FULL_ORDER_GRID, FitConfig, FitError, ForecastModel, MethodKind
 from .smoothing import _MIN_HISTORY as _ES_MIN_HISTORY
 from .smoothing import fit_exponential_smoothing
 
@@ -67,24 +66,22 @@ def _closed_form(kind: MethodKind, code: int, n_params: int, fit_block, forecast
         history = np.asarray(history, dtype=np.float64)
         if len(history) < n_params:
             raise FitError(f"{kind.value} model needs at least {n_params} observations")
-        return ForecastModel._of(kind, (0, 0, 0), fit_block(history), _NO_FLOATS, k=n_params,
-                                 fit_n=len(history))
+        return ForecastModel(kind, params=fit_block(history), k=n_params, fit_n=len(history))
 
     return MethodSpec(code, fit, lambda model, n: forecast_block(model.params, n),
                       payloads={(0, 0, 0): (n_params, 0)}, min_history=lambda config: n_params,
                       holds=holds, fit_block=fit_block, forecast_block=forecast_block)
 
 
-def _last_and_slope(histories: np.ndarray) -> np.ndarray:
+def _last_and_slope(histories: np.ndarray):
     # [last, last - previous]: an overflowing slope is inf, without a
     # warning.  One history is fitted on Python floats, which never warn,
     # because np.errstate costs more than the fit.
     if histories.ndim == 1:
-        (previous, last), overflow = histories[-2:].tolist(), contextlib.nullcontext()
-    else:
-        previous, last = histories[:, -2], histories[:, -1]
-        overflow = np.errstate(over="ignore")
-    with overflow:
+        previous, last = histories[-2:].tolist()
+        return last, last - previous
+    previous, last = histories[:, -2], histories[:, -1]
+    with np.errstate(over="ignore"):
         return np.array((last, last - previous)).T
 
 
@@ -100,22 +97,23 @@ def _row_means(rows: np.ndarray) -> np.ndarray:
     return np.ldexp(total / rows.shape[-1], exponent)
 
 
-def _flat(params: np.ndarray, n_steps: int) -> np.ndarray:
-    # The first param repeated: a vector from one model, a block from S x P.
-    # np.full is cheapest with a scalar, so one model passes its float.
-    level = params[0] if params.ndim == 1 else params[:, :1]
-    return np.full(params.shape[:-1] + (n_steps,), level)
+def _flat(params, n_steps: int) -> np.ndarray:
+    # The first param repeated: a vector from one model's tuple, a block
+    # from S x P.
+    if isinstance(params, tuple):
+        return np.full(n_steps, params[0])
+    return np.full((len(params), n_steps), params[:, :1])
 
 
-def _line(params: np.ndarray, n_steps: int) -> np.ndarray:
+def _line(params, n_steps: int) -> np.ndarray:
     # level + k slope for k = 1..n_steps from [level, slope]: a vector from
-    # one model, a block from S x 2.  Past the largest float it is inf,
+    # one model's tuple, a block from S x 2.  Past the largest float it is inf,
     # without a warning.  On a short window np.errstate costs more than the
     # line, so one model enters it only when the bound |level| + |slope| n,
     # on Python floats, is not finite.
     steps = np.arange(1, n_steps + 1, dtype=np.float64)
-    if params.ndim == 1:
-        level, slope = params.tolist()
+    if isinstance(params, tuple):
+        level, slope = params
         if math.isfinite(abs(level) + abs(slope) * n_steps):
             return level + slope * steps
     else:
@@ -126,7 +124,7 @@ def _line(params: np.ndarray, n_steps: int) -> np.ndarray:
 
 METHOD_SPECS: dict[MethodKind, MethodSpec] = {
     MethodKind.CONSTANT: _closed_form(MethodKind.CONSTANT, 0, 1,
-                                      lambda histories: histories[..., -1:].copy(), _flat,
+                                      lambda histories: histories[..., -1:], _flat,
                                       holds=True),
     MethodKind.LINEAR: _closed_form(MethodKind.LINEAR, 1, 2, _last_and_slope, _line),
     MethodKind.SIMPLE_MEAN: _closed_form(MethodKind.SIMPLE_MEAN, 2, 1, _row_means, _flat),

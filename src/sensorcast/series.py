@@ -34,6 +34,20 @@ def check_count(name: str, value, least: int = 1) -> int:
     return count
 
 
+_MAX_GRID = 2**26  # cells: 0.5 GiB for each float64 array of them
+
+
+def check_splits(history_len, window_len, n_splits) -> tuple[int, int, int]:
+    """The split lengths and count as ints, each >= 1; refused when the S x H
+    and S x W blocks would hold more than 2**26 cells together."""
+    h, w, s = (check_count(name, value) for name, value in (
+        ("history_len", history_len), ("window_len", window_len), ("n_splits", n_splits)))
+    if s * (h + w) > _MAX_GRID:
+        raise ValueError(f"n_splits {s} x (history {h} + window {w}) is {s * (h + w)} "
+                         f"cells, more than {_MAX_GRID}")
+    return h, w, s
+
+
 def check_magnitude(name: str, value) -> None:
     """Refuse a magnitude that is not finite and greater than 0 (NaN fails)."""
     if not 0 < value < math.inf:
@@ -166,11 +180,10 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
     replacement while enough distinct origins exist and with replacement
     otherwise.  The draw is fully determined by ``seed``.  The segments
     come back as one S x H and one S x W block, each gathered by a single
-    fancy index into the series values, so every row is a contiguous copy.
+    fancy index into the series values, so every row is a contiguous copy;
+    blocks of more than 2**26 cells together are refused before any draw.
     """
-    check_count("history_len", history_len)
-    check_count("window_len", window_len)
-    check_count("n_splits", n_splits)
+    history_len, window_len, n_splits = check_splits(history_len, window_len, n_splits)
     need = history_len + window_len
     if len(series) < need:
         raise ValueError(
@@ -187,9 +200,6 @@ def extract_splits(series: TimeSeries, history_len: int, window_len: int,
     for block in blocks:
         block.setflags(write=False)
     return Splits(*blocks)
-
-
-_MAX_GRID = 2**26  # grid steps: 0.5 GiB for each float64 array over the grid
 
 
 def gap_fill(series: TimeSeries, expected_period: float, *, seed: int = 0) -> TimeSeries:

@@ -191,7 +191,7 @@ def test_fit_arima_estimates_are_admissible():
         p, d, q = m.orders
         phi, theta = m.estimates[:p], m.estimates[p:p + q]
         if p:
-            roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
+            roots = np.roots(np.concatenate(([1.0], np.negative(phi)))[::-1])
             assert np.min(np.abs(roots)) > ROOT_MARGIN
         if q:
             roots = np.roots(np.concatenate(([1.0], theta))[::-1])
@@ -264,11 +264,11 @@ def test_fit_arima_does_not_depend_on_the_scale(exponent):
     base = fit_arima(x, ARIMA_CONFIG)
     model = fit_arima(np.ldexp(x, exponent), ARIMA_CONFIG)
     assert base.orders == model.orders == (2, 0, 2)
-    assert [v.hex() for v in model.estimates[:4].tolist()] == \
-        [v.hex() for v in base.estimates[:4].tolist()]
+    assert [v.hex() for v in model.estimates[:4]] == \
+        [v.hex() for v in base.estimates[:4]]
     np.testing.assert_array_equal(model.estimates[4:], np.ldexp(base.estimates[4:], exponent))
-    assert [v.hex() for v in model.params[:2].tolist()] == \
-        [v.hex() for v in base.params[:2].tolist()]
+    assert [v.hex() for v in model.params[:2]] == \
+        [v.hex() for v in base.params[:2]]
     np.testing.assert_array_equal(model.params[2:], np.ldexp(base.params[2:], exponent))
     np.testing.assert_array_equal(model.state, np.ldexp(base.state, exponent))
     assert model.neg2_loglik == pytest.approx(
@@ -384,9 +384,9 @@ FIT_ARIMA_PINS = [
 def test_fit_arima_reproduces_pinned_fits(seed, d, orders, estimates, params, state):
     model = fit_arima(arma_history(seed, d), ARIMA_CONFIG)
     assert model.orders == orders
-    assert [v.hex() for v in model.estimates.tolist()] == estimates
-    assert [v.hex() for v in model.params.tolist()] == params
-    assert [v.hex() for v in model.state.tolist()] == state
+    assert [v.hex() for v in model.estimates] == estimates
+    assert [v.hex() for v in model.params] == params
+    assert [v.hex() for v in model.state] == state
 
 
 def pinned_grid_histories():
@@ -413,8 +413,8 @@ def test_fit_arima_full_grid_fits_are_pinned():
     for x in pinned_grid_histories():
         model = fit_arima(x, ARIMA_CONFIG)
         depths.add(model.orders[1])
-        floats = [*model.estimates.tolist(), *model.params.tolist(),
-                  *model.state.tolist(), model.neg2_loglik]
+        floats = [*model.estimates, *model.params,
+                  *model.state, model.neg2_loglik]
         digest.update(repr((model.orders, [v.hex() for v in floats])).encode())
     assert depths == {0, 1, 2}
     assert digest.hexdigest() == (

@@ -85,6 +85,16 @@ def test_manifest_rejects_unknown_dataset_keys(tmp_path, capsys):
     assert load_manifest(str(ok), {}).datasets == (every_key,)
 
 
+def test_evaluate_refuses_a_split_grid_past_the_cell_bound_before_any_scenario(tmp_path,
+                                                                               capsys):
+    out = tmp_path / "out"
+    manifest = write_manifest(tmp_path / "m.json", n_splits=2**62, output_dir=str(out))
+    assert run_cli("evaluate", "--manifest", str(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_splits 4611686018427387904 x (history 20 + window 10)")
+    assert not (out / "report.json").exists() and not (out / "report.csv").exists()
+
+
 def test_manifest_with_mistyped_value_exits_2(tmp_path, capsys):
     manifest = write_manifest(tmp_path / "m.json", n_splits="5")
     assert run_cli("evaluate", "--manifest", str(manifest)) == 2

@@ -179,7 +179,7 @@ def test_model_update_wire_round_trip_every_kind():
         np.testing.assert_array_equal(back.model.params, model.params)
         np.testing.assert_array_equal(back.model.state, model.state)
         # The fit's record stays off the wire.
-        assert back.model.estimates.tolist() == []
+        assert back.model.estimates == ()
         # Same model, same bytes: encoding is deterministic.
         assert encode_message(ModelUpdate(seq=42, model=model)) == wire
 
@@ -220,12 +220,12 @@ def _every_payload_shape():
 
 
 def _hex(model):
-    return [list(map(float.hex, getattr(model, name).tolist())) for name in ("params", "state")]
+    return [list(map(float.hex, getattr(model, name))) for name in ("params", "state")]
 
 
 @pytest.mark.parametrize("config, kind, orders", list(_every_payload_shape()))
-def test_every_model_of_a_refit_is_frozen_exact_and_aliases_nothing(config, kind, orders,
-                                                                      monkeypatch):
+def test_every_model_of_a_refit_is_a_tuple_of_exact_floats_aliasing_nothing(config, kind, orders,
+                                                                             monkeypatch):
     history = np.cumsum(np.random.default_rng(1).standard_normal(60))
     if kind is MethodKind.CONSTANT:
         history[-2:] = -1e308, 1e308
@@ -253,12 +253,11 @@ def test_every_model_of_a_refit_is_frozen_exact_and_aliases_nothing(config, kind
     floats = struct.unpack_from(f"<{n_params + n_state}d", frame, 7)
     wire = ForecastModel(fit.kind, orders, params=floats[:n_params], state=floats[n_params:])
     for model in (fit, *decoded):
-        for floats in (model.params, model.state):
-            assert floats.ndim == 1 and floats.dtype == np.float64
-            assert not floats.flags.writeable
-        # The public constructor, given the model's own fields, copies the same floats.
-        assert _hex(model) == _hex(dataclasses.replace(model)) == _hex(wire)
-        assert model.to_json_dict() == dataclasses.replace(model).to_json_dict()
+        for floats in (model.params, model.state, model.estimates):
+            assert type(floats) is tuple and all(type(v) is float for v in floats)
+        # The constructor, given the model's own fields, yields the same floats.
+        assert _hex(model) == _hex(ForecastModel(*model)) == _hex(wire)
+        assert model.to_json_dict() == ForecastModel(*model).to_json_dict()
 
     # Nothing a refit yields changes with the history or frame it came from.
     source = history.copy()
@@ -283,6 +282,29 @@ def test_decode_refuses_non_finite_floats():
     ):
         with pytest.raises(DpsProtocolError, match="non-finite"):
             decode_message(encode_message(ModelUpdate(seq=1, model=model)))
+
+
+@pytest.mark.parametrize("model, refusal", [
+    # d's bits overflowed into p: this frame decoded as ARIMA(1, 0, 0).
+    (ForecastModel(MethodKind.ARIMA, (0, 4, 0), [0.5, 0.1], [1.0]),
+     r"arima models have no orders \(0, 4, 0\)"),
+    # Orders the packed byte cannot hold raised struct.error.
+    (ForecastModel(MethodKind.ARIMA, (16, 0, 0), [0.5], [1.0]),
+     r"arima models have no orders \(16, 0, 0\)"),
+    (ForecastModel(MethodKind.ARIMA, (-1, 0, 0), [0.5], [1.0]),
+     r"arima models have no orders \(-1, 0, 0\)"),
+    # The right float count, split otherwise: this decoded as params [1.0, 2.0].
+    (ForecastModel(MethodKind.LINEAR, params=[1.0], state=[2.0]),
+     r"linear\(0, 0, 0\) update payload has 1 \+ 1 floats, expected 2 \+ 0"),
+], ids=["arima-d-4", "arima-p-16", "arima-p-minus-1", "linear-split"])
+def test_encode_refuses_a_model_its_kinds_payload_table_does_not_hold(model, refusal):
+    with pytest.raises(DpsProtocolError, match=refusal):
+        encode_message(ModelUpdate(0, model))
+    gw = Gateway(model.kind, history_len=1, window_len=2)
+    with pytest.raises(DpsProtocolError, match=refusal):
+        gw.step([Measurement(0, 0, 1.0), ModelUpdate(1, model)])
+    assert gw.reconstructed == []
+    assert gw.step([Measurement(0, 0, 1.0), ModelUpdate(1, fit_constant([1.0]))]) == 1.0
 
 
 def update_frame(kind_code: int, packed_orders: int, n_floats: int) -> bytes:
@@ -636,7 +658,7 @@ def test_gateway_refuses_a_malformed_update_before_any_state_moves():
     for value in (1.0, 2.0):
         gw.step(node.step(value))
     measurement, update = node.step(3.0)
-    bad = ModelUpdate(update.seq, dataclasses.replace(update.model, params=[math.inf, 1.0]))
+    bad = ModelUpdate(update.seq, update.model._replace(params=[math.inf, 1.0]))
     with pytest.raises(DpsProtocolError, match="non-finite floats"):
         gw.step([measurement, bad])
     assert gw.reconstructed == [1.0, 2.0]

@@ -154,7 +154,7 @@ def test_run_dps_is_the_hand_stepped_loop_bit_for_bit(
 
 
 def hexes(values):
-    return [v.hex() for v in values.tolist()]
+    return [float(v).hex() for v in values]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -62,6 +62,27 @@ def test_forecast_model_rejects_orders_not_a_triple(orders):
         ForecastModel(kind=MethodKind.ARIMA, orders=orders)
 
 
+def test_forecast_model_is_an_immutable_tuple_equal_only_to_itself():
+    m = ForecastModel("linear", [0, 0, 0], np.array([1.0, 2.0]), estimates=[np.float64(0.5)])
+    assert m.orders == (0, 0, 0) and m.params == (1.0, 2.0) and m.state == ()
+    assert all(type(v) is float for v in (*m.params, *m.estimates))
+    with pytest.raises(AttributeError):
+        m.params = (3.0, 4.0)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    # Equality and hashing are by identity, as for the frozen dataclass
+    # with eq=False this replaced: equal floats do not make equal models.
+    twin = ForecastModel(*m)
+    assert m == m and m != twin and not m == twin and hash(m) != hash(twin)
+    assert len({m, twin}) == 2
+    # _replace goes through the constructor, so it coerces and checks too.
+    replaced = m._replace(params=[np.float64(3.0), 4])
+    assert type(replaced) is ForecastModel and replaced.params == (3.0, 4.0)
+    assert all(type(v) is float for v in replaced.params)
+    with pytest.raises(ValueError, match="3-tuple"):
+        m._replace(orders=(1, 1))
+
+
 def test_forecast_model_round_trips_through_json():
     m = ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 1),
                       params=[0.5], state=[1.2, 3.0], estimates=[0.5, -0.2, 0.0],
@@ -122,13 +143,13 @@ def test_fit_simple_mean_repeats_history_mean():
 def test_closed_form_fits_run_near_the_float_limit():
     history = np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308, 1.0e308])
     linear = fit_model(history[:4], LINEAR)
-    assert linear.params.tolist() == [-1.5e308, -np.inf]
+    assert linear.params == (-1.5e308, -np.inf)
     assert forecast(linear, 2).tolist() == [-np.inf, -np.inf]
     # A finite slope whose multiples pass the largest float.
     rising = forecast(fit_model([0.5e308, 1.0e308], LINEAR), 3)
     assert rising.tolist() == [1.5e308, np.inf, np.inf]
     mean = fit_model(history, SIMPLE_MEAN)
-    assert mean.params.tolist() == [0.2e308]
+    assert mean.params == (0.2e308,)
     assert forecast(mean, 2).tolist() == [0.2e308, 0.2e308]
     # Bit for bit np.mean wherever that does not overflow.
     walk = np.random.default_rng(3).standard_normal(37).cumsum()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sensorcast.series import (
     TimeSeries,
+    check_splits,
     extract_splits,
     gap_fill,
     quantize_to_resolution,
@@ -73,6 +74,18 @@ def test_split_blocks_are_readonly_copies():
         assert not np.shares_memory(block, s.values)
     with pytest.raises(ValueError):
         splits.histories[0, 0] = 99.0
+
+
+def test_split_blocks_past_the_cell_bound_are_refused_before_any_draw():
+    # S x (H + W) may reach 2**26 cells and no more; numpy would refuse
+    # 2**62 draws too, but with its own error, after the bound's.
+    assert check_splits(2**25, 2**25, 1) == (2**25, 2**25, 1)
+    with pytest.raises(ValueError, match=r"n_splits 1 x \(history 33554432 \+ window "
+                                         r"33554433\) is 67108865 cells, more than 67108864"):
+        check_splits(2**25, 2**25 + 1, 1)
+    with pytest.raises(ValueError, match=r"n_splits 4611686018427387904 x \(history 4 "
+                                         r"\+ window 3\)"):
+        extract_splits(TimeSeries.regular(np.arange(30.0)), 4, 3, 2**62, seed=1)
 
 
 def _noise(series, n, seed=0):

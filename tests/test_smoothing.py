@@ -141,8 +141,8 @@ def test_unsorted_alpha_grid_fits_as_sorted(variant):
             method="exponential_smoothing", es_variants=(variant,), es_alpha_grid=grid))
 
     got, want = fit((0.9, 0.1, 0.5)), fit((0.1, 0.5, 0.9))
-    assert got.estimates.tolist() == want.estimates.tolist()
-    assert got.state.tolist() == want.state.tolist()
+    assert got.estimates == want.estimates
+    assert got.state == want.state
 
 
 def test_variant_restriction_is_honored():
@@ -194,8 +194,8 @@ def test_weights_do_not_depend_on_the_scale(variant):
     for scale in (2.0 ** 600, 2.0 ** -600):
         with np.errstate(over="ignore"):
             scaled = fit_exponential_smoothing(values * scale, config)
-        assert [v.hex() for v in scaled.estimates.tolist()] == \
-            [v.hex() for v in unit.estimates.tolist()], scale
+        assert [v.hex() for v in scaled.estimates] == \
+            [v.hex() for v in unit.estimates], scale
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -253,9 +253,9 @@ def test_fit_exponential_smoothing_reproduces_pinned_fits(name):
         values, FitConfig(method="exponential_smoothing", **overrides))
     orders, estimates, state = PINNED_FITS[name]
     assert m.orders == orders
-    assert [v.hex() for v in m.estimates.tolist()] == estimates
-    assert m.params.tolist() == []
-    assert [v.hex() for v in m.state.tolist()] == state
+    assert [v.hex() for v in m.estimates] == estimates
+    assert m.params == ()
+    assert [v.hex() for v in m.state] == state
 
 
 def best_cell_oracle(search, alpha_grid, beta_grid):
