@@ -320,49 +320,50 @@ def cmd_dps(args) -> int:
         "ring_branches": args.ring_branches,
         "ring_depth": args.ring_depth,
     })
+    net = None
+    if manifest.ring_branches is not None:
+        net = RingNetwork(branches=manifest.ring_branches, depth=manifest.ring_depth)
     datasets = _resolve_datasets(manifest)
+    # Every run ends before the first file is written, so a run that is
+    # refused leaves no trace of the runs before it.
+    runs = [(descriptor, method_name,
+             run_dps(series, FitConfig(method=method_name), manifest.history_len,
+                     manifest.window_len, descriptor.threshold))
+            for descriptor, series in datasets for method_name in manifest.methods]
     os.makedirs(manifest.output_dir, exist_ok=True)
     effective = manifest.effective_dict()
     digest = manifest_sha256(manifest.hashed_dict())
 
-    net = None
-    if manifest.ring_branches is not None:
-        net = RingNetwork(branches=manifest.ring_branches, depth=manifest.ring_depth)
-
     summaries = []
-    for descriptor, series in datasets:
-        for method_name in manifest.methods:
-            config = FitConfig(method=method_name)
-            trace = run_dps(series, config, manifest.history_len,
-                            manifest.window_len, descriptor.threshold)
-            name = f"dps_{descriptor.label}_{method_name}.jsonl"
-            trace_path = os.path.join(manifest.output_dir, name)
-            trace.to_jsonl(trace_path, extra_header={"manifest_sha256": digest})
-            totals = trace.summary()
-            post_measurements = trace.post_bootstrap_measurements
-            summary = {
-                "dataset": descriptor.label,
-                "method": method_name,
-                "history_len": manifest.history_len,
-                "window_len": manifest.window_len,
-                "delta_min": descriptor.threshold,
-                "n_steps": trace.n_steps,
-                "post_bootstrap_measurements": post_measurements,
-                **totals,
-                "trace_file": name,
+    for descriptor, method_name, trace in runs:
+        name = f"dps_{descriptor.label}_{method_name}.jsonl"
+        trace_path = os.path.join(manifest.output_dir, name)
+        trace.to_jsonl(trace_path, extra_header={"manifest_sha256": digest})
+        totals = trace.summary()
+        post_measurements = trace.post_bootstrap_measurements
+        summary = {
+            "dataset": descriptor.label,
+            "method": method_name,
+            "history_len": manifest.history_len,
+            "window_len": manifest.window_len,
+            "delta_min": descriptor.threshold,
+            "n_steps": trace.n_steps,
+            "post_bootstrap_measurements": post_measurements,
+            **totals,
+            "trace_file": name,
+        }
+        if net is not None:
+            summary["network"] = {
+                "branches": net.branches,
+                "depth": net.depth,
+                "total_transmissions": total_transmissions(net),
+                "projected_savings": network_savings(net, totals["saved_fraction"]),
             }
-            if net is not None:
-                summary["network"] = {
-                    "branches": net.branches,
-                    "depth": net.depth,
-                    "total_transmissions": total_transmissions(net),
-                    "projected_savings": network_savings(net, totals["saved_fraction"]),
-                }
-            summaries.append(summary)
-            print(f"{descriptor.label} {method_name}: saved {totals['saved_fraction']:.2f}% "
-                  f"({post_measurements} measurements, {totals['model_updates']} model updates; "
-                  f"radio bytes {totals['measurement_bytes']} measurement + "
-                  f"{totals['update_bytes']} update)")
+        summaries.append(summary)
+        print(f"{descriptor.label} {method_name}: saved {totals['saved_fraction']:.2f}% "
+              f"({post_measurements} measurements, {totals['model_updates']} model updates; "
+              f"radio bytes {totals['measurement_bytes']} measurement + "
+              f"{totals['update_bytes']} update)")
 
     summary_path = os.path.join(manifest.output_dir, "dps_summary.json")
     write_json(summary_path, {"manifest": effective, "manifest_sha256": digest,

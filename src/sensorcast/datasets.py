@@ -318,7 +318,10 @@ def load_csv(path, descriptor: DatasetDescriptor) -> TimeSeries:
             )
     period = descriptor.period
     if spec.epochs:
-        ts = ts * period
+        # An epoch past the float range over the period is inf, which
+        # TimeSeries refuses, without numpy's overflow warning.
+        with np.errstate(over="ignore"):
+            ts = ts * period
 
     ts, vs = _dedupe_sorted(ts, vs)
     if len(ts) < 2:

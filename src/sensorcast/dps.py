@@ -8,9 +8,9 @@ bootstrap measurement, after that one follows each completed forecast
 window.  The value-holding method is the degenerate case: its "model" is
 the last transmitted value, so it never ships updates.
 
-The sensor applies the model it *shipped* (encode/decode round trip), so
-sensor and gateway forecasts are bit-identical and the reconstruction error
-of every untransmitted step is strictly below the threshold.
+The sensor forecasts from the model it sends: the encoder refuses what the
+decoder would, so sensor and gateway forecasts are bit-identical and every
+untransmitted step's reconstruction error is strictly below the threshold.
 """
 
 from __future__ import annotations
@@ -101,6 +101,30 @@ def _payload_sizes(kind: MethodKind, orders) -> tuple[int, int]:
     return sizes
 
 
+def _check_value(value: float) -> None:
+    if not math.isfinite(value):
+        raise DpsProtocolError(f"measurement carries non-finite value {value}")
+
+
+def _check_floats(model: ForecastModel) -> None:
+    if not all(map(math.isfinite, model.params + model.state)):
+        raise DpsProtocolError(f"{model.kind.value}{model.orders} update carries "
+                               f"non-finite floats")
+
+
+def _pack_update(seq: int, model: ForecastModel) -> bytes:
+    p, d, q = model.orders
+    sizes = _payload_sizes(model.kind, model.orders)
+    if sizes != (len(model.params), len(model.state)):
+        raise DpsProtocolError(f"{model.kind.value}{model.orders} update payload has "
+                               f"{len(model.params)} + {len(model.state)} floats, "
+                               f"expected {sizes[0]} + {sizes[1]}")
+    _check_floats(model)
+    return struct.pack(f"<BIBB{sum(sizes)}d", _TAG_MODEL_UPDATE, seq,
+                       METHOD_SPECS[model.kind].code, (p << 4) | (d << 2) | q,
+                       *model.params, *model.state)
+
+
 def encode_message(msg: DpsMessage) -> bytes:
     """Wire encoding: 1-byte variant tag, little-endian fields.
 
@@ -108,19 +132,12 @@ def encode_message(msg: DpsMessage) -> bytes:
     2-3, q in 0-1; bits 6-7 reserved, zero), then params and state as
     float64, as many as kind and orders fix (``MethodSpec.payloads``):
     15 to 55 bytes.  Measurement: u32 seq, u32 index, float64 value.
+    A message the decoder would refuse raises :class:`DpsProtocolError`.
     """
     if isinstance(msg, Measurement):
+        _check_value(msg.value)
         return struct.pack("<BIId", _TAG_MEASUREMENT, msg.seq, msg.index, msg.value)
-    model = msg.model
-    p, d, q = model.orders
-    sizes = _payload_sizes(model.kind, model.orders)
-    if sizes != (len(model.params), len(model.state)):
-        raise DpsProtocolError(f"{model.kind.value}{model.orders} update payload has "
-                               f"{len(model.params)} + {len(model.state)} floats, "
-                               f"expected {sizes[0]} + {sizes[1]}")
-    return struct.pack(f"<BIBB{sum(sizes)}d", _TAG_MODEL_UPDATE, msg.seq,
-                       METHOD_SPECS[model.kind].code, (p << 4) | (d << 2) | q,
-                       *model.params, *model.state)
+    return _pack_update(msg.seq, msg.model)
 
 
 def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
@@ -136,8 +153,7 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
         if len(data) != struct.calcsize("<BIId"):
             raise DpsProtocolError(f"measurement payload has {len(data)} bytes")
         _, seq, index, value = struct.unpack("<BIId", data)
-        if not math.isfinite(value):
-            raise DpsProtocolError(f"measurement carries non-finite value {value}")
+        _check_value(value)
         return Measurement(seq=seq, index=index, value=value)
     if tag != _TAG_MODEL_UPDATE:
         raise DpsProtocolError(f"unknown message tag 0x{tag:02x}")
@@ -157,29 +173,20 @@ def decode_message(data: bytes, *, piggybacked: bool = False) -> DpsMessage:
         raise DpsProtocolError(f"{kind.value}{orders} update payload has "
                                f"{len(data) - head} bytes, expected {8 * count}")
     floats = struct.unpack_from(f"<{count}d", data, head)
-    if not all(map(math.isfinite, floats)):
-        raise DpsProtocolError(f"{kind.value}{orders} update carries non-finite floats")
     model = ForecastModel(kind, orders, floats[:n_params], floats[n_params:])
+    _check_floats(model)
     return ModelUpdate(seq=seq, model=model, piggybacked=piggybacked)
 
 
-def _wire_round_trip(model: ForecastModel) -> ForecastModel:
-    # The sensor forecasts from the model as the gateway will see it.
-    return decode_message(encode_message(ModelUpdate(seq=0, model=model))).model
-
-
-def ship(history: np.ndarray, config: FitConfig) -> tuple[ForecastModel, ForecastModel, bool]:
-    """The refit rule: the model an update on ``history`` carries, its wire
-    round trip (the model both ends forecast from), and whether the fit
-    fell back.  With no fit, or one the wire refuses because a parameter
-    or state is not finite (a linear slope between +-1e308 overflows), the
-    update carries the value-holding model instead."""
+def ship(history: np.ndarray, config: FitConfig) -> ForecastModel:
+    """The refit rule: the model an update on ``history`` carries, the fit or,
+    where it fails or the encoder refuses it, the value-holding model."""
     try:
         model = fit_model(history, config)
-        return model, _wire_round_trip(model), False
+        _pack_update(0, model)
+        return model
     except (FitError, DpsProtocolError):
-        model = fit_constant(history)
-        return model, _wire_round_trip(model), True
+        return fit_constant(history)
 
 
 class _Window:
@@ -244,17 +251,6 @@ class SensorNode:
         self._seq = 0
         self._t = 0
         self._window = _Window(METHOD_SPECS[config.method].holds, self.history_len)
-        self.fallback_steps: list[int] = []
-
-    def _refit(self, *, piggybacked: bool) -> ModelUpdate:
-        history = np.fromiter(self._buffer, np.float64, len(self._buffer))
-        model, shipped, fell_back = ship(history, self.config)
-        if fell_back:
-            self.fallback_steps.append(self._t - 1)
-        update = ModelUpdate(seq=self._seq, model=model, piggybacked=piggybacked)
-        self._seq += 1
-        self._window.install(forecast(shipped, self.window_len))
-        return update
 
     def step(self, value: float) -> list[DpsMessage]:
         """Process one reading; returns the messages to transmit (0 to 2).
@@ -275,7 +271,11 @@ class SensorNode:
             messages.append(tuple.__new__(Measurement, (self._seq, t, value)))
             self._seq += 1
         if self._window.advance(value, transmit):
-            messages.append(self._refit(piggybacked=bootstrap))
+            history = np.fromiter(self._buffer, np.float64, len(self._buffer))
+            update = ModelUpdate(self._seq, ship(history, self.config), bootstrap)
+            self._seq += 1
+            self._window.install(forecast(update.model, self.window_len))
+            messages.append(update)
         return messages
 
 
@@ -320,8 +320,7 @@ class Gateway:
                     f"current position {t}"
                 )
             value = measurement.value
-            if not math.isfinite(value):
-                raise DpsProtocolError(f"measurement carries non-finite value {value}")
+            _check_value(value)
         elif t < self.history_len:
             raise DpsProtocolError(f"missing bootstrap measurement at step {t}")
         else:
@@ -329,7 +328,7 @@ class Gateway:
         # Decoded and forecast before any state moves, so a refused update
         # leaves the step to be sent again.
         if update is not None:
-            model = _wire_round_trip(update.model)
+            model = decode_message(encode_message(update)).model
             # A sensor ships its own method's model, or value-holding's
             # when that fit falls back.
             if model.kind is not self.method and model.kind is not MethodKind.CONSTANT:
@@ -354,11 +353,16 @@ class DpsTrace:
     delta_min: float
     reconstructed: TimeSeries
     messages: tuple[tuple[int, DpsMessage], ...]
-    fallback_steps: tuple[int, ...]
 
     @property
     def n_steps(self) -> int:
         return len(self.reconstructed)
+
+    @property
+    def fallback_steps(self) -> tuple[int, ...]:
+        """Steps whose refit fell back to value-holding's model."""
+        return tuple(step for step, m in self.messages
+                     if isinstance(m, ModelUpdate) and m.model.kind is not self.method)
 
     @property
     def measurement_count(self) -> int:
@@ -463,7 +467,6 @@ def run_dps(series: TimeSeries, config: FitConfig, history_len: int,
         delta_min=delta_min,
         reconstructed=reconstructed,
         messages=tuple(log),
-        fallback_steps=tuple(sensor.fallback_steps),
     )
 
 

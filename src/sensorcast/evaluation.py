@@ -276,7 +276,7 @@ def _forecasts(histories: np.ndarray, config: FitConfig, n_steps: int) -> np.nda
     if histories.shape[1] < need:
         raise FitError(f"{config.method.value} needs a history of at least {need} values")
     if spec.fit_block is None:
-        return np.array([forecast(ship(history, config)[1], n_steps) for history in histories])
+        return np.array([forecast(ship(history, config), n_steps) for history in histories])
     params = spec.fit_block(histories)
     predicted = spec.forecast_block(params, n_steps)
     # Only the refused rows are rewritten: np.where would copy the block.

@@ -7,6 +7,7 @@ here are exact integers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .series import check_count
@@ -31,6 +32,13 @@ class RingNetwork:
     def __post_init__(self) -> None:
         for name in ("branches", "depth"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        # The counts are exact ints, but the published form and the savings
+        # are floats: the transmission count, at most branches * depth**3,
+        # times a percentage up to 100 must stay below the largest float.
+        if 100 * self.branches * self.depth ** 3 > sys.float_info.max:
+            raise ValueError(f"ring network of {self.branches} branches and depth "
+                             f"{self.depth} is too large: 100 * branches * depth**3 "
+                             f"passes the largest float")
 
 
 def nodes_in_ring(net: RingNetwork, d: int) -> int:

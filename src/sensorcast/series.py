@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,8 +50,9 @@ def check_splits(history_len, window_len, n_splits) -> tuple[int, int, int]:
 
 
 def check_magnitude(name: str, value) -> None:
-    """Refuse a magnitude that is not finite and greater than 0 (NaN fails)."""
-    if not 0 < value < math.inf:
+    """Refuse a magnitude that is not finite and greater than 0 (NaN fails,
+    as does an int past the largest float)."""
+    if not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 

@@ -610,6 +610,34 @@ def test_dps_trace_and_summary(tmp_path, capsys):
     assert tail["measurement_bytes"] == run["measurement_bytes"]
 
 
+def test_dps_writes_no_output_when_a_later_run_is_refused(tmp_path, capsys):
+    # The second entry's 30 rows are too short for H + W = 70; the first
+    # entry's runs, which succeed, must not leave their traces behind.
+    (tmp_path / "short.csv").write_text(
+        "timestamp,position\n" + "".join(f"{t}.0,{t % 7}.5\n" for t in range(30)))
+    manifest = write_manifest(tmp_path / "m.json", output_dir=str(tmp_path / "out"),
+                              data_dir=str(tmp_path), history_len=50, window_len=20,
+                              datasets=[{"family": "ball", "group": 1},
+                                        {"family": "ball", "group": 2, "path": "short.csv"}])
+    assert run_cli("dps", "--manifest", str(manifest)) == 2
+    captured = capsys.readouterr()
+    assert "error: series of length 30 too short" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_dps_refuses_a_ring_network_past_the_float_range_before_any_output(tmp_path, capsys):
+    # Its float projections overflowed after the first trace was written.
+    manifest = write_manifest(tmp_path / "m.json", methods=["constant"],
+                              output_dir=str(tmp_path / "out"),
+                              ring_branches=1, ring_depth=10**103)
+    assert run_cli("dps", "--manifest", str(manifest)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ring network of 1 branches and depth 1000")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_dps_on_generated_csv_matches_generated_series(tmp_path):
     fixtures = tmp_path / "fixtures"
     assert run_cli("generate", "--paper-defaults", "--output-dir", str(fixtures)) == 0
@@ -669,6 +697,23 @@ def test_ring_subcommand_output(capsys):
 def test_ring_rejects_bad_geometry(capsys):
     assert run_cli("ring", "--branches", "0", "--depth", "3") == 2
     assert "branches" in capsys.readouterr().err
+
+
+def test_ring_refuses_a_network_past_the_float_range_before_listing_it(capsys, monkeypatch):
+    # Accepted, this depth would list rings without end; the stand-in stops
+    # the listing so that the test fails instead.
+    listed = []
+
+    def counted(net, d):
+        listed.append(d)
+        assert len(listed) < 100, "the ring listing did not stop"
+        return 0
+
+    monkeypatch.setattr(sensorcast.cli, "nodes_in_ring", counted)
+    assert run_cli("ring", "--branches", "1", "--depth", str(10**103)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ring network of 1 branches and depth 1000")
+    assert captured.out == "" and listed == []
 
 
 def test_version_flag(capsys):

@@ -148,6 +148,15 @@ def test_load_intel_schema(tmp_path):
     assert s.unit == "degC"
 
 
+def test_an_epoch_past_the_float_range_over_its_period_is_refused_without_a_warning(tmp_path):
+    # 1e308 epochs of 31 s overflowed with numpy's warning before the
+    # series refused the infinite timestamp.
+    path = tmp_path / "intel.csv"
+    path.write_text("epoch,moteid,temperature\n1,7,20.0\n1e308,7,20.5\n")
+    with pytest.raises(ValueError, match="timestamps must be finite"):
+        load_csv(path, descriptor_for("intel"))
+
+
 def test_load_sensorscope_schema_column_order(tmp_path):
     path = tmp_path / "station.csv"
     path.write_text(

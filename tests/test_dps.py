@@ -229,25 +229,39 @@ def test_every_model_of_a_refit_is_a_tuple_of_exact_floats_aliasing_nothing(conf
     history = np.cumsum(np.random.default_rng(1).standard_normal(60))
     if kind is MethodKind.CONSTANT:
         history[-2:] = -1e308, 1e308
-    decoded = []
-    decode = dps_module.decode_message
+    calls, decoded = [], []
+    pack, decode = dps_module._pack_update, dps_module.decode_message
 
-    def recording(data, **kwargs):
+    def packing(seq, model):
+        calls.append("encode")
+        return pack(seq, model)
+
+    def decoding(data, **kwargs):
+        calls.append("decode")
         msg = decode(data, **kwargs)
         decoded.append(msg.model)
         return msg
 
-    monkeypatch.setattr(dps_module, "decode_message", recording)
+    # Every update frame is packed by _pack_update, encode_message's update
+    # half, which the sensor's refit rule calls directly.
+    monkeypatch.setattr(dps_module, "_pack_update", packing)
+    monkeypatch.setattr(dps_module, "decode_message", decoding)
     sensor = SensorNode(config, len(history), 5, 0.1)
     gateway = Gateway(config.method, len(history), 5)
-    for value in history:
-        messages = sensor.step(value)
-        gateway.step(messages)
+    for value in history[:-1]:
+        gateway.step(sensor.step(value))
+    assert calls == []
+    # The one refit rides on the last bootstrap reading.  The sensor encodes
+    # it once, as its refit rule checks it (a refused fit included), and
+    # forecasts from the model it sends; the gateway encodes the update it
+    # is handed and decodes that frame.
+    messages = sensor.step(history[-1])
+    assert calls == ["encode"]
+    gateway.step(messages)
+    assert calls == ["encode", "encode", "decode"]
     monkeypatch.undo()
-    # The first refit rides on the last bootstrap reading; the sensor decodes
-    # it to forecast, then the gateway.
     fit = messages[-1].model
-    assert fit.kind is kind and fit.orders == orders and len(decoded) == 2
+    assert fit.kind is kind and fit.orders == orders and len(decoded) == 1
     frame = encode_message(messages[-1])
     n_params, n_state = METHOD_SPECS[fit.kind].payloads[orders]
     floats = struct.unpack_from(f"<{n_params + n_state}d", frame, 7)
@@ -271,17 +285,30 @@ def test_every_model_of_a_refit_is_a_tuple_of_exact_floats_aliasing_nothing(conf
     assert [_hex(model) for model in models] == before
 
 
-def test_decode_refuses_non_finite_floats():
+def test_encode_and_decode_refuse_non_finite_floats():
+    # Each frame is packed by hand, since the encoder refuses it with the
+    # decoder's own message.
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DpsProtocolError, match="non-finite"):
-            decode_message(encode_message(Measurement(seq=1, index=2, value=bad)))
+        message = Measurement(seq=1, index=2, value=bad)
+        with pytest.raises(DpsProtocolError, match="non-finite value") as encoded:
+            encode_message(message)
+        with pytest.raises(DpsProtocolError) as decoded:
+            decode_message(struct.pack("<BIId", 0x02, 1, 2, bad))
+        assert str(encoded.value) == str(decoded.value)
     for model in (
         ForecastModel(kind=MethodKind.LINEAR, params=[np.nan, np.inf], k=2),
         ForecastModel(kind=MethodKind.ARIMA, orders=(1, 1, 0), params=[0.5],
                       state=[1.0, -np.inf], k=2),
     ):
-        with pytest.raises(DpsProtocolError, match="non-finite"):
-            decode_message(encode_message(ModelUpdate(seq=1, model=model)))
+        p, d, q = model.orders
+        frame = struct.pack(f"<BIBB{len(model.params + model.state)}d", 0x01, 1,
+                            METHOD_SPECS[model.kind].code, (p << 4) | (d << 2) | q,
+                            *model.params, *model.state)
+        with pytest.raises(DpsProtocolError, match="non-finite floats") as encoded:
+            encode_message(ModelUpdate(seq=1, model=model))
+        with pytest.raises(DpsProtocolError) as decoded:
+            decode_message(frame)
+        assert str(encoded.value) == str(decoded.value)
 
 
 @pytest.mark.parametrize("model, refusal", [
@@ -521,7 +548,7 @@ def test_sensor_refuses_a_non_finite_reading_before_any_state_moves(method, bad)
     # the refit's own fallback, after the step had moved).
     def state(node):
         return (node._t, node._seq, list(node._buffer), node._window.values,
-                node._window.pos, node.fallback_steps)
+                node._window.pos)
 
     node, clean = (SensorNode(FitConfig(method=method), 3, 2, 0.5) for _ in range(2))
     for value in (1.0, 2.0):
@@ -634,7 +661,7 @@ def test_gateway_refuses_a_non_finite_measurement_as_the_decoder_does(bad):
     # The object API carries what the wire refuses; the gateway refuses it
     # with the decoder's message, before the step changes anything.
     with pytest.raises(DpsProtocolError) as decoded:
-        decode_message(encode_message(Measurement(1, 1, bad)))
+        decode_message(struct.pack("<BIId", 0x02, 1, 1, bad))
     model = fit_model(np.array([0.0, 1.0]), LINEAR)
     gw = Gateway(MethodKind.LINEAR, history_len=2, window_len=2)
     gw.step([Measurement(0, 0, 0.0)])

@@ -1,18 +1,23 @@
-"""Property-based fuzzing of the wire decoder.
+"""Property-based fuzzing of the wire encoder and decoder.
 
 ``decode_message`` is the gateway's only contact with radio bytes.  For
 random bytes, random model-update headers, and valid frames truncated or
 with bits flipped, it may raise only ``DpsProtocolError``; every frame it
 accepts re-encodes to the same bytes and carries only finite floats, and
-every model it accepts can be forecast from.  Runs are derandomized, so
-the suite tests the same frames every time.
+every model it accepts can be forecast from.  ``encode_message`` succeeds
+on a message exactly when the decoder accepts that message's frame, packed
+here by hand, for every kind and payload shape and for floats the wire
+refuses.  Runs are derandomized, so the suite tests the same frames every
+time.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +95,74 @@ def check_frame(frame: bytes) -> bool:
             values = forecast(msg.model, 20)
         assert values.shape == (20,)
     return True
+
+
+# Floats at and past the wire's edges: NaN, the infinities, the largest and
+# smallest magnitudes, and a negative zero.
+EDGES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0, 0.0, 1.5)
+PAYLOAD_SHAPES = [(kind, orders) for kind, spec in METHOD_SPECS.items()
+                  for orders in sorted(spec.payloads)]
+
+
+def hand_packed(msg) -> bytes:
+    # The frame of a message, packed from its fields with no checks.
+    if isinstance(msg, Measurement):
+        return struct.pack("<BIId", 0x02, msg.seq, msg.index, msg.value)
+    model = msg.model
+    p, d, q = model.orders
+    floats = model.params + model.state
+    return struct.pack(f"<BIBB{len(floats)}d", 0x01, msg.seq, METHOD_SPECS[model.kind].code,
+                       (p << 4) | (d << 2) | q, *floats)
+
+
+def check_encoder(msg) -> bool:
+    """Encode; True when it succeeds, which must be exactly when the
+    decoder accepts the message's hand-packed frame, and then to that
+    frame."""
+    try:
+        frame = encode_message(msg)
+    except DpsProtocolError:
+        frame = None
+    assert check_frame(hand_packed(msg)) == (frame is not None)
+    if frame is not None:
+        assert frame == hand_packed(msg)
+    return frame is not None
+
+
+@st.composite
+def edge_messages(draw):
+    # Any message the encoder is handed: a measurement, or an update of
+    # every kind and payload shape, its floats drawn from the edges and
+    # from every float.
+    floats = st.one_of(st.sampled_from(EDGES), st.floats())
+    if draw(st.integers(0, 4)) == 0:
+        return Measurement(draw(u32), draw(u32), draw(floats))
+    kind, orders = draw(st.sampled_from(PAYLOAD_SHAPES))
+    n_params, n_state = METHOD_SPECS[kind].payloads[orders]
+    values = draw(st.lists(floats, min_size=n_params + n_state, max_size=n_params + n_state))
+    return ModelUpdate(draw(u32), ForecastModel(kind, orders, values[:n_params],
+                                                values[n_params:]))
+
+
+@FUZZ
+@given(edge_messages())
+def test_encode_succeeds_exactly_when_the_decoder_accepts_the_frame(msg):
+    event("encoded" if check_encoder(msg) else "refused")
+
+
+@pytest.mark.parametrize("kind, orders", PAYLOAD_SHAPES,
+                         ids=[f"{kind.value}{orders}" for kind, orders in PAYLOAD_SHAPES])
+def test_encode_refuses_an_edge_float_exactly_where_the_decoder_does(kind, orders):
+    # Every edge value in every float of the payload, the rest ones.
+    n_params, n_state = METHOD_SPECS[kind].payloads[orders]
+    for i in range(n_params + n_state):
+        for edge in EDGES:
+            values = [1.0] * (n_params + n_state)
+            values[i] = edge
+            model = ForecastModel(kind, orders, values[:n_params], values[n_params:])
+            assert check_encoder(ModelUpdate(7, model)) == math.isfinite(edge)
+    for edge in EDGES:
+        assert check_encoder(Measurement(7, 8, edge)) == math.isfinite(edge)
 
 
 @FUZZ

@@ -557,7 +557,7 @@ def _split_oracle(scenario, series):
     for origin in splits.origins.tolist():
         history = series.values[origin:origin + s.history_len]
         window = series.values[origin + s.history_len:origin + s.history_len + s.window_len]
-        predicted = forecast(ship(history, s.config)[1], s.window_len)
+        predicted = forecast(ship(history, s.config), s.window_len)
         keep = np.abs(window) > 1e-12
         try:
             value, skipped = mape(window, predicted)

@@ -5,9 +5,10 @@ finite magnitude from 1e-300 to 1e300, run at the shortest history the
 method accepts and a small window, every transmitted step is reconstructed
 exactly and every suppressed step lies strictly within ``delta_min``.
 The sensor catches only ``FitError`` from a refit (and ``DpsProtocolError``
-from the wire), so a fitter raising anything else fails the run.  On the
-same series, the sensor's and the gateway's windows agree bit for bit
-after every reading.  ``run_scenario`` scores every method on series of
+from the encoder), so a fitter raising anything else fails the run, and a
+refit falls back exactly when its fit raises or holds a non-finite float.
+On the same series, the sensor's and the gateway's windows agree bit for
+bit after every reading.  ``run_scenario`` scores every method on series of
 any magnitude up to 1.5e308 without a RuntimeWarning, and its block scores
 are those of each split's shipped model (``dps.ship``) scored on its own.  The fitted methods also scale
 exactly: a fit of the series times 2**k picks the same orders and
@@ -21,7 +22,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sensorcast.datasets import descriptor_for
@@ -108,17 +109,32 @@ def test_sensor_and_gateway_windows_agree_bit_for_bit(
         assert not any(piggybacked for _, piggybacked in updates[1:])
 
 
+def falls_back(history, config):
+    # The refit rule restated from its causes, not from the kinds a run
+    # logs: the fit raises, or it holds a float the wire cannot carry.
+    try:
+        model = fit_model(history, config)
+    except FitError:
+        return True
+    return not np.isfinite(model.params + model.state).all()
+
+
 def hand_stepped_run(series, config, history_len, window_len, delta):
     # The per-reading loop written plainly: numpy scalars in, and each
-    # step's messages logged through a generator.
+    # step's messages logged through a generator.  A step that sends an
+    # update is a refit on the last history_len readings.
     sensor = SensorNode(config, history_len, window_len, delta)
     gateway = Gateway(config.method, history_len, window_len)
-    log = []
+    log, fallback_steps = [], []
     for t, value in enumerate(series.values):
         messages = sensor.step(value)
         gateway.step(messages)
         log.extend((t, m) for m in messages)
-    return log, np.array(gateway.reconstructed), sensor.fallback_steps
+        if any(isinstance(m, ModelUpdate) for m in messages):
+            history = series.values[max(0, t + 1 - history_len):t + 1]
+            if falls_back(history, config):
+                fallback_steps.append(t)
+    return log, np.array(gateway.reconstructed), fallback_steps
 
 
 def wire_log(log):
@@ -147,10 +163,32 @@ def test_run_dps_is_the_hand_stepped_loop_bit_for_bit(
     assert wire_log(trace.messages) == wire_log(log)
     assert trace.reconstructed.values.tobytes() == reconstructed.tobytes()
     assert list(trace.fallback_steps) == fallback_steps
+    event("falls back" if fallback_steps else "no fallback")
     for _, m in trace.messages:
         if isinstance(m, Measurement):
             assert type(m.value) is float
             assert m.value.hex() == values[m.index].hex()
+
+
+@pytest.mark.parametrize("method, history_len, values", [
+    # Slopes between +-1e308 overflow, so those refits are refused, and the
+    # lines around them are fitted.
+    ("linear", 4, np.concatenate([np.arange(12.0), np.tile([1e308, -1e308], 6),
+                                  np.arange(12.0)])),
+    # Below the method's minimum history every fit raises FitError.
+    ("arima", 8, np.sin(np.arange(40.0))),
+    ("exponential_smoothing", 3, np.sin(np.arange(40.0))),
+], ids=["linear-overflow", "arima-short", "smoothing-short"])
+def test_fallback_steps_are_the_refits_whose_fit_raises_or_is_not_finite(method, history_len,
+                                                                          values):
+    series = TimeSeries.regular(values)
+    config = FitConfig(method=method)
+    trace = run_dps(series, config, history_len, 3, 0.5)
+    log, _, fallback_steps = hand_stepped_run(series, config, history_len, 3, 0.5)
+    assert wire_log(trace.messages) == wire_log(log)
+    refits = [t for t, m in log if isinstance(m, ModelUpdate)]
+    assert fallback_steps and (fallback_steps == refits) == (method != "linear")
+    assert list(trace.fallback_steps) == fallback_steps
 
 
 def hexes(values):
@@ -212,7 +250,7 @@ def test_run_scenario_scores_any_magnitude_without_warnings(
 
     splits = extract_splits(TimeSeries.regular(values), history_len, window_len, n_splits, seed)
     for i, (history, window) in enumerate(zip(splits.histories, splits.windows)):
-        predicted = forecast(ship(history, config)[1], window_len)
+        predicted = forecast(ship(history, config), window_len)
         try:
             expected = mape(window, predicted)[0]
         except MapeUndefined:

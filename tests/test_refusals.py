@@ -18,7 +18,7 @@ from sensorcast.datasets import BallParams, DatasetDescriptor, ball_zero_crossin
 from sensorcast.dps import Gateway, SensorNode
 from sensorcast.evaluation import Scenario, emit_report, run_scenario
 from sensorcast.forecast import FitConfig, ForecastModel, fit_constant, forecast
-from sensorcast.ring import RingNetwork
+from sensorcast.ring import RingNetwork, approx_transmissions_paper, network_savings
 from sensorcast.series import TimeSeries, extract_splits, gap_fill, quantize_to_resolution
 
 SERIES = TimeSeries.regular(np.arange(12.0))
@@ -113,7 +113,7 @@ def test_a_numpy_count_is_stored_as_an_int(tmp_path):
     emit_report([run_scenario(scenario, SERIES)], tmp_path / "r.json", tmp_path / "r.csv")
 
 
-@pytest.mark.parametrize("bad", [0, 0.0, -1, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [0, 0.0, -1, -1e-300, math.nan, math.inf, -math.inf, 10**400])
 @pytest.mark.parametrize("name, call", MAGNITUDES, ids=_ids(MAGNITUDES))
 def test_a_magnitude_is_finite_and_positive(name, call, bad):
     with pytest.raises(ValueError) as err:
@@ -132,6 +132,27 @@ def test_a_name_is_a_value_of_its_enum(name, call):
     with pytest.raises(ValueError, match=f"^unknown {name} 'bogus'; expected one of: "):
         call("bogus")
     call("ball" if name == "dataset family" else "constant")
+
+
+# The largest depth a one-branch ring network may have: its float counts,
+# times a percentage, stay finite.
+MAX_DEPTH = int("1215920516968649718798053381012576906594428178802358535546333146"
+                "059793480011756198553715819183510830069")
+
+
+@pytest.mark.parametrize("branches, depth", [(1, 10**103), (1, MAX_DEPTH + 1), (10**309, 1),
+                                             (2, MAX_DEPTH)])
+def test_a_ring_network_whose_counts_pass_the_float_range_is_refused(branches, depth):
+    with pytest.raises(ValueError) as err:
+        RingNetwork(branches, depth)
+    assert str(err.value) == (f"ring network of {branches} branches and depth {depth} is too "
+                              f"large: 100 * branches * depth**3 passes the largest float")
+
+
+def test_the_largest_ring_network_has_finite_float_counts():
+    net = RingNetwork(1, MAX_DEPTH)
+    assert math.isfinite(approx_transmissions_paper(net))
+    assert network_savings(net, 100.0) > 0
 
 
 @pytest.mark.parametrize("bad", [-1, -1e-300, math.nan, math.inf, -math.inf])
